@@ -1,25 +1,50 @@
-"""Regenerates the frozen reference optima used by the acceptance suite.
+"""Regenerates the frozen fixtures used by the test suite.
 
-The reference value for each instance comes from an away-step run with a
-10x iteration budget (500,000 vs the 50,000 cap used in acceptance) pushed
-to a 1e-13 gap.  Run from the repository root:
+* ``portfolio_reference.json``: the reference optimum of the acceptance
+  suite.  It comes from an away-step run with a 10x iteration budget
+  (500,000 vs the 50,000 cap used in acceptance) pushed to a 1e-13 gap.
+* ``golden_traces.json``: seeded cells over the four problem families and
+  every solver that applies to each, run at a gap no cell reaches before its
+  cap (or its stall, or its linear-rate convergence).  Every iteration record
+  except its wall time is stored, with the status, final value, final gap and
+  run metadata; ``tests/test_golden_traces.py`` replays the cells against it.
+  Regenerate it only when a change is meant to alter solver traces.
+
+Run from the repository root:
 
     python3 scripts/make_reference_fixtures.py
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
-from gscfw import SolverConfig, asfwgsc, portfolio_generator, portfolio_problem
-from gscfw.bench import make_start
+from gscfw import (IterationRecord, SolverConfig, asfwgsc, portfolio_generator,
+                   portfolio_problem)
+from gscfw.bench import build_problem, make_start, run_method
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
 PORTFOLIO = {"p": 200, "n": 100, "seed": 23, "start_seed": 101}
 
+GOLDEN_EPSILON = 1e-12
+GOLDEN_MAX_ITER = 60
+GOLDEN_START_SEED = 17
+GOLDEN_GRID = [
+    ({"name": "logistic", "p": 60, "n": 12, "seed": 3},
+     ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc", "mbtfwgsc", "asfwgsc"]),
+    ({"name": "portfolio", "p": 150, "n": 100, "seed": 9},
+     ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc", "mbtfwgsc", "fwlloo", "asfwgsc"]),
+    ({"name": "dwd", "p": 40, "d": 6, "seed": 7},
+     ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc", "mbtfwgsc"]),
+    ({"name": "covariance", "p": 6, "seed": 11},
+     ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc", "mbtfwgsc", "asfwgsc"]),
+]
+GOLDEN_FIELDS = [f.name for f in dataclasses.fields(IterationRecord)
+                 if f.name != "elapsed_seconds"]
 
-def main():
-    FIXTURES.mkdir(parents=True, exist_ok=True)
+
+def write_portfolio_reference():
     inst = portfolio_problem(portfolio_generator(
         PORTFOLIO["p"], PORTFOLIO["n"], PORTFOLIO["seed"]))
     x0, active = make_start(inst, start_seed=PORTFOLIO["start_seed"])
@@ -40,6 +65,41 @@ def main():
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
     print(json.dumps(payload, indent=2))
+
+
+def golden_cell(problem: dict, method: str) -> dict:
+    """One seeded run, reduced to its non-timing content."""
+    inst = build_problem(problem)
+    x0, active = make_start(inst, GOLDEN_START_SEED)
+    config = SolverConfig(epsilon=GOLDEN_EPSILON, max_iter=GOLDEN_MAX_ITER)
+    trace = run_method(method, inst, x0, active, config)
+    return {
+        "problem": problem, "method": method, "status": trace.status,
+        "final_f": trace.final_f, "final_gap": trace.final_gap, "meta": trace.meta,
+        "records": {name: [getattr(rec, name) for rec in trace.iterations]
+                    for name in GOLDEN_FIELDS},
+    }
+
+
+def write_golden_traces():
+    cells = [golden_cell(problem, method)
+             for problem, methods in GOLDEN_GRID for method in methods]
+    header = {"epsilon": GOLDEN_EPSILON, "max_iter": GOLDEN_MAX_ITER,
+              "start_seed": GOLDEN_START_SEED}
+    # one cell per line keeps the file diffable without one number per line
+    body = ",\n".join(json.dumps(cell, separators=(",", ":")) for cell in cells)
+    out = FIXTURES / "golden_traces.json"
+    out.write_text(json.dumps(header)[:-1] + ', "cells": [\n' + body + "\n]}\n")
+    print(f"wrote {out}")
+    for cell in cells:
+        print(f"  {cell['problem']['name']:<10} {cell['method']:<15} {cell['status']:<14} "
+              f"{len(cell['records']['k'])} iterations")
+
+
+def main():
+    FIXTURES.mkdir(parents=True, exist_ok=True)
+    write_portfolio_reference()
+    write_golden_traces()
 
 
 if __name__ == "__main__":

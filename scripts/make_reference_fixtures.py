@@ -84,12 +84,11 @@ def golden_cell(problem: dict, method: str) -> dict:
 def write_golden_traces():
     cells = [golden_cell(problem, method)
              for problem, methods in GOLDEN_GRID for method in methods]
-    header = {"epsilon": GOLDEN_EPSILON, "max_iter": GOLDEN_MAX_ITER,
-              "start_seed": GOLDEN_START_SEED}
     # one cell per line keeps the file diffable without one number per line
     body = ",\n".join(json.dumps(cell, separators=(",", ":")) for cell in cells)
     out = FIXTURES / "golden_traces.json"
-    out.write_text(json.dumps(header)[:-1] + ', "cells": [\n' + body + "\n]}\n")
+    out.write_text(f'{{"epsilon": {GOLDEN_EPSILON}, "max_iter": {GOLDEN_MAX_ITER}, '
+                   f'"start_seed": {GOLDEN_START_SEED}, "cells": [\n{body}\n]}}\n')
     print(f"wrote {out}")
     for cell in cells:
         print(f"  {cell['problem']['name']:<10} {cell['method']:<15} {cell['status']:<14} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gsc import GscSpec, LocalGeometry, Objective, delta_nu, inner, l2_norm, omega
+from .gsc import GscSpec, LocalGeometry, Objective, delta_nu, inner, l2_norm
 from .sets import FeasibleSet, SimplexLLOO, VertexSet, gap as fw_gap, max_feasible_step
 from .stepsize import PsiParams, analytic_step, t_star
 
@@ -100,51 +100,56 @@ class RunTrace:
         return min(self.f_values())
 
 
-class _Run:
-    """Shared trace bookkeeping for a single solver execution."""
+def _start(obj: Objective, feasible: FeasibleSet, x0, solver: str):
+    """Validated float copy of the start, and the run's metadata."""
+    x = np.array(x0, dtype=float)
+    if not feasible.contains(x, tol=1e-7):
+        raise ValueError("initial point is not feasible")
+    if not obj.in_domain(x):
+        raise ValueError("initial point is outside the domain")
+    return x, {"solver": solver, "problem": getattr(obj, "name", "objective")}
 
-    def __init__(self, obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig,
-                 solver: str):
-        x = np.array(x0, dtype=float)
-        if not feasible.contains(x, tol=1e-7):
-            raise ValueError("initial point is not feasible")
-        if not obj.in_domain(x):
-            raise ValueError("initial point is outside the domain")
-        self.obj = obj
-        self.feasible = feasible
-        self.config = config
-        self.x = x
-        self.records = []
-        self.status = "iteration-cap"
-        self.zero_streak = 0
-        self.meta = {"solver": solver, "problem": getattr(obj, "name", "objective")}
-        self.iterates = [x.copy()] if config.keep_iterates else None
 
-    def record(self, rec: IterationRecord):
-        self.records.append(rec)
-        if rec.step_kind == "zero":
-            self.zero_streak += 1
-        else:
-            self.zero_streak = 0
+def _frank_wolfe(obj: Objective, feasible: FeasibleSet, x, config: SolverConfig, meta: dict,
+                 step) -> RunTrace:
+    """The iteration every solver shares: gradient, oracle, gap, stop test, step.
 
-    def move(self, x_new):
-        self.x = x_new
-        if self.iterates is not None:
-            self.iterates.append(np.array(x_new, copy=True))
-
-    def stalled(self) -> bool:
-        if self.zero_streak >= _STALL_LIMIT:
-            self.status = "stalled"
-            return True
-        return False
-
-    def finish(self, final_gap=None) -> RunTrace:
-        if final_gap is None:
-            g = self.obj.gradient(self.x)
-            final_gap = fw_gap(g, self.x, self.feasible.lmo(g))
-        return RunTrace(iterations=self.records, status=self.status,
-                        final_f=self.obj.value(self.x), final_gap=final_gap,
-                        x=self.x, meta=self.meta, iterates=self.iterates)
+    ``step(k, x, g, s_id, s, gap, f_x)`` returns ``(x_new, f(x_new) or None,
+    record)`` and carries the solver's own state; ``s_id`` is the vertex id
+    on polytopes and None elsewhere.  The gap test runs before the cap test,
+    so the final gap is always the one measured at the final iterate, and a
+    record's wall time spans its whole iteration, step bookkeeping included.
+    A step that already evaluated f at its new point hands the value on
+    instead of having it computed again.
+    """
+    indexed = isinstance(feasible, VertexSet)
+    records = []
+    iterates = [x.copy()] if config.keep_iterates else None
+    status, zero_streak, f_x = "iteration-cap", 0, None
+    for k in range(config.max_iter + 1):
+        t0 = time.perf_counter()
+        g = obj.gradient(x)
+        s_id, s = feasible.lmo_indexed(g) if indexed else (None, feasible.lmo(g))
+        gp = fw_gap(g, x, s)
+        if gp <= config.epsilon:
+            status = "gap-converged"
+            break
+        if zero_streak >= _STALL_LIMIT:
+            status = "stalled"
+            break
+        if k == config.max_iter:
+            break
+        if f_x is None:
+            f_x = obj.value(x)
+        x, f_x, rec = step(k, x, g, s_id, s, gp, f_x)
+        rec.elapsed_seconds = time.perf_counter() - t0
+        records.append(rec)
+        if iterates is not None:
+            iterates.append(np.array(x, copy=True))
+        zero_streak = zero_streak + 1 if rec.step_kind == "zero" else 0
+    return RunTrace(iterations=records, status=status,
+                    final_f=obj.value(x) if f_x is None else f_x, final_gap=gp,
+                    x=x, meta=meta, iterates=iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +158,19 @@ class _Run:
 
 def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Oblivious 2/(k+2) schedule; domain-violating candidates are zeroed."""
-    run = _Run(obj, feasible, x0, config, "fw-standard")
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        s = feasible.lmo(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            return run.finish(gp)
+    x, meta = _start(obj, feasible, x0, "fw-standard")
+
+    def step(k, x, g, s_id, s, gap, f_x):
         alpha = 2.0 / (k + 2.0)
-        cand = run.x + alpha * (s - run.x)
-        kind = "forward"
+        cand = x + alpha * (s - x)
         if not obj.in_domain(cand):
-            alpha, cand, kind = 0.0, run.x, "zero"
-        run.record(IterationRecord(k, obj.value(run.x), gp, alpha, kind,
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(cand)
-        if run.stalled():
-            break
-    return run.finish()
+            return x, f_x, IterationRecord(k, f_x, gap, 0.0, "zero")
+        return cand, None, IterationRecord(k, f_x, gap, alpha, "forward")
+
+    return _frank_wolfe(obj, feasible, x, config, meta, step)
 
 
-def _exact_line_search(obj: Objective, x, v, gp, config: SolverConfig) -> float:
+def _exact_line_search(obj: Objective, x, v, config: SolverConfig) -> float:
     """Bisection on the directional derivative over the domain-feasible range."""
     t_max = max_feasible_step(obj, x, v)
 
@@ -198,21 +193,14 @@ def _exact_line_search(obj: Objective, x, v, gp, config: SolverConfig) -> float:
 
 def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Exact line search within the domain-feasible segment."""
-    run = _Run(obj, feasible, x0, config, "fw-line-search")
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        s = feasible.lmo(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            return run.finish(gp)
-        v = s - run.x
-        alpha = _exact_line_search(obj, run.x, v, gp, config)
-        run.record(IterationRecord(k, obj.value(run.x), gp, alpha, "forward",
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(run.x + alpha * v)
-    return run.finish()
+    x, meta = _start(obj, feasible, x0, "fw-line-search")
+
+    def step(k, x, g, s_id, s, gap, f_x):
+        v = s - x
+        alpha = _exact_line_search(obj, x, v, config)
+        return x + alpha * v, None, IterationRecord(k, f_x, gap, alpha, "forward")
+
+    return _frank_wolfe(obj, feasible, x, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +213,15 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     Every iterate stays feasible and in the domain without any line search
     or domain oracle, and f decreases by at least the recorded prediction.
     """
-    run = _Run(obj, feasible, x0, config, "fwgsc")
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        s = feasible.lmo(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            return run.finish(gp)
-        v = s - run.x
-        geom = LocalGeometry.from_direction(obj, run.x, v, gp)
-        dec = analytic_step(obj.spec, geom, cap=1.0)
-        run.record(IterationRecord(k, obj.value(run.x), gp, dec.alpha, "forward",
-                                   predicted_decrease=dec.predicted_decrease,
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(run.x + dec.alpha * v)
-    return run.finish()
+    x, meta = _start(obj, feasible, x0, "fwgsc")
+
+    def step(k, x, g, s_id, s, gap, f_x):
+        v = s - x
+        dec = analytic_step(obj.spec, LocalGeometry.from_direction(obj, x, v, gap), cap=1.0)
+        return x + dec.alpha * v, None, IterationRecord(
+            k, f_x, gap, dec.alpha, "forward", predicted_decrease=dec.predicted_decrease)
+
+    return _frank_wolfe(obj, feasible, x, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +233,8 @@ def step_l(obj: Objective, feasible: FeasibleSet, v, x, l_prev: float,
     """Quadratic-model backtracking: doubles the estimate until the candidate
     is in the domain and below the model.  Returns (alpha, L_new, backtracks,
     candidate, f_candidate)."""
-    g = None
     if gap_value is None:
-        g = obj.gradient(x)
-        gap_value = -inner(g, v)
+        gap_value = -inner(obj.gradient(x), v)
     if f_x is None:
         f_x = obj.value(x)
     beta2 = inner(v, v)
@@ -296,26 +274,18 @@ def _probe_l_init(obj: Objective, feasible: FeasibleSet, x) -> float:
 
 def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Backtracking over the gradient's local Lipschitz modulus."""
-    run = _Run(obj, feasible, x0, config, "lbtfwgsc")
-    l_prev = config.l_init if config.l_init is not None else _probe_l_init(obj, feasible, run.x)
-    run.meta["l_init"] = l_prev
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        s = feasible.lmo(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            return run.finish(gp)
-        v = s - run.x
-        f_x = obj.value(run.x)
-        alpha, l_prev, backtracks, cand, _ = step_l(
-            obj, feasible, v, run.x, l_prev, config, gap_value=gp, f_x=f_x)
-        run.record(IterationRecord(k, f_x, gp, alpha, "forward",
-                                   backtrack_count=backtracks, estimate=l_prev,
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(cand)
-    return run.finish()
+    x, meta = _start(obj, feasible, x0, "lbtfwgsc")
+    l_prev = config.l_init if config.l_init is not None else _probe_l_init(obj, feasible, x)
+    meta["l_init"] = l_prev
+
+    def step(k, x, g, s_id, s, gap, f_x):
+        nonlocal l_prev
+        alpha, l_prev, backtracks, cand, f_cand = step_l(
+            obj, feasible, s - x, x, l_prev, config, gap_value=gap, f_x=f_x)
+        return cand, f_cand, IterationRecord(k, f_x, gap, alpha, "forward",
+                                             backtrack_count=backtracks, estimate=l_prev)
+
+    return _frank_wolfe(obj, feasible, x, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -348,45 +318,22 @@ def step_m(obj: Objective, feasible: FeasibleSet, v, x, mu_prev: float,
 
 def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Backtracking over the generalized self-concordance constant."""
-    run = _Run(obj, feasible, x0, config, "mbtfwgsc")
+    x, meta = _start(obj, feasible, x0, "mbtfwgsc")
     mu_prev = config.mu_init
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        s = feasible.lmo(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            return run.finish(gp)
-        v = s - run.x
-        f_x = obj.value(run.x)
-        geom = LocalGeometry.from_direction(obj, run.x, v, gp)
-        alpha, mu_prev, backtracks, cand, _ = step_m(
-            obj, feasible, v, run.x, mu_prev, config, gap_value=gp, f_x=f_x, geom=geom)
-        run.record(IterationRecord(k, f_x, gp, alpha, "forward",
-                                   backtrack_count=backtracks, estimate=mu_prev,
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(cand)
-    return run.finish()
+
+    def step(k, x, g, s_id, s, gap, f_x):
+        nonlocal mu_prev
+        alpha, mu_prev, backtracks, cand, f_cand = step_m(
+            obj, feasible, s - x, x, mu_prev, config, gap_value=gap, f_x=f_x)
+        return cand, f_cand, IterationRecord(k, f_x, gap, alpha, "forward",
+                                             backtrack_count=backtracks, estimate=mu_prev)
+
+    return _frank_wolfe(obj, feasible, x, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
 # Ball-restricted oracle acceleration
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LlooState:
-    """Radius-decay bookkeeping: r_k^2 = r_0^2 c_k, c_{k+1} = c_k e^(-alpha_k/2)."""
-    r_0: float
-    c_k: float = 1.0
-
-    @property
-    def r_k(self) -> float:
-        return self.r_0 * math.sqrt(self.c_k)
-
-    def shrink(self, alpha: float):
-        self.c_k *= math.exp(-0.5 * alpha)
-
 
 def smallest_hessian_eigenvalue(obj: Objective, x) -> float:
     """Assembles the Hessian column by column through hess_vec."""
@@ -404,57 +351,42 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
     """Ball-restricted oracle variant with geometrically shrinking radius.
 
     Maintains the certificate f(x_k) - f* <= gap(x_0) * c_k with
-    c_k = exp(-sum alpha_i / 2).  Needs a strong-convexity estimate sigma_f;
-    when absent it is taken as the smallest Hessian eigenvalue at the start,
-    floored at 1e-10.
+    c_k = exp(-sum alpha_i / 2), and queries the oracle on the ball of radius
+    r_k = r_0 sqrt(c_k), r_0 = sqrt(2 gap(x_0) / sigma_f).  Needs a
+    strong-convexity estimate sigma_f; when absent it is taken as the
+    smallest Hessian eigenvalue at the start, floored at 1e-10.
     """
-    run = _Run(obj, feasible, x0, config, "fwlloo")
+    x, meta = _start(obj, feasible, x0, "fwlloo")
     sigma = config.sigma_f
     if sigma is None:
-        sigma = max(smallest_hessian_eigenvalue(obj, run.x), 1e-10)
+        sigma = max(smallest_hessian_eigenvalue(obj, x), 1e-10)
     if not sigma > 0.0:
         raise ValueError("sigma_f must be positive")
-    run.meta["sigma_f"] = sigma
+    meta["sigma_f"] = sigma
+    gap0 = r_0 = None
+    c_k = 1.0
 
-    g0 = obj.gradient(run.x)
-    gap0 = fw_gap(g0, run.x, feasible.lmo(g0))
-    if gap0 <= config.epsilon:
-        run.status = "gap-converged"
-        return run.finish(gap0)
-    state = LlooState(r_0=math.sqrt(2.0 * gap0 / sigma))
-    run.meta["r_0"] = state.r_0
-
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        s = feasible.lmo(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            return run.finish(gp)
-        u = lloo.query(run.x, state.r_k, g)
-        v = u - run.x
+    def step(k, x, g, s_id, s, gap, f_x):
+        nonlocal gap0, r_0, c_k
+        if k == 0:
+            gap0 = gap
+            r_0 = meta["r_0"] = math.sqrt(2.0 * gap0 / sigma)
+        r_k = r_0 * math.sqrt(c_k)
+        v = lloo.query(x, r_k, g) - x
         beta = l2_norm(v)
         if beta == 0.0:
-            run.record(IterationRecord(k, obj.value(run.x), gp, 0.0, "zero",
-                                       estimate=state.c_k, certificate=gap0 * state.c_k,
-                                       radius=state.r_k,
-                                       elapsed_seconds=time.perf_counter() - t0))
-            if run.stalled():
-                break
-            continue
-        e2 = max(inner(obj.hess_vec(run.x, v), v), 0.0)
-        e = math.sqrt(e2)
-        params = PsiParams(delta=obj.spec.m * delta_nu(obj.spec, beta, e),
-                           xi=2.0 * e2 / (gap0 * state.c_k), nu=obj.spec.nu)
+            return x, f_x, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
+                                           certificate=gap0 * c_k, radius=r_k)
+        e2 = max(inner(obj.hess_vec(x, v), v), 0.0)
+        params = PsiParams(delta=obj.spec.m * delta_nu(obj.spec, beta, math.sqrt(e2)),
+                           xi=2.0 * e2 / (gap0 * c_k), nu=obj.spec.nu)
         alpha = min(1.0, t_star(params))
-        run.record(IterationRecord(k, obj.value(run.x), gp, alpha, "forward",
-                                   estimate=state.c_k, certificate=gap0 * state.c_k,
-                                   radius=state.r_k,
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(run.x + alpha * v)
-        state.shrink(alpha)
-    return run.finish()
+        rec = IterationRecord(k, f_x, gap, alpha, "forward", estimate=c_k,
+                              certificate=gap0 * c_k, radius=r_k)
+        c_k *= math.exp(-0.5 * alpha)
+        return x + alpha * v, None, rec
+
+    return _frank_wolfe(obj, feasible, x, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -550,59 +482,38 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) ->
     else:
         vid, point = start
         active = ActiveSet.single(vid, point)
-    x0 = active.reconstruct()
+    x, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
+    meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
 
-    run = _Run(obj, polytope, x0, config, "asfwgsc")
-    drift = 0.0
-    forced_forward = 0
-    drop_count = 0
-    final_gap = None
-    for k in range(config.max_iter):
-        t0 = time.perf_counter()
-        g = obj.gradient(run.x)
-        sid, s = polytope.lmo_indexed(g)
-        gp = fw_gap(g, run.x, s)
-        if gp <= config.epsilon:
-            run.status = "gap-converged"
-            final_gap = gp
-            break
+    def step(k, x, g, s_id, s, gap, f_x):
         uid, u = away_vertex(g, active)
-        away_gap = inner(g, u) - inner(g, run.x)
-        forward = gp >= away_gap
+        away_gap = inner(g, u) - inner(g, x)
+        forward = gap >= away_gap
         if not forward and active.weight(uid) >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
-            forced_forward += 1
+            meta["forced_forward_steps"] += 1
         if forward:
-            v = s - run.x
-            t_bar = 1.0
-            kind = "forward"
+            v, t_bar, kind, g_mod = s - x, 1.0, "forward", gap
         else:
-            v = run.x - u
             mu_u = active.weight(uid)
-            t_bar = mu_u / (1.0 - mu_u)
-            kind = "away"
-        g_mod = max(gp, away_gap) if not forward else gp
-        geom = LocalGeometry.from_direction(obj, run.x, v, g_mod)
-        dec = analytic_step(obj.spec, geom, cap=t_bar)
-        alpha = dec.alpha
-        drop = kind == "away" and alpha >= t_bar
-        if drop:
+            v, t_bar, kind, g_mod = x - u, mu_u / (1.0 - mu_u), "away", away_gap
+        dec = analytic_step(obj.spec, LocalGeometry.from_direction(obj, x, v, g_mod), cap=t_bar)
+        if kind == "away" and dec.alpha >= t_bar:
             kind = "drop"
-            drop_count += 1
-        run.record(IterationRecord(k, obj.value(run.x), g_mod, alpha, kind,
-                                   predicted_decrease=dec.predicted_decrease,
-                                   elapsed_seconds=time.perf_counter() - t0))
-        run.move(run.x + alpha * v)
+            meta["drop_steps"] += 1
+        x_new = x + dec.alpha * v
         if forward:
-            active.forward_update(sid, s, alpha)
+            active.forward_update(s_id, s, dec.alpha)
         else:
-            active.away_update(uid, alpha)
-        drift = max(drift, l2_norm(active.reconstruct() - run.x) / (1.0 + l2_norm(run.x)))
-    run.meta["active_set_max_drift"] = drift
-    run.meta["forced_forward_steps"] = forced_forward
-    run.meta["drop_steps"] = drop_count
-    run.meta["active_set_size"] = len(active)
-    return run.finish(final_gap)
+            active.away_update(uid, dec.alpha)
+        drift = l2_norm(active.reconstruct() - x_new) / (1.0 + l2_norm(x_new))
+        meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
+        return x_new, None, IterationRecord(k, f_x, g_mod, dec.alpha, kind,
+                                            predicted_decrease=dec.predicted_decrease)
+
+    trace = _frank_wolfe(obj, polytope, x, config, meta, step)
+    meta["active_set_size"] = len(active)
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ ABS_TOL = 1e-14
 
 def _assert_same(actual, expected, where):
     if isinstance(expected, float):
-        assert isinstance(actual, float), where
         assert math.isclose(actual, expected, rel_tol=REL_TOL, abs_tol=ABS_TOL), \
             f"{where}: {actual!r} != {expected!r}"
     else:

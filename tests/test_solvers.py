@@ -1,12 +1,14 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from gscfw import (ActiveSet, BacktrackingError, GscSpec, LocalGeometry, SolverConfig,
-                   UnitSimplex, analytic_step, asfwgsc, away_vertex, delta_nu,
-                   fw_line_search, fw_standard, fwgsc, fwlloo, lbtfwgsc, mbtfwgsc,
-                   omega, step_l, step_m)
+from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry,
+                   ProblemInstance, SolverConfig, UnitSimplex, analytic_step, asfwgsc,
+                   away_vertex, delta_nu, fw_line_search, fw_standard, fwgsc, fwlloo,
+                   lbtfwgsc, mbtfwgsc, omega, step_l, step_m)
+from gscfw.bench import run_method
 from gscfw.sets import SimplexLLOO
 from gscfw import portfolio_generator, portfolio_problem
 
@@ -495,3 +497,56 @@ def test_mbtfwgsc_beats_conservative_constant_on_logistic_toy():
     hit_adaptive = iters_to(adaptive, 1e-4)
     assert hit_adaptive <= iters_to(base, 1e-4)
     assert hit_adaptive < math.inf  # the adaptive variant actually gets there
+
+
+# ---------------------------------------------------------------------------
+# The shared iteration loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", sorted(SOLVERS))
+def test_max_iter_zero_status_is_solver_independent(method):
+    inst = ProblemInstance(ShiftedQuadratic([0.5, 0.5]), UnitSimplex(2), name="toy")
+    e = np.eye(2)
+    optimal = ActiveSet([(0, e[0], 0.5), (1, e[1], 0.5)])
+    config = SolverConfig(epsilon=1e-6, max_iter=0)
+    trace = run_method(method, inst, optimal.reconstruct(), optimal, config)
+    assert trace.status == "gap-converged"
+    assert len(trace.iterations) == 0
+    assert trace.final_gap <= config.epsilon
+    vertex = ActiveSet.single(0, e[0])
+    trace = run_method(method, inst, vertex.reconstruct(), vertex, config)
+    assert trace.status == "iteration-cap"
+    assert len(trace.iterations) == 0
+    assert trace.final_gap > config.epsilon
+
+
+def test_elapsed_covers_active_set_bookkeeping(portfolio_toy, monkeypatch):
+    obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
+    reconstruct = ActiveSet.reconstruct
+
+    def slow_reconstruct(self):
+        time.sleep(0.002)
+        return reconstruct(self)
+
+    monkeypatch.setattr(ActiveSet, "reconstruct", slow_reconstruct)
+    trace = asfwgsc(obj, feasible, (0, feasible.vertex(0)),
+                    SolverConfig(epsilon=1e-10, max_iter=20))
+    assert trace.iterations
+    assert all(rec.elapsed_seconds >= 0.002 for rec in trace.iterations)
+
+
+@pytest.mark.parametrize("solver", [lbtfwgsc, mbtfwgsc])
+def test_backtracking_evaluates_each_accepted_point_once(portfolio_toy, monkeypatch, solver):
+    obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
+    value = obj.value
+    calls = []
+
+    def counting_value(x):
+        calls.append(1)
+        return value(x)
+
+    monkeypatch.setattr(obj, "value", counting_value)
+    trace = solver(obj, feasible, feasible.vertex(0), SolverConfig(epsilon=1e-12, max_iter=200))
+    trials = sum(rec.backtrack_count + 1 for rec in trace.iterations)
+    # f(x_0) once, then at most one evaluation per backtracking trial
+    assert len(calls) <= 1 + trials

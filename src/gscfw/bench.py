@@ -23,7 +23,7 @@ import numpy as np
 from .problems import (ProblemInstance, covariance_generator, covariance_problem,
                        dwd_problem, logistic_problem, portfolio_generator,
                        portfolio_problem, synthetic_classification)
-from .sets import NonnegativeBall, UnitSimplex
+from .sets import UnitSimplex
 from .solvers import (SOLVERS, ActiveSet, RunTrace, SolverConfig, asfwgsc, fwlloo,
                       make_simplex_lloo)
 
@@ -167,13 +167,22 @@ DEFAULT_SIZES = {
 }
 
 
+def _check_spec(spec) -> str:
+    """The family name of a grid spec; keys other than the family's
+    DEFAULT_SIZES, name and seed are a ConfigError."""
+    if not isinstance(spec, dict) or spec.get("name") not in DEFAULT_SIZES:
+        raise ConfigError(f"bad problem spec {spec!r}")
+    name = spec["name"]
+    unknown = sorted(set(spec) - set(DEFAULT_SIZES[name]) - {"name", "seed"})
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} for problem {name!r}")
+    return name
+
+
 def build_problem(spec: dict) -> ProblemInstance:
     """Instantiate a benchmark problem from a grid-spec dictionary."""
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    seed = int(spec.pop("seed", 0))
-    if name not in DEFAULT_SIZES:
-        raise ConfigError(f"unknown problem {name!r}")
+    name = _check_spec(spec)
+    seed = int(spec.get("seed", 0))
     params = {**DEFAULT_SIZES[name], **spec}
     if name == "logistic":
         data = synthetic_classification(int(params["p"]), int(params["n"]),
@@ -219,12 +228,8 @@ def make_start(instance: ProblemInstance, start_seed: int):
                 return x0, ActiveSet.single(i, x0)
         raise ConfigError("no feasible simplex vertex found")
     if family == "dwd":
-        d = obj.d
-        p = obj.p
-        radius = math.sqrt(10.0)
-        for block in feasible.blocks:
-            if isinstance(block, NonnegativeBall):
-                radius = block.radius
+        ball, _, slack = feasible.blocks
+        d, p, radius = ball.dimension, slack.dimension, slack.radius
         direction = np.abs(rng.standard_normal(p))
         direction /= max(np.linalg.norm(direction), 1e-300)
         xi = direction * radius * rng.uniform() ** (1.0 / p)
@@ -233,7 +238,7 @@ def make_start(instance: ProblemInstance, start_seed: int):
             x0[d + 1:] = np.maximum(xi, 1e-6)
         return x0, None
     if family == "covariance":
-        p = obj.p
+        p = feasible.p
         diag = rng.dirichlet(np.ones(p)) * feasible.radius
         x0 = np.diag(diag)
         active = ActiveSet([((i, i, 1), feasible.vertex((i, i, 1)), diag[i] / feasible.radius)
@@ -287,6 +292,8 @@ def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
             row["predicted"] = float(rec.predicted_decrease)
         if rec.certificate is not None:
             row["certificate"] = float(rec.certificate)
+        if rec.radius is not None:
+            row["radius"] = float(rec.radius)
         lines.append(json.dumps(row, sort_keys=True))
     return lines
 
@@ -325,11 +332,9 @@ def _parse_config(config: dict):
     for m in methods:
         if m not in SOLVERS:
             raise ConfigError(f"unknown method {m!r}")
-    problems = []
     for spec in config["problems"]:
-        if not isinstance(spec, dict) or spec.get("name") not in DEFAULT_SIZES:
-            raise ConfigError(f"bad problem spec {spec!r}")
-        problems.append(dict(spec))
+        _check_spec(spec)
+    problems = [dict(spec) for spec in config["problems"]]
     return problems, methods, n_starts, solver_config
 
 
@@ -426,7 +431,7 @@ def load_records(directory) -> list:
                 step_kind=row["kind"], backtrack_count=row.get("backtracks", 0),
                 estimate=row.get("estimate"), elapsed_seconds=row.get("elapsed", 0.0),
                 predicted_decrease=row.get("predicted"),
-                certificate=row.get("certificate")))
+                certificate=row.get("certificate"), radius=row.get("radius")))
         trace = RunTrace(iterations=iterations, status=header["status"],
                          final_f=header["final_f"], final_gap=header["final_gap"],
                          x=np.empty(0), meta={"problem": header["problem"],

@@ -9,7 +9,6 @@ quantities ``d_nu`` / ``delta_nu`` implemented here.
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -115,21 +114,6 @@ def omega(nu: float, t: float) -> float:
         # the power term exceeds float range (nu near 2 with t not small)
         return math.inf
     return (c_out / t) * ((d_in / t) * grown - 1.0)
-
-
-@functools.lru_cache(maxsize=None)
-def omega_slope_at_zero(nu: float) -> float:
-    """Richardson-extrapolated numeric derivative of omega_nu at 0 (cached).
-
-    Kept as an independent check on the Taylor coefficients used by
-    ``omega`` near the origin.
-    """
-    h = 1e-2
-
-    def central(step):
-        return (omega(nu, step) - omega(nu, -step)) / (2.0 * step)
-
-    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +252,9 @@ def gsc_sum_constant(terms, nu: float) -> float:
     return best
 
 
-def gsc_affine_constant(m: float, nu: float, operator_norm: float,
-                        min_singular_sq=None) -> float:
+def gsc_affine_constant(m: float, nu: float, operator_norm: float) -> float:
     """Constant of f(Ax + b): M * ||A||^(3 - nu) for nu in [2, 3]."""
     nu_branch(nu)  # rejects nu outside [2, 3]
-    if min_singular_sq is not None:
-        raise ValueError("min_singular_sq applies only to orders above 3")
     return m * operator_norm ** (3.0 - nu)
 
 

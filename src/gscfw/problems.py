@@ -157,115 +157,159 @@ class ProblemInstance:
 
 
 # ---------------------------------------------------------------------------
-# Elastic-net logistic regression
+# Losses of an affine margin: logistic regression, portfolio, DWD
 # ---------------------------------------------------------------------------
 
-class LogisticObjective(Objective):
-    """(1/p) sum log(1 + exp(-y_i <a_i, x>)) + (gamma/2) ||x||^2; full domain."""
+def _pull_back(t_raw: float) -> float:
+    """A step just inside a domain boundary met at t_raw, capped at 1."""
+    t = t_raw * (1.0 - 1e-7)
+    return 1.0 if t >= 1.0 else t
 
-    name = "logistic"
 
-    def __init__(self, data: SparseDataset, gamma: float, nu_mode: int):
-        if data.count == 0:
+class MarginKernel:
+    """A scalar (m, nu)-GSC loss: ``phi(z)``, ``d1(z)`` = phi'(z) and
+    ``d2(z, u)`` = phi''(z) u, elementwise.  ``positive`` restricts the
+    domain to z > 0; otherwise it is the real line."""
+
+    m: float
+    nu: float
+    positive: bool
+
+
+class LogisticLoss(MarginKernel):
+    """log(1 + e^-z): (1, 2)-GSC on the real line."""
+
+    m, nu, positive = 1.0, 2.0, False
+
+    def phi(self, z):
+        return np.logaddexp(0.0, -z)
+
+    def d1(self, z):
+        return -expit(-z)
+
+    def d2(self, z, u):
+        s = expit(z)
+        return s * (1.0 - s) * u
+
+
+class LogLoss(MarginKernel):
+    """-log z: (2, 3)-GSC on z > 0."""
+
+    m, nu, positive = 2.0, 3.0, True
+
+    def phi(self, z):
+        return -np.log(z)
+
+    def d1(self, z):
+        return -1.0 / z
+
+    def d2(self, z, u):
+        return u / (z * z)
+
+
+class PowerLoss(MarginKernel):
+    """z^-q on z > 0: (M, 2(q+3)/(q+2))-GSC."""
+
+    positive = True
+
+    def __init__(self, q: float):
+        self.q = q
+        self.nu = 2.0 * (q + 3.0) / (q + 2.0)
+        self.m = (q + 2.0) / (q * (q + 1.0)) ** (1.0 / (q + 2.0))
+
+    def phi(self, z):
+        return z ** -self.q
+
+    def d1(self, z):
+        return -self.q * z ** (-self.q - 1.0)
+
+    def d2(self, z, u):
+        q = self.q
+        return q * (q + 1.0) * z ** (-q - 2.0) * u
+
+
+class MarginObjective(Objective):
+    """(1/count) sum_i phi(<b_i, x>) + <c, x> + (gamma/2) ||x||^2.
+
+    The GSC pair follows from the kernel's by the affine rule on each row
+    b_i and the sum rule with weights 1/count.
+    """
+
+    def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
+                 gamma: float = 0.0):
+        if b.shape[0] == 0:
             raise ValueError("empty dataset")
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
-        if nu_mode not in (2, 3):
-            raise ValueError("nu_mode must be 2 or 3")
-        self.a = data.matrix
-        self.y = data.labels
+        self.name = name
+        self.kernel = kernel
+        self.b = b
+        self.count = count
+        self.c = c
         self.gamma = float(gamma)
-        self.p = data.count
-        self.dimension = data.dimension
-        norms = data.row_norms()
-        if nu_mode == 2:
-            # each summand is (1, 2)-GSC; unit-weight max of affine constants
-            m = gsc_sum_constant([(1.0, gsc_affine_constant(1.0, 2.0, r)) for r in norms], 2.0)
-            self.spec = GscSpec(m, 2.0)
-        else:
-            m = gsc_finite_sum_constant([(1.0, r) for r in norms], 2.0, gamma)
-            self.spec = GscSpec(m, 3.0)
-
-    def _margins(self, x):
-        return self.y * (self.a @ x)
+        self.dimension = b.shape[1]
+        sq = b.multiply(b).sum(axis=1) if sp.issparse(b) else np.sum(b * b, axis=1)
+        terms = [(1.0 / count, gsc_affine_constant(kernel.m, kernel.nu, r))
+                 for r in np.sqrt(np.asarray(sq).ravel())]
+        self.spec = GscSpec(gsc_sum_constant(terms, kernel.nu), kernel.nu)
 
     def value(self, x) -> float:
-        z = self._margins(x)
-        return float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * self.gamma * float(x @ x)
+        z = self.b @ x
+        if self.kernel.positive and np.any(z <= 0.0):
+            return math.inf
+        out = float(np.sum(self.kernel.phi(z))) / self.count
+        if self.c is not None:
+            out += float(self.c @ x)
+        return out + 0.5 * self.gamma * float(x @ x)
 
     def gradient(self, x):
-        z = self._margins(x)
-        w = expit(-z)  # 1 / (1 + e^z)
-        return -(self.a.T @ (self.y * w)) / self.p + self.gamma * x
+        out = (self.b.T @ self.kernel.d1(self.b @ x)) / self.count + self.gamma * x
+        return out if self.c is None else out + self.c
 
     def hess_vec(self, x, v):
-        z = self._margins(x)
-        s = expit(z)
-        w = s * (1.0 - s)
-        return (self.a.T @ (w * (self.a @ v))) / self.p + self.gamma * v
+        u = self.kernel.d2(self.b @ x, self.b @ v)
+        return (self.b.T @ u) / self.count + self.gamma * v
 
     def in_domain(self, x) -> bool:
-        return True
+        return not self.kernel.positive or bool(np.all(self.b @ x > 0.0))
 
     def max_step(self, x, v):
-        return 1.0
+        # the domain boundary is linear: <b_i, x + t v> = 0
+        if not self.kernel.positive:
+            return 1.0
+        dz = self.b @ v
+        shrinking = dz < 0.0
+        if not np.any(shrinking):
+            return 1.0
+        z = self.b @ x
+        return _pull_back(float(np.min(z[shrinking] / -dz[shrinking])))
 
 
 def logistic_problem(data: SparseDataset, gamma: float, radius: float,
                      nu_mode: int = 2) -> ProblemInstance:
-    obj = LogisticObjective(data, gamma, nu_mode)
+    """Elastic-net logistic regression (1/p) sum log(1 + exp(-y_i <a_i, x>))
+    + (gamma/2) ||x||^2 over an l1 ball, classified as order 2 or order 3."""
+    if not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if nu_mode not in (2, 3):
+        raise ValueError("nu_mode must be 2 or 3")
+    a = data.matrix
+    # rows y_i a_i, exact because y_i = +-1
+    b = sp.csr_matrix((a.data * np.repeat(data.labels, np.diff(a.indptr)), a.indices,
+                       a.indptr), shape=a.shape)
+    obj = MarginObjective("logistic", LogisticLoss(), b, data.count, gamma=gamma)
+    if nu_mode == 3:
+        # the order-3 classification borrows strong convexity from gamma
+        m = gsc_finite_sum_constant([(1.0, r) for r in data.row_norms()], 2.0, gamma)
+        obj.spec = GscSpec(m, 3.0)
     return ProblemInstance(obj, L1Ball(data.dimension, radius),
                            name=f"logistic-nu{nu_mode}")
 
 
-# ---------------------------------------------------------------------------
-# Log-utility portfolio selection
-# ---------------------------------------------------------------------------
-
-class PortfolioObjective(Objective):
-    """-sum_t log(r_t . x) over the simplex; a (2, 3) objective."""
-
-    name = "portfolio"
-
-    def __init__(self, returns):
-        self.r = np.asarray(returns, dtype=float)
-        if self.r.ndim != 2:
-            raise ValueError("returns must be a p x n matrix")
-        self.dimension = self.r.shape[1]
-        self.spec = GscSpec(2.0, 3.0)
-
-    def value(self, x) -> float:
-        m = self.r @ x
-        if np.any(m <= 0.0):
-            return math.inf
-        return -float(np.sum(np.log(m)))
-
-    def gradient(self, x):
-        m = self.r @ x
-        return -(self.r.T @ (1.0 / m))
-
-    def hess_vec(self, x, v):
-        m = self.r @ x
-        return self.r.T @ ((self.r @ v) / (m * m))
-
-    def in_domain(self, x) -> bool:
-        return bool(np.all(self.r @ x > 0.0))
-
-    def max_step(self, x, v):
-        # domain boundary is linear: r_t . (x + t v) = 0
-        m = self.r @ x
-        dm = self.r @ v
-        shrinking = dm < 0.0
-        if not np.any(shrinking):
-            return 1.0
-        t_raw = float(np.min(m[shrinking] / -dm[shrinking]))
-        if t_raw * (1.0 - 1e-7) >= 1.0:
-            return 1.0
-        return min(1.0, t_raw * (1.0 - 1e-7))
-
-
 def portfolio_problem(returns) -> ProblemInstance:
-    obj = PortfolioObjective(returns)
+    """Log-utility portfolio -sum_t log(r_t . x) over the simplex; order 3."""
+    r = np.asarray(returns, dtype=float)
+    if r.ndim != 2:
+        raise ValueError("returns must be a p x n matrix")
+    obj = MarginObjective("portfolio", LogLoss(), r, 1)
     return ProblemInstance(obj, UnitSimplex(obj.dimension), name="portfolio")
 
 
@@ -277,93 +321,26 @@ def portfolio_generator(p: int, n: int, seed: int = 0):
     return 1.0 + 0.1 * rng.standard_normal((p, n))
 
 
-# ---------------------------------------------------------------------------
-# Distance-weighted discrimination
-# ---------------------------------------------------------------------------
-
-class DwdObjective(Objective):
-    """(1/p) sum (a_i.w + mu y_i + xi_i)^(-q) + c.xi over x = (w, mu, xi)."""
-
-    name = "dwd"
-
-    def __init__(self, data: SparseDataset, q: float, c):
-        if data.count == 0:
-            raise ValueError("empty dataset")
-        if not q >= 1:
-            raise ValueError("q must be at least 1")
-        self.a = data.matrix
-        self.y = data.labels
-        self.q = float(q)
-        self.p = data.count
-        self.d = data.dimension
-        self.dimension = self.d + 1 + self.p
-        self.c = np.asarray(c, dtype=float)
-        if self.c.shape != (self.p,):
-            raise ValueError("c must have one entry per sample")
-        nu = 2.0 * (q + 3.0) / (q + 2.0)
-        m_phi = (q + 2.0) / (q * (q + 1.0)) ** (1.0 / (q + 2.0))
-        # rows of the lifted design [A | y | I]; the linear c-term has constant 0
-        b_norms = np.sqrt(data.row_norms() ** 2 + self.y ** 2 + 1.0)
-        per_term = [(1.0 / self.p, gsc_affine_constant(m_phi, nu, bn)) for bn in b_norms]
-        self.spec = GscSpec(gsc_sum_constant(per_term, nu), nu)
-
-    def split(self, x):
-        return x[:self.d], x[self.d], x[self.d + 1:]
-
-    def _margins(self, x):
-        w, mu, xi = self.split(x)
-        return self.a @ w + mu * self.y + xi
-
-    def _lift(self, v):
-        vw, vmu, vxi = self.split(v)
-        return self.a @ vw + vmu * self.y + vxi
-
-    def _lift_adjoint(self, t):
-        return np.concatenate([self.a.T @ t, [float(self.y @ t)], t])
-
-    def value(self, x) -> float:
-        m = self._margins(x)
-        if np.any(m <= 0.0):
-            return math.inf
-        _, _, xi = self.split(x)
-        return float(np.sum(m ** -self.q)) / self.p + float(self.c @ xi)
-
-    def gradient(self, x):
-        m = self._margins(x)
-        s = -self.q * m ** (-self.q - 1.0) / self.p
-        out = self._lift_adjoint(s)
-        out[self.d + 1:] += self.c
-        return out
-
-    def hess_vec(self, x, v):
-        m = self._margins(x)
-        s = self.q * (self.q + 1.0) * m ** (-self.q - 2.0) / self.p
-        return self._lift_adjoint(s * self._lift(v))
-
-    def in_domain(self, x) -> bool:
-        return bool(np.all(self._margins(x) > 0.0))
-
-    def max_step(self, x, v):
-        m = self._margins(x)
-        dm = self._lift(v)
-        shrinking = dm < 0.0
-        if not np.any(shrinking):
-            return 1.0
-        t_raw = float(np.min(m[shrinking] / -dm[shrinking]))
-        if t_raw * (1.0 - 1e-7) >= 1.0:
-            return 1.0
-        return min(1.0, t_raw * (1.0 - 1e-7))
-
-
 def dwd_problem(data: SparseDataset, q: float = 2.0, c=None, u: float = 5.0,
                 big_r: float = 10.0) -> ProblemInstance:
-    if c is None:
-        c = np.ones(data.count)
-    obj = DwdObjective(data, q, c)
+    """Distance-weighted discrimination (1/p) sum (a_i.w + mu y_i + xi_i)^(-q)
+    + c.xi over x = (w, mu, xi) in a unit ball x [-u, u] x a nonnegative ball
+    of radius sqrt(big_r)."""
+    if not q >= 1:
+        raise ValueError("q must be at least 1")
+    p, d = data.count, data.dimension
+    c = np.ones(p) if c is None else np.asarray(c, dtype=float)
+    if c.shape != (p,):
+        raise ValueError("c must have one entry per sample")
+    # rows of the lifted design [A | y | I]
+    b = sp.hstack([data.matrix, sp.csr_matrix(data.labels[:, None]),
+                   sp.identity(p, format="csr")], format="csr")
+    obj = MarginObjective("dwd", PowerLoss(float(q)), b, p,
+                          c=np.concatenate([np.zeros(d + 1), c]))
     feasible = ProductSet([
-        EuclideanBall(data.dimension, 1.0),
+        EuclideanBall(d, 1.0),
         IntervalBlock(u),
-        NonnegativeBall(data.count, math.sqrt(big_r)),
+        NonnegativeBall(p, math.sqrt(big_r)),
     ])
     return ProblemInstance(obj, feasible, name="dwd")
 
@@ -439,10 +416,7 @@ class CovarianceObjective(Objective):
         lam_min = float(np.linalg.eigvalsh((w + w.T) / 2.0)[0])
         if lam_min >= 0.0:
             return 1.0
-        t_raw = 1.0 / -lam_min
-        if t_raw * (1.0 - 1e-7) >= 1.0:
-            return 1.0
-        return min(1.0, t_raw * (1.0 - 1e-7))
+        return _pull_back(1.0 / -lam_min)
 
 
 def covariance_problem(sigma_hat, radius: float | None = None) -> ProblemInstance:

@@ -25,11 +25,14 @@ def gap(grad, x, s) -> float:
     """Dual merit <grad, x - s> with s = lmo(grad); nonnegative at feasible x.
 
     Rounding-level negativity (relative to the inner products involved) is
-    clamped to 0; anything larger indicates a broken oracle.
+    clamped to 0; anything larger indicates a broken oracle.  A gradient
+    with a NaN or infinite entry is a ValueError, not an oracle fault.
     """
     value = inner(grad, x) - inner(grad, s)
     if value >= 0.0:
         return value
+    if not np.all(np.isfinite(grad)):
+        raise ValueError(f"non-finite gradient (gap {value})")
     scale = max(1.0, abs(inner(grad, x)), abs(inner(grad, s)))
     if value >= -1e-12 * scale:
         return 0.0
@@ -66,25 +69,6 @@ class VertexSet(FeasibleSet):
 # Elementary oracles (functional forms)
 # ---------------------------------------------------------------------------
 
-def simplex_lmo(c):
-    """Vertex e_i of the unit simplex with i = argmin_j c_j (lowest index wins)."""
-    c = np.asarray(c, dtype=float)
-    out = np.zeros_like(c)
-    out[int(np.argmin(c))] = 1.0
-    return out
-
-
-def l1ball_lmo(c, radius: float):
-    """Vertex -radius * sign(c_i) * e_i, i = argmax |c_j|; sign(0) taken as +1."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    c = np.asarray(c, dtype=float)
-    i = int(np.argmax(np.abs(c)))
-    out = np.zeros_like(c)
-    out[i] = -radius if c[i] >= 0 else radius
-    return out
-
-
 def sym_l1_lmo(grad_matrix, radius: float):
     """Symmetric-matrix analogue of the l1-ball oracle.
 
@@ -106,20 +90,6 @@ def sym_l1_lmo(grad_matrix, radius: float):
     else:
         out[i, j] = out[j, i] = -0.5 * radius * sign
     return out
-
-
-def product_lmo(blocks, c):
-    """Concatenation of per-block oracle answers over a product set."""
-    c = np.asarray(c, dtype=float)
-    total = sum(b.dimension for b in blocks)
-    if total != c.shape[0]:
-        raise ValueError(f"dimension mismatch: blocks sum to {total}, c has {c.shape[0]}")
-    pieces = []
-    offset = 0
-    for b in blocks:
-        pieces.append(b.lmo(c[offset:offset + b.dimension]))
-        offset += b.dimension
-    return np.concatenate(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +131,11 @@ class L1Ball(VertexSet):
         self.diameter = 2.0 * self.radius
 
     def lmo_indexed(self, c):
-        v = l1ball_lmo(c, self.radius)
-        i = int(np.argmax(np.abs(v)))
-        sign = 1 if v[i] > 0 else -1
-        return (i, sign), v
+        # vertex -R sign(c_i) e_i with i = argmax |c_j|; sign(0) taken as +1
+        c = np.asarray(c, dtype=float)
+        i = int(np.argmax(np.abs(c)))
+        vid = (i, -1 if c[i] >= 0 else 1)
+        return vid, self.vertex(vid)
 
     def vertex(self, vid):
         i, sign = vid
@@ -291,7 +262,11 @@ class ProductSet(FeasibleSet):
             offset += b.dimension
 
     def lmo(self, c):
-        return product_lmo(self.blocks, c)
+        c = np.asarray(c, dtype=float)
+        if c.shape[0] != self.dimension:
+            raise ValueError(f"dimension mismatch: blocks sum to {self.dimension}, "
+                             f"c has {c.shape[0]}")
+        return np.concatenate([b.lmo(c[s]) for b, s in zip(self.blocks, self._slices)])
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)

@@ -2,12 +2,13 @@
 and small closed-form objectives.  These stay independent of the code paths
 they are used to check."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from gscfw import GscSpec, Objective
+from gscfw import GscSpec, Objective, omega
 from gscfw.sets import VertexSet
 from gscfw.stepsize import PsiParams, psi
 
@@ -79,6 +80,21 @@ def numeric_psi_max(params: PsiParams):
     # the two stages must agree to within golden section's noise radius
     assert abs(refined - rough) <= 1e-5 * (1.0 + refined)
     return refined
+
+
+@functools.lru_cache(maxsize=None)
+def omega_slope_at_zero(nu: float) -> float:
+    """Richardson-extrapolated numeric derivative of omega_nu at 0 (cached).
+
+    Kept as an independent check on the Taylor coefficients used by
+    ``omega`` near the origin.
+    """
+    h = 1e-2
+
+    def central(step):
+        return (omega(nu, step) - omega(nu, -step)) / (2.0 * step)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
 def fd_gradient_check(obj, x, rel_tol=1e-5):

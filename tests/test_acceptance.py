@@ -90,8 +90,9 @@ def _sample_pair(instance, rng):
         y = x + rng.uniform() * (rng.dirichlet(np.ones(obj.dimension)) - x)
         return x, y
     if family == "dwd":
-        x = np.concatenate([0.01 * rng.standard_normal(obj.d), [0.0],
-                            1.0 + rng.uniform(size=obj.p)])
+        ball, _, slack = instance.feasible_set.blocks
+        x = np.concatenate([0.01 * rng.standard_normal(ball.dimension), [0.0],
+                            1.0 + rng.uniform(size=slack.dimension)])
         y = x + 0.05 * rng.standard_normal(obj.dimension)
         return x, y
     d = rng.uniform(0.5, 2.0, size=obj.p)

@@ -6,8 +6,8 @@ import pytest
 
 from gscfw import relative_error, run_experiment, success_ratio
 from gscfw.bench import (ConfigError, RunRecord, build_problem, iteration_ratio,
-                         load_records, make_start, profile_points, run_method,
-                         time_ratio)
+                         load_records, make_start, profile_points, record_filename,
+                         run_method, time_ratio, trace_to_lines, write_record)
 from gscfw.solvers import IterationRecord, RunTrace, SolverConfig
 
 
@@ -110,6 +110,31 @@ def test_build_problem_and_start_recipes():
             assert np.allclose(np.ravel(active.reconstruct()), np.ravel(x0))
     with pytest.raises(ConfigError):
         build_problem({"name": "nope"})
+
+
+def test_build_problem_rejects_unknown_keys():
+    # dwd sizes are p and d; n would otherwise be dropped silently
+    with pytest.raises(ConfigError, match="unknown keys"):
+        build_problem({"name": "dwd", "n": 5})
+    with pytest.raises(ConfigError, match="desnity"):
+        build_problem({"name": "logistic", "p": 30, "n": 8, "desnity": 0.3})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        run_experiment({"problems": [{"name": "portfolio", "d": 4}], "methods": ["fwgsc"]},
+                       dry_run=True)
+
+
+def test_records_keep_lloo_radius(tmp_path):
+    inst = build_problem({"name": "portfolio", "p": 20, "n": 6, "seed": 2})
+    x0, active = make_start(inst, start_seed=4)
+    trace = run_method("fwlloo", inst, x0, active, SolverConfig(epsilon=1e-9, max_iter=40))
+    assert any(rec.radius is not None for rec in trace.iterations)
+    write_record(tmp_path / record_filename("portfolio", "fwlloo", 0),
+                 trace_to_lines("portfolio", "fwlloo", 0, trace))
+    (loaded,) = load_records(tmp_path)
+    assert len(loaded.trace.iterations) == len(trace.iterations)
+    for got, want in zip(loaded.trace.iterations, trace.iterations):
+        assert (got.radius, got.certificate, got.estimate) == \
+            (want.radius, want.certificate, want.estimate)
 
 
 def test_run_method_dispatch_and_errors():

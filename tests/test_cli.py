@@ -21,6 +21,19 @@ def test_cli_trace_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_cli_rejects_unknown_problem_keys(tmp_path):
+    # dwd has no n: the record would be labelled dwd-n5 for a d = 30 problem
+    out = tmp_path / "x.jsonl"
+    code = main(["trace", "--problem", "dwd", "--method", "fwgsc", "--n", "5",
+                 "--max-iter", "5", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"problems": [{"name": "logistic", "desnity": 0.3}],
+                               "methods": ["fwgsc"]}))
+    assert main(["run", str(cfg), "--dry-run"]) == 2
+
+
 def test_cli_run_and_profile(tmp_path, capsys):
     config = {
         "problems": [{"name": "portfolio", "p": 15, "n": 5, "seed": 3}],

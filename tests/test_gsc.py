@@ -6,9 +6,10 @@ import pytest
 from gscfw import (GscSpec, d_nu, delta_nu, descent_bounds, gsc_affine_constant,
                    gsc_finite_sum_constant, gsc_sum_constant, omega,
                    portfolio_generator, portfolio_problem)
-from gscfw.gsc import nu_branch, omega_slope_at_zero
+from gscfw.gsc import nu_branch
 
-from conftest import QuadraticObjective, fd_gradient_check, fd_hess_vec_check
+from conftest import (QuadraticObjective, fd_gradient_check, fd_hess_vec_check,
+                      omega_slope_at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,6 @@ def test_affine_constant():
     assert gsc_affine_constant(1.0, 2.5, 4.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         gsc_affine_constant(1.0, 3.5, 1.0)
-    with pytest.raises(ValueError):
-        gsc_affine_constant(1.0, 2.5, 1.0, min_singular_sq=2.0)
 
 
 def test_finite_sum_constant():

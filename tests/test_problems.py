@@ -103,9 +103,9 @@ def test_logistic_single_sample_values():
 
 
 def test_logistic_gradient_at_zero_formula():
-    inst = _tiny_logistic()
-    obj = inst.objective
-    expected = -np.asarray(obj.a.T @ obj.y).ravel() / (2.0 * obj.p)
+    data = synthetic_classification(40, 12, density=0.4, seed=3)
+    obj = logistic_problem(data, gamma=1.0 / 40, radius=10.0).objective
+    expected = -np.asarray(data.matrix.T @ data.labels).ravel() / (2.0 * data.count)
     assert np.allclose(obj.gradient(np.zeros(obj.dimension)), expected)
 
 
@@ -203,9 +203,18 @@ def test_portfolio_sandwich():
 # distance weighted discrimination
 # ---------------------------------------------------------------------------
 
+def _tiny_dwd_data():
+    return synthetic_classification(15, 6, density=0.5, seed=7)
+
+
 def _tiny_dwd():
-    data = synthetic_classification(15, 6, density=0.5, seed=7)
-    return dwd_problem(data, q=2.0)
+    return dwd_problem(_tiny_dwd_data(), q=2.0)
+
+
+def _dwd_sizes(inst):
+    """(d, p): the weight and slack block sizes of a DWD instance."""
+    ball, _, slack = inst.feasible_set.blocks
+    return ball.dimension, slack.dimension
 
 
 def test_dwd_order_and_defaults():
@@ -220,13 +229,14 @@ def test_dwd_order_and_defaults():
 
 
 def test_dwd_constant_follows_sum_affine_calculus():
-    inst = _tiny_dwd()
-    obj = inst.objective
+    data = _tiny_dwd_data()
+    obj = dwd_problem(data, q=2.0).objective
+    a, y = data.matrix, data.labels
     q = 2.0
     nu = 2.0 * (q + 3.0) / (q + 2.0)
     m_phi = (q + 2.0) / (q * (q + 1.0)) ** (1.0 / (q + 2.0))
-    norms = np.sqrt(np.asarray(obj.a.multiply(obj.a).sum(axis=1)).ravel() + obj.y ** 2 + 1.0)
-    expected = obj.p ** (1.0 / (q + 2.0)) * m_phi * np.max(norms ** (q / (q + 2.0)))
+    norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=1)).ravel() + y ** 2 + 1.0)
+    expected = data.count ** (1.0 / (q + 2.0)) * m_phi * np.max(norms ** (q / (q + 2.0)))
     assert obj.spec.m == pytest.approx(expected, rel=1e-12)
 
 
@@ -243,10 +253,11 @@ def test_dwd_single_sample_gradient_fd():
 def test_dwd_fd_checks():
     inst = _tiny_dwd()
     obj = inst.objective
+    d, p = _dwd_sizes(inst)
     rng = np.random.default_rng(8)
     for _ in range(5):
-        x = np.concatenate([0.01 * rng.standard_normal(obj.d), [0.0],
-                            1.0 + 0.2 * rng.uniform(size=obj.p)])
+        x = np.concatenate([0.01 * rng.standard_normal(d), [0.0],
+                            1.0 + 0.2 * rng.uniform(size=p)])
         assert obj.in_domain(x)
         fd_gradient_check(obj, x, rel_tol=2e-5)
         fd_hess_vec_check(obj, x, 0.01 * rng.standard_normal(obj.dimension), rel_tol=2e-5)
@@ -255,11 +266,12 @@ def test_dwd_fd_checks():
 def test_dwd_sandwich():
     inst = _tiny_dwd()
     obj = inst.objective
+    d, p = _dwd_sizes(inst)
     rng = np.random.default_rng(9)
     engaged = 0
     for _ in range(300):
-        x = np.concatenate([0.01 * rng.standard_normal(obj.d), [0.0],
-                            1.0 + rng.uniform(size=obj.p)])
+        x = np.concatenate([0.01 * rng.standard_normal(d), [0.0],
+                            1.0 + rng.uniform(size=p)])
         step = 0.05 * rng.standard_normal(obj.dimension)
         y = x + step
         if not obj.in_domain(y):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -7,8 +8,11 @@ from scipy.optimize import minimize
 
 from gscfw import (EuclideanBall, IntervalBlock, L1Ball, NonnegativeBall, OracleViolation,
                    ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, gap,
-                   l1ball_lmo, max_feasible_step, product_lmo, simplex_lmo, sym_l1_lmo)
-from gscfw import covariance_generator, covariance_problem, portfolio_generator, portfolio_problem
+                   max_feasible_step, sym_l1_lmo)
+from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
+                   portfolio_problem, synthetic_classification)
+from gscfw.bench import make_start
+from gscfw.solvers import SolverConfig, fwgsc
 
 from conftest import NegLogObjective
 
@@ -20,7 +24,7 @@ from conftest import NegLogObjective
 def test_gap_examples():
     g = np.array([3.0, 1.0, 2.0])
     x = np.array([1.0, 0.0, 0.0])
-    s = simplex_lmo(g)
+    s = UnitSimplex(3).lmo(g)
     assert np.array_equal(s, [0.0, 1.0, 0.0])
     assert gap(g, x, s) == pytest.approx(2.0)
     assert gap(g, s, s) == 0.0
@@ -35,23 +39,38 @@ def test_gap_clamps_rounding_but_flags_violations():
         gap(g, x, np.array([2.0, 0.0]))
 
 
+def test_gap_rejects_non_finite_gradient():
+    x = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        gap(np.array([np.nan, 1.0]), x, np.array([0.0, 1.0]))
+    # q = 1e6 overflows the DWD kernel at the start's slack margins
+    inst = dwd_problem(synthetic_classification(20, 5, seed=1), q=1e6)
+    x0, _ = make_start(inst, 3)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite gradient"):
+        fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(max_iter=5))
+
+
 # ---------------------------------------------------------------------------
 # elementary oracles
 # ---------------------------------------------------------------------------
 
 def test_simplex_lmo_tiebreak():
-    assert np.array_equal(simplex_lmo([3.0, 1.0, 2.0]), [0, 1, 0])
-    assert np.array_equal(simplex_lmo([1.0, 1.0, 1.0]), [1, 0, 0])
-    assert np.array_equal(simplex_lmo([-5.0, 0.0, 0.0]), [1, 0, 0])
+    simplex = UnitSimplex(3)
+    assert np.array_equal(simplex.lmo([3.0, 1.0, 2.0]), [0, 1, 0])
+    assert np.array_equal(simplex.lmo([1.0, 1.0, 1.0]), [1, 0, 0])
+    assert np.array_equal(simplex.lmo([-5.0, 0.0, 0.0]), [1, 0, 0])
 
 
 def test_l1ball_lmo():
-    assert np.array_equal(l1ball_lmo([1.0, -4.0, 2.0], 10.0), [0.0, 10.0, 0.0])
-    assert np.array_equal(l1ball_lmo([0.0, 0.0, 0.0], 10.0), [-10.0, 0.0, 0.0])
+    ball = L1Ball(3, 10.0)
+    vid, s = ball.lmo_indexed([1.0, -4.0, 2.0])
+    assert vid == (1, 1) and np.array_equal(s, [0.0, 10.0, 0.0])
+    assert np.array_equal(ball.lmo([0.0, 0.0, 0.0]), [-10.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
+    ball = L1Ball(7, 3.0)
     for _ in range(100):
         c = rng.standard_normal(7)
-        s = l1ball_lmo(c, 3.0)
+        s = ball.lmo(c)
         assert float(c @ s) == pytest.approx(-3.0 * np.max(np.abs(c)), rel=1e-12)
 
 
@@ -104,7 +123,7 @@ def test_product_lmo_blocks():
     assert np.allclose(ball.lmo(np.zeros(2)), [3.0, 0.0])
 
     with pytest.raises(ValueError):
-        product_lmo([interval, ball], np.zeros(4))
+        ProductSet([interval, ball]).lmo(np.zeros(4))
 
 
 def test_nonneg_ball_lmo_against_sampling():
@@ -253,7 +272,7 @@ def test_lloo_returns_global_vertex_for_big_radius():
     x = rng.dirichlet(np.ones(5))
     c = rng.standard_normal(5)
     u = lloo.query(x, 10.0, c)
-    assert np.allclose(u, simplex_lmo(c))
+    assert np.allclose(u, UnitSimplex(5).lmo(c))
 
 
 def test_lloo_zero_direction_returns_query_point():
@@ -327,14 +346,24 @@ def test_max_feasible_step_covariance_eigen_rule_matches_bisection():
     assert t == pytest.approx(0.5, rel=1e-6)
     assert t < 0.5
 
-    class NoExact(type(obj)):
-        def max_step(self, x, v):
-            return None
+    def symmetric(shape):
+        raw = rng.standard_normal(shape)
+        return (raw + raw.T) / 2.0
 
-    blind = NoExact(sigma)
-    for _ in range(5):
-        raw = rng.standard_normal((4, 4))
-        v = (raw + raw.T) / 2.0
-        exact = obj.max_step(x, v)
-        generic = max_feasible_step(blind, x, v)
-        assert generic == pytest.approx(exact, abs=1e-6, rel=1e-5)
+    # the margin rule (portfolio, DWD) against bisection as well
+    portfolio = portfolio_problem(portfolio_generator(30, 8, seed=3)).objective
+    dwd = dwd_problem(synthetic_classification(12, 5, density=0.5, seed=3)).objective
+    x_dwd = np.concatenate([np.zeros(6), 0.5 + rng.uniform(size=12)])
+    cases = [(obj, x, symmetric), (portfolio, np.full(8, 1.0 / 8), rng.standard_normal),
+             (dwd, x_dwd, rng.standard_normal)]
+    for exact_obj, x0, direction in cases:
+        blind = copy.copy(exact_obj)
+        blind.max_step = lambda x, v: None  # forces the bisection fallback
+        capped = 0
+        for _ in range(20):
+            v = direction(x0.shape)
+            exact = exact_obj.max_step(x0, v)
+            generic = max_feasible_step(blind, x0, v)
+            assert generic == pytest.approx(exact, abs=1e-6, rel=1e-5)
+            capped += exact < 1.0
+        assert capped > 0

@@ -10,11 +10,16 @@
   run metadata; ``tests/test_golden_traces.py`` replays the cells against it.
   Regenerate it only when a change is meant to alter solver traces.
 
-Run from the repository root:
+Run from the repository root, naming the fixtures to write:
 
-    python3 scripts/make_reference_fixtures.py
+    python3 scripts/make_reference_fixtures.py golden
+    python3 scripts/make_reference_fixtures.py portfolio-reference
+
+With no fixture named, with ``--help`` or with an unknown name it writes
+nothing.
 """
 
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -95,10 +100,18 @@ def write_golden_traces():
               f"{len(cell['records']['k'])} iterations")
 
 
-def main():
+WRITERS = {"golden": write_golden_traces, "portfolio-reference": write_portfolio_reference}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate the test fixtures.")
+    parser.add_argument("fixtures", nargs="+", choices=sorted(WRITERS),
+                        help="fixtures to write (portfolio-reference reruns a "
+                             "500,000-iteration reference)")
+    args = parser.parse_args(argv)
     FIXTURES.mkdir(parents=True, exist_ok=True)
-    write_portfolio_reference()
-    write_golden_traces()
+    for name in dict.fromkeys(args.fixtures):
+        WRITERS[name]()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Projection-free optimization for generalized self-concordant objectives."""
 
-from .gsc import (GscSpec, LocalGeometry, Objective, d_nu, delta_nu, descent_bounds,
-                  gsc_affine_constant, gsc_finite_sum_constant, gsc_sum_constant,
-                  inner, l2_norm, omega)
+from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, d_nu, delta_nu,
+                  descent_bounds, gsc_affine_constant, gsc_finite_sum_constant,
+                  gsc_sum_constant, inner, l2_norm, omega)
 from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
                    OracleViolation, ProductSet, SimplexLLOO, SymmetricL1Ball,
                    UnitSimplex, VertexSet, gap, max_feasible_step, sym_l1_lmo)

@@ -166,6 +166,11 @@ class Objective(ABC):
     Hessian is ever required by the solvers.  Implementations must be
     immutable after construction so that concurrent read-only evaluation
     from several solver instances is safe.
+
+    ``at(x)`` is the evaluation cache the solvers work through: a ``Point``
+    that serves f(x) and the gradient, and restricts f to lines through x.
+    The default is built from the four oracles below; a family overrides it
+    to compute once what all of them need at x (margins, a factorization).
     """
 
     spec: GscSpec
@@ -195,6 +200,103 @@ class Objective(ABC):
         """
         return None
 
+    def at(self, x) -> "Point":
+        """The evaluation cache at x, owned by the caller."""
+        return Point(self, x)
+
+
+class Point:
+    """An iterate x with f(x) and the gradient, each computed at most once.
+
+    A point is a value the solver run owns, never state of the objective.
+    This generic point calls the objective's own oracles; families subclass
+    it to keep what their oracles share.
+    """
+
+    __slots__ = ("obj", "x", "_f", "_g")
+
+    def __init__(self, obj: Objective, x):
+        self.obj, self.x, self._f, self._g = obj, x, None, None
+
+    def value(self) -> float:
+        if self._f is None:
+            self._f = self.obj.value(self.x)
+        return self._f
+
+    def gradient(self):
+        if self._g is None:
+            self._g = self.obj.gradient(self.x)
+        return self._g
+
+    def restrict(self, v) -> "Line":
+        """phi(t) = f(x + t v)."""
+        return Line(self, v)
+
+
+class Line:
+    """The restriction phi(t) = f(x + t v) of f to one line through a point.
+
+    ``value(t)`` is +inf outside dom f, ``slope(t)`` = phi'(t) is asked
+    inside it only, ``curvature()`` = phi''(0) = <hess f(x) v, v>,
+    ``max_step()`` is the largest step in (0, 1] that stays inside dom f,
+    shrunk by 1e-7 relative (1.0 if the whole segment is inside), and
+    ``at(t)`` is the point x + t v, with whatever the last question about
+    the same t computed there.  This generic line calls the objective's
+    oracles at x + t v and bisects on ``in_domain`` when ``max_step`` gives
+    no exact answer.
+    """
+
+    __slots__ = ("point", "v", "_t", "_probe_point")
+
+    def __init__(self, point: Point, v):
+        self.point, self.v = point, v
+        self._t = self._probe_point = None
+
+    def _point_at(self, t) -> Point:
+        return Point(self.point.obj, self.point.x + t * self.v)
+
+    def _probe(self, t) -> Point:
+        """The point x + t v, kept until a question about another t."""
+        if t != self._t:
+            self._t, self._probe_point = t, self._point_at(t)
+        return self._probe_point
+
+    def value(self, t) -> float:
+        return self._probe(t).value()
+
+    def slope(self, t) -> float:
+        return inner(self._probe(t).gradient(), self.v)
+
+    def curvature(self) -> float:
+        return inner(self.point.obj.hess_vec(self.point.x, self.v), self.v)
+
+    def in_domain(self, t) -> bool:
+        return bool(self.point.obj.in_domain(self._probe(t).x))
+
+    def max_step(self) -> float:
+        obj, x, v = self.point.obj, self.point.x, self.v
+        exact = obj.max_step(x, v)
+        if exact is not None:
+            return exact
+        if obj.in_domain(x + v):
+            return 1.0
+        lo, hi = 0.0, 1.0
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            if obj.in_domain(x + mid * v):
+                lo = mid
+            else:
+                hi = mid
+        return lo * (1.0 - 1e-7)
+
+    def at(self, t) -> Point:
+        return self._probe(t)
+
+
+def oracle_line(obj: Objective, x, v) -> Line:
+    """The generic restriction through x along v, built from obj's oracles."""
+    return Line(Point(obj, np.asarray(x, dtype=float)), np.asarray(v, dtype=float))
+
 
 @dataclass(frozen=True)
 class LocalGeometry:
@@ -210,9 +312,12 @@ class LocalGeometry:
     gap: float
 
     @classmethod
-    def from_direction(cls, obj: Objective, x, v, gap: float) -> "LocalGeometry":
+    def from_direction(cls, obj: Objective, x, v, gap: float,
+                       line: Line | None = None) -> "LocalGeometry":
+        """``line``, the restriction through x along v, supplies the
+        curvature; without it, hess_vec does."""
         beta = l2_norm(v)
-        e2 = inner(obj.hess_vec(x, v), v)
+        e2 = (line or oracle_line(obj, x, v)).curvature()
         e = math.sqrt(max(e2, 0.0))
         return cls(beta=beta, e=e, delta=delta_nu(obj.spec, beta, e), gap=gap)
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.special import expit
 
-from .gsc import (GscSpec, Objective, gsc_affine_constant, gsc_finite_sum_constant,
-                  gsc_sum_constant, inner)
+from .gsc import (GscSpec, Line, Objective, Point, gsc_affine_constant,
+                  gsc_finite_sum_constant, gsc_sum_constant, inner)
 from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
                    ProductSet, SymmetricL1Ball, UnitSimplex)
 
@@ -232,7 +232,12 @@ class MarginObjective(Objective):
     """(1/count) sum_i phi(<b_i, x>) + <c, x> + (gamma/2) ||x||^2.
 
     The GSC pair follows from the kernel's by the affine rule on each row
-    b_i and the sum rule with weights 1/count.
+    b_i and the sum rule with weights 1/count.  ``at(x)`` keeps the margins
+    z = Bx; a line through x adds dz = Bv, after which f, its slope and the
+    domain test along the line cost O(p) per probe.  B is only ever used
+    through ``b @`` and ``bt @``, where ``bt`` is the transposed view of B
+    taken once at construction: it shares B's arrays, and taking it anew
+    for every gradient costs a format check of B each time.
     """
 
     def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
@@ -242,6 +247,7 @@ class MarginObjective(Objective):
         self.name = name
         self.kernel = kernel
         self.b = b
+        self.bt = b.T
         self.count = count
         self.c = c
         self.gamma = float(gamma)
@@ -251,36 +257,110 @@ class MarginObjective(Objective):
                  for r in np.sqrt(np.asarray(sq).ravel())]
         self.spec = GscSpec(gsc_sum_constant(terms, kernel.nu), kernel.nu)
 
+    def at(self, x) -> "MarginPoint":
+        return MarginPoint(self, x, self.b @ x)
+
     def value(self, x) -> float:
-        z = self.b @ x
-        if self.kernel.positive and np.any(z <= 0.0):
-            return math.inf
-        out = float(np.sum(self.kernel.phi(z))) / self.count
-        if self.c is not None:
-            out += float(self.c @ x)
-        return out + 0.5 * self.gamma * float(x @ x)
+        return self.at(x).value()
 
     def gradient(self, x):
-        out = (self.b.T @ self.kernel.d1(self.b @ x)) / self.count + self.gamma * x
-        return out if self.c is None else out + self.c
+        return self.at(x).gradient()
 
     def hess_vec(self, x, v):
         u = self.kernel.d2(self.b @ x, self.b @ v)
-        return (self.b.T @ u) / self.count + self.gamma * v
+        return (self.bt @ u) / self.count + self.gamma * v
 
     def in_domain(self, x) -> bool:
         return not self.kernel.positive or bool(np.all(self.b @ x > 0.0))
 
     def max_step(self, x, v):
-        # the domain boundary is linear: <b_i, x + t v> = 0
-        if not self.kernel.positive:
+        return self.at(x).restrict(v).max_step()
+
+
+class MarginPoint(Point):
+    """x with its margins z = Bx."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, obj: MarginObjective, x, z):
+        super().__init__(obj, x)
+        self.z = z
+
+    def value(self) -> float:
+        if self._f is None:
+            obj, x, z = self.obj, self.x, self.z
+            if obj.kernel.positive and np.any(z <= 0.0):
+                self._f = math.inf
+            else:
+                out = float(np.sum(obj.kernel.phi(z))) / obj.count
+                if obj.c is not None:
+                    out += float(obj.c @ x)
+                self._f = out + 0.5 * obj.gamma * float(x @ x)
+        return self._f
+
+    def gradient(self):
+        if self._g is None:
+            obj = self.obj
+            g = (obj.bt @ obj.kernel.d1(self.z)) / obj.count + obj.gamma * self.x
+            self._g = g if obj.c is None else g + obj.c
+        return self._g
+
+    def restrict(self, v) -> "MarginLine":
+        return MarginLine(self, v)
+
+
+# Margins z + t dz this close to 0, relative to max |z| + |t| max |dz|, may be
+# within rounding of the boundary; there in_domain asks B(x + t v) itself.
+_MARGIN_EDGE = 1e-8
+
+
+class MarginLine(Line):
+    """f along x + t v from the margins z + t dz, dz = Bv."""
+
+    __slots__ = ("dz",)
+
+    def __init__(self, point: MarginPoint, v):
+        super().__init__(point, v)
+        self.dz = point.obj.b @ v
+
+    def _point_at(self, t) -> MarginPoint:
+        p = self.point
+        return MarginPoint(p.obj, p.x + t * self.v, p.z + t * self.dz)
+
+    def slope(self, t) -> float:
+        obj, v, q = self.point.obj, self.v, self._probe(t)
+        if obj.kernel.positive and not np.all(q.z > 0.0):
+            raise ValueError("slope undefined outside the domain")
+        out = float(obj.kernel.d1(q.z) @ self.dz) / obj.count
+        if obj.c is not None:
+            out += float(obj.c @ v)
+        return out + obj.gamma * float(q.x @ v)
+
+    def curvature(self) -> float:
+        obj, dz = self.point.obj, self.dz
+        return (float(obj.kernel.d2(self.point.z, dz) @ dz) / obj.count
+                + obj.gamma * float(self.v @ self.v))
+
+    def in_domain(self, t) -> bool:
+        obj = self.point.obj
+        if not obj.kernel.positive:
+            return True
+        q = self._probe(t)
+        low = float(np.min(q.z))
+        if low <= 0.0:
+            return False
+        scale = float(np.max(np.abs(self.point.z))) + abs(t) * float(np.max(np.abs(self.dz)))
+        return low > _MARGIN_EDGE * scale or obj.in_domain(q.x)
+
+    def max_step(self) -> float:
+        # the domain boundary is linear: z_i + t dz_i = 0
+        if not self.point.obj.kernel.positive:
             return 1.0
-        dz = self.b @ v
+        dz = self.dz
         shrinking = dz < 0.0
         if not np.any(shrinking):
             return 1.0
-        z = self.b @ x
-        return _pull_back(float(np.min(z[shrinking] / -dz[shrinking])))
+        return _pull_back(float(np.min(self.point.z[shrinking] / -dz[shrinking])))
 
 
 def logistic_problem(data: SparseDataset, gamma: float, radius: float,
@@ -350,7 +430,13 @@ def dwd_problem(data: SparseDataset, q: float = 2.0, c=None, u: float = 5.0,
 # ---------------------------------------------------------------------------
 
 class CovarianceObjective(Objective):
-    """-log det(X) + tr(S X) over symmetric positive definite X."""
+    """-log det(X) + tr(S X) over symmetric positive definite X.
+
+    ``at(X)`` keeps the Cholesky factor X = L L^T and, once a gradient or a
+    line asks for it, L^{-1}.  Along a line X + tV, W = L^{-1} V L^{-T}
+    gives the curvature ||W||_F^2, and the eigenvalues lam of W give
+    f(X + tV) = f(X) - sum log(1 + t lam) + t tr(SV) and the domain boundary.
+    """
 
     name = "covariance"
 
@@ -366,57 +452,132 @@ class CovarianceObjective(Objective):
         self.spec = GscSpec(2.0, 3.0)
 
     def _factor(self, x):
+        """Lower Cholesky factor of sym(x), or None outside the domain."""
         x = np.asarray(x, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(x))))
-        if float(np.max(np.abs(x - x.T))) > 1e-8 * scale:
+        scale = float(np.max(np.abs(x)))
+        # raw potrf reports success on a NaN or infinite diagonal
+        if not math.isfinite(scale):
             return None
-        try:
-            return cho_factor((x + x.T) / 2.0, lower=True)
-        except np.linalg.LinAlgError:
+        if float(np.max(np.abs(x - x.T))) > 1e-8 * max(1.0, scale):
             return None
-        except ValueError:
-            return None
+        low, info = dpotrf((x + x.T) / 2.0, lower=1, clean=1, overwrite_a=1)
+        return low if info == 0 else None
+
+    def at(self, x) -> "LogdetPoint":
+        return LogdetPoint(self, x)
 
     def value(self, x) -> float:
-        factor = self._factor(x)
-        if factor is None:
-            return math.inf
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        return -logdet + inner(self.sigma, x)
+        return self.at(x).value()
 
     def gradient(self, x):
-        factor = self._factor(x)
-        if factor is None:
-            raise ValueError("gradient undefined outside the domain")
-        x_inv = cho_solve(factor, np.eye(self.p))
-        x_inv = (x_inv + x_inv.T) / 2.0
-        return self.sigma - x_inv
+        return self.at(x).gradient()
 
     def hess_vec(self, x, v):
-        # X^{-1} V X^{-1} through two triangular solves per side
-        factor = self._factor(x)
-        if factor is None:
-            raise ValueError("hess_vec undefined outside the domain")
-        v = np.asarray(v, dtype=float)
-        w = cho_solve(factor, v)
-        z = cho_solve(factor, w.T).T
+        # X^{-1} V X^{-1} = L^{-T} (L^{-1} V L^{-T}) L^{-1}
+        inv = self.at(x).inverse_factor()
+        z = inv.T @ (inv @ np.asarray(v, dtype=float) @ inv.T) @ inv
         return (z + z.T) / 2.0
 
     def in_domain(self, x) -> bool:
         return self._factor(x) is not None
 
     def max_step(self, x, v):
-        # X + tV > 0 iff t * lambda_max(-L^{-1} V L^{-T}) < 1 with X = L L^T
-        factor = self._factor(x)
-        if factor is None:
-            raise ValueError("x must lie in the domain")
-        low = np.tril(factor[0])
-        y = solve_triangular(low, np.asarray(v, dtype=float), lower=True)
-        w = solve_triangular(low, y.T, lower=True)
-        lam_min = float(np.linalg.eigvalsh((w + w.T) / 2.0)[0])
+        return self.at(x).restrict(np.asarray(v, dtype=float)).max_step()
+
+
+class LogdetPoint(Point):
+    """X with its Cholesky factor (None outside the domain) and L^{-1}."""
+
+    __slots__ = ("low", "_inv")
+
+    def __init__(self, obj: CovarianceObjective, x):
+        super().__init__(obj, x)
+        self.low = obj._factor(x)
+        self._inv = None
+
+    def value(self) -> float:
+        if self._f is None:
+            if self.low is None:
+                self._f = math.inf
+            else:
+                logdet = 2.0 * float(np.sum(np.log(np.diag(self.low))))
+                self._f = -logdet + inner(self.obj.sigma, self.x)
+        return self._f
+
+    def inverse_factor(self):
+        if self._inv is None:
+            if self.low is None:
+                raise ValueError("undefined outside the domain: X is not positive definite")
+            self._inv = dtrtri(self.low, lower=1)[0]
+        return self._inv
+
+    def gradient(self):
+        if self._g is None:
+            inv = self.inverse_factor()
+            x_inv = inv.T @ inv
+            self._g = self.obj.sigma - (x_inv + x_inv.T) / 2.0
+        return self._g
+
+    def restrict(self, v) -> "LogdetLine":
+        return LogdetLine(self, v)
+
+
+# Below this distance of 1 + t lam_min from 0, rounding can decide whether X + tV
+# factors, so in_domain factors it (and at(t) reuses the factor).
+_LOGDET_EDGE = 1e-6
+
+
+class LogdetLine(Line):
+    """f along X + tV through the eigenvalues of W = L^{-1} V L^{-T}."""
+
+    __slots__ = ("w", "trace_sv", "_lam")
+
+    def __init__(self, point: LogdetPoint, v):
+        super().__init__(point, v)
+        inv = point.inverse_factor()
+        w = inv @ v @ inv.T
+        self.w = (w + w.T) / 2.0
+        self.trace_sv = inner(point.obj.sigma, v)
+        self._lam = None
+
+    def _eig(self):
+        if self._lam is None:
+            self._lam = np.linalg.eigvalsh(self.w)
+        return self._lam
+
+    def _edge(self, t) -> float:
+        """min_i 1 + t lam_i; X + tV is positive definite iff it is > 0."""
+        lam = self._eig()  # ascending
+        return 1.0 + t * float(lam[0] if t >= 0.0 else lam[-1])
+
+    def value(self, t) -> float:
+        if self._edge(t) <= 0.0:
+            return math.inf
+        return (self.point.value() - float(np.sum(np.log1p(t * self._eig())))
+                + t * self.trace_sv)
+
+    def slope(self, t) -> float:
+        if self._edge(t) <= 0.0:
+            raise ValueError("slope undefined outside the domain")
+        lam = self._eig()
+        return self.trace_sv - float(np.sum(lam / (1.0 + t * lam)))
+
+    def curvature(self) -> float:
+        return float(np.sum(self.w * self.w))
+
+    def in_domain(self, t) -> bool:
+        edge = self._edge(t)
+        return edge > _LOGDET_EDGE or (edge > 0.0 and self._probe(t).low is not None)
+
+    def max_step(self) -> float:
+        # X + tV > 0 iff t * lam_max(-W) < 1
+        lam_min = float(self._eig()[0])
         if lam_min >= 0.0:
             return 1.0
         return _pull_back(1.0 / -lam_min)
+
+    def _point_at(self, t) -> LogdetPoint:
+        return LogdetPoint(self.point.obj, self.point.x + t * self.v)
 
 
 def covariance_problem(sigma_hat, radius: float | None = None) -> ProblemInstance:

@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .gsc import Objective, inner, l2_norm
+from .gsc import Line, Objective, inner, l2_norm, oracle_line
 
 
 class OracleViolation(RuntimeError):
@@ -325,26 +325,16 @@ class SimplexLLOO:
 # Domain-boundary search
 # ---------------------------------------------------------------------------
 
-def max_feasible_step(obj: Objective, x, v) -> float:
+def max_feasible_step(obj: Objective, x, v, line: Line | None = None) -> float:
     """Largest step in (0, 1] keeping x + t v inside dom f, shrunk for safety.
 
-    Uses the objective's exact boundary rule when it provides one, otherwise
-    30 bisection steps on the domain oracle followed by a (1 - 1e-7) shrink.
+    Asks ``line``, the restriction of f through x along v, when given.
+    Otherwise uses the objective's exact boundary rule when it provides one,
+    or else 30 bisection steps on the domain oracle followed by a
+    (1 - 1e-7) shrink.
     """
-    if not obj.in_domain(x):
+    if line is None:
+        line = oracle_line(obj, x, v)
+    if not line.in_domain(0.0):
         raise ValueError("x must lie in the domain")
-    exact = obj.max_step(x, v)
-    if exact is not None:
-        return exact
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if obj.in_domain(x + v):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if obj.in_domain(x + mid * v):
-            lo = mid
-        else:
-            hi = mid
-    return lo * (1.0 - 1e-7)
+    return line.max_step()

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gsc import GscSpec, LocalGeometry, Objective, delta_nu, inner, l2_norm
+from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, delta_nu, inner, l2_norm,
+                  oracle_line)
 from .sets import FeasibleSet, SimplexLLOO, VertexSet, gap as fw_gap, max_feasible_step
 from .stepsize import PsiParams, analytic_step, t_star
 
@@ -101,36 +102,39 @@ class RunTrace:
 
 
 def _start(obj: Objective, feasible: FeasibleSet, x0, solver: str):
-    """Validated float copy of the start, and the run's metadata."""
+    """The evaluation cache at a validated float copy of the start, and the
+    run's metadata."""
     x = np.array(x0, dtype=float)
     if not feasible.contains(x, tol=1e-7):
         raise ValueError("initial point is not feasible")
     if not obj.in_domain(x):
         raise ValueError("initial point is outside the domain")
-    return x, {"solver": solver, "problem": getattr(obj, "name", "objective")}
+    return obj.at(x), {"solver": solver, "problem": getattr(obj, "name", "objective")}
 
 
-def _frank_wolfe(obj: Objective, feasible: FeasibleSet, x, config: SolverConfig, meta: dict,
+def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta: dict,
                  step) -> RunTrace:
     """The iteration every solver shares: gradient, oracle, gap, stop test, step.
 
-    ``step(k, x, g, s_id, s, gap, f_x)`` returns ``(x_new, f(x_new) or None,
-    record)`` and carries the solver's own state; ``s_id`` is the vertex id
-    on polytopes and None elsewhere.  The gap test runs before the cap test,
-    so the final gap is always the one measured at the final iterate, and a
-    record's wall time spans its whole iteration, step bookkeeping included.
-    A step that already evaluated f at its new point hands the value on
-    instead of having it computed again.
+    ``point`` is the evaluation cache at the iterate (``Objective.at``).
+    ``step(k, point, g, s_id, s, gap)`` returns ``(point_new, record)`` and
+    carries the solver's own state; ``s_id`` is the vertex id on polytopes
+    and None elsewhere.  A step moves along the restriction of f to its
+    direction, so the new point comes from ``Line.at`` with whatever the
+    line already knows there (margins, f).  The gap test runs before the cap
+    test, so the final gap is always the one measured at the final iterate,
+    and a record's wall time spans its whole iteration, step bookkeeping
+    included.
     """
     indexed = isinstance(feasible, VertexSet)
     records = []
-    iterates = [x.copy()] if config.keep_iterates else None
-    status, zero_streak, f_x = "iteration-cap", 0, None
+    iterates = [point.x.copy()] if config.keep_iterates else None
+    status, zero_streak = "iteration-cap", 0
     for k in range(config.max_iter + 1):
         t0 = time.perf_counter()
-        g = obj.gradient(x)
+        g = point.gradient()
         s_id, s = feasible.lmo_indexed(g) if indexed else (None, feasible.lmo(g))
-        gp = fw_gap(g, x, s)
+        gp = fw_gap(g, point.x, s)
         if gp <= config.epsilon:
             status = "gap-converged"
             break
@@ -139,17 +143,14 @@ def _frank_wolfe(obj: Objective, feasible: FeasibleSet, x, config: SolverConfig,
             break
         if k == config.max_iter:
             break
-        if f_x is None:
-            f_x = obj.value(x)
-        x, f_x, rec = step(k, x, g, s_id, s, gp, f_x)
+        point, rec = step(k, point, g, s_id, s, gp)
         rec.elapsed_seconds = time.perf_counter() - t0
         records.append(rec)
         if iterates is not None:
-            iterates.append(np.array(x, copy=True))
+            iterates.append(np.array(point.x, copy=True))
         zero_streak = zero_streak + 1 if rec.step_kind == "zero" else 0
-    return RunTrace(iterations=records, status=status,
-                    final_f=obj.value(x) if f_x is None else f_x, final_gap=gp,
-                    x=x, meta=meta, iterates=iterates)
+    return RunTrace(iterations=records, status=status, final_f=point.value(), final_gap=gp,
+                    x=point.x, meta=meta, iterates=iterates)
 
 
 # ---------------------------------------------------------------------------
@@ -158,33 +159,33 @@ def _frank_wolfe(obj: Objective, feasible: FeasibleSet, x, config: SolverConfig,
 
 def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Oblivious 2/(k+2) schedule; domain-violating candidates are zeroed."""
-    x, meta = _start(obj, feasible, x0, "fw-standard")
+    point, meta = _start(obj, feasible, x0, "fw-standard")
 
-    def step(k, x, g, s_id, s, gap, f_x):
+    def step(k, point, g, s_id, s, gap):
         alpha = 2.0 / (k + 2.0)
-        cand = x + alpha * (s - x)
-        if not obj.in_domain(cand):
-            return x, f_x, IterationRecord(k, f_x, gap, 0.0, "zero")
-        return cand, None, IterationRecord(k, f_x, gap, alpha, "forward")
+        line = point.restrict(s - point.x)
+        if not line.in_domain(alpha):
+            return point, IterationRecord(k, point.value(), gap, 0.0, "zero")
+        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
-    return _frank_wolfe(obj, feasible, x, config, meta, step)
+    return _frank_wolfe(feasible, point, config, meta, step)
 
 
-def _exact_line_search(obj: Objective, x, v, config: SolverConfig) -> float:
-    """Bisection on the directional derivative over the domain-feasible range."""
-    t_max = max_feasible_step(obj, x, v)
-
-    def slope(t):
-        return inner(obj.gradient(x + t * v), v)
-
-    if slope(t_max) <= 0.0:
+def _exact_line_search(obj: Objective, x, v, config: SolverConfig,
+                       line: Line | None = None) -> float:
+    """Bisection on the slope of f along x + t v over the domain-feasible
+    range; ``line`` is that restriction (built from obj's oracles if None)."""
+    if line is None:
+        line = oracle_line(obj, x, v)
+    t_max = max_feasible_step(obj, x, v, line=line)
+    if line.slope(t_max) <= 0.0:
         return t_max
     lo, hi = 0.0, t_max  # slope(0) = -gap < 0
     for _ in range(200):
         if hi - lo <= config.line_search_tol:
             break
         mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
+        if line.slope(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -193,14 +194,14 @@ def _exact_line_search(obj: Objective, x, v, config: SolverConfig) -> float:
 
 def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Exact line search within the domain-feasible segment."""
-    x, meta = _start(obj, feasible, x0, "fw-line-search")
+    point, meta = _start(obj, feasible, x0, "fw-line-search")
 
-    def step(k, x, g, s_id, s, gap, f_x):
-        v = s - x
-        alpha = _exact_line_search(obj, x, v, config)
-        return x + alpha * v, None, IterationRecord(k, f_x, gap, alpha, "forward")
+    def step(k, point, g, s_id, s, gap):
+        line = point.restrict(s - point.x)
+        alpha = _exact_line_search(obj, point.x, line.v, config, line=line)
+        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
-    return _frank_wolfe(obj, feasible, x, config, meta, step)
+    return _frank_wolfe(feasible, point, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +214,17 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     Every iterate stays feasible and in the domain without any line search
     or domain oracle, and f decreases by at least the recorded prediction.
     """
-    x, meta = _start(obj, feasible, x0, "fwgsc")
+    point, meta = _start(obj, feasible, x0, "fwgsc")
 
-    def step(k, x, g, s_id, s, gap, f_x):
-        v = s - x
-        dec = analytic_step(obj.spec, LocalGeometry.from_direction(obj, x, v, gap), cap=1.0)
-        return x + dec.alpha * v, None, IterationRecord(
-            k, f_x, gap, dec.alpha, "forward", predicted_decrease=dec.predicted_decrease)
+    def step(k, point, g, s_id, s, gap):
+        line = point.restrict(s - point.x)
+        geom = LocalGeometry.from_direction(obj, point.x, line.v, gap, line=line)
+        dec = analytic_step(obj.spec, geom, cap=1.0)
+        return line.at(dec.alpha), IterationRecord(
+            k, point.value(), gap, dec.alpha, "forward",
+            predicted_decrease=dec.predicted_decrease)
 
-    return _frank_wolfe(obj, feasible, x, config, meta, step)
+    return _frank_wolfe(feasible, point, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +232,17 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
 # ---------------------------------------------------------------------------
 
 def step_l(obj: Objective, feasible: FeasibleSet, v, x, l_prev: float,
-           config: SolverConfig, *, gap_value=None, f_x=None):
+           config: SolverConfig, *, gap_value=None, f_x=None, line: Line | None = None):
     """Quadratic-model backtracking: doubles the estimate until the candidate
-    is in the domain and below the model.  Returns (alpha, L_new, backtracks,
-    candidate, f_candidate)."""
+    is in the domain and below the model.  Trials are probes of ``line``,
+    the restriction of f through x along v (built from obj's oracles if
+    None).  Returns (alpha, L_new, backtracks, candidate, f_candidate)."""
+    if line is None:
+        line = oracle_line(obj, x, v)
     if gap_value is None:
-        gap_value = -inner(obj.gradient(x), v)
+        gap_value = -line.slope(0.0)
     if f_x is None:
-        f_x = obj.value(x)
+        f_x = line.value(0.0)
     beta2 = inner(v, v)
     if beta2 <= 0.0:
         raise ValueError("zero direction")
@@ -244,19 +250,18 @@ def step_l(obj: Objective, feasible: FeasibleSet, v, x, l_prev: float,
     slack = 1e-12 * (1.0 + abs(f_x))
     for trial in range(_BACKTRACK_LIMIT + 1):
         alpha = min(1.0, gap_value / (lt * beta2))
-        cand = x + alpha * v
-        if obj.in_domain(cand):
-            f_cand = obj.value(cand)
+        if line.in_domain(alpha):
+            f_cand = line.value(alpha)
             model = f_x - alpha * gap_value + 0.5 * lt * alpha * alpha * beta2
             if f_cand <= model + slack:
-                return alpha, lt, trial, cand, f_cand
+                return alpha, lt, trial, x + alpha * v, f_cand
         lt *= config.gamma_u
     raise BacktrackingError("quadratic-model backtracking exceeded 100 doublings")
 
 
-def _probe_l_init(obj: Objective, feasible: FeasibleSet, x) -> float:
+def _probe_l_init(obj: Objective, feasible: FeasibleSet, point: Point) -> float:
     """One finite-difference curvature probe along the first search direction."""
-    g = obj.gradient(x)
+    x, g = point.x, point.gradient()
     v = feasible.lmo(g) - x
     beta2 = inner(v, v)
     if beta2 == 0.0:
@@ -274,18 +279,19 @@ def _probe_l_init(obj: Objective, feasible: FeasibleSet, x) -> float:
 
 def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Backtracking over the gradient's local Lipschitz modulus."""
-    x, meta = _start(obj, feasible, x0, "lbtfwgsc")
-    l_prev = config.l_init if config.l_init is not None else _probe_l_init(obj, feasible, x)
+    point, meta = _start(obj, feasible, x0, "lbtfwgsc")
+    l_prev = config.l_init if config.l_init is not None else _probe_l_init(obj, feasible, point)
     meta["l_init"] = l_prev
 
-    def step(k, x, g, s_id, s, gap, f_x):
+    def step(k, point, g, s_id, s, gap):
         nonlocal l_prev
-        alpha, l_prev, backtracks, cand, f_cand = step_l(
-            obj, feasible, s - x, x, l_prev, config, gap_value=gap, f_x=f_x)
-        return cand, f_cand, IterationRecord(k, f_x, gap, alpha, "forward",
-                                             backtrack_count=backtracks, estimate=l_prev)
+        line, f_x = point.restrict(s - point.x), point.value()
+        alpha, l_prev, backtracks, _, _ = step_l(
+            obj, feasible, line.v, point.x, l_prev, config, gap_value=gap, f_x=f_x, line=line)
+        return line.at(alpha), IterationRecord(k, f_x, gap, alpha, "forward",
+                                               backtrack_count=backtracks, estimate=l_prev)
 
-    return _frank_wolfe(obj, feasible, x, config, meta, step)
+    return _frank_wolfe(feasible, point, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -293,42 +299,46 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 # ---------------------------------------------------------------------------
 
 def step_m(obj: Objective, feasible: FeasibleSet, v, x, mu_prev: float,
-           config: SolverConfig, *, gap_value=None, f_x=None, geom=None):
+           config: SolverConfig, *, gap_value=None, f_x=None, geom=None,
+           line: Line | None = None):
     """Backtracking over the GSC constant: the trial constant is doubled until
-    the analytic step it induces satisfies the matching upper model."""
+    the analytic step it induces satisfies the matching upper model.  Trials
+    are probes of ``line`` as in ``step_l``."""
+    if line is None:
+        line = oracle_line(obj, x, v)
     if gap_value is None:
-        gap_value = -inner(obj.gradient(x), v)
+        gap_value = -line.slope(0.0)
     if f_x is None:
-        f_x = obj.value(x)
+        f_x = line.value(0.0)
     if geom is None:
-        geom = LocalGeometry.from_direction(obj, x, v, gap_value)
+        geom = LocalGeometry.from_direction(obj, x, v, gap_value, line=line)
     nu = obj.spec.nu
     mt = max(config.gamma_d * mu_prev, _ESTIMATE_FLOOR)
     slack = 1e-12 * (1.0 + abs(f_x))
     for trial in range(_BACKTRACK_LIMIT + 1):
         dec = analytic_step(GscSpec(mt, nu), geom, cap=1.0)
-        cand = x + dec.alpha * v
-        if obj.in_domain(cand):
-            f_cand = obj.value(cand)
+        if line.in_domain(dec.alpha):
+            f_cand = line.value(dec.alpha)
             if f_cand <= f_x - dec.predicted_decrease + slack:
-                return dec.alpha, mt, trial, cand, f_cand
+                return dec.alpha, mt, trial, x + dec.alpha * v, f_cand
         mt *= config.gamma_u
     raise BacktrackingError("GSC-constant backtracking exceeded 100 doublings")
 
 
 def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Backtracking over the generalized self-concordance constant."""
-    x, meta = _start(obj, feasible, x0, "mbtfwgsc")
+    point, meta = _start(obj, feasible, x0, "mbtfwgsc")
     mu_prev = config.mu_init
 
-    def step(k, x, g, s_id, s, gap, f_x):
+    def step(k, point, g, s_id, s, gap):
         nonlocal mu_prev
-        alpha, mu_prev, backtracks, cand, f_cand = step_m(
-            obj, feasible, s - x, x, mu_prev, config, gap_value=gap, f_x=f_x)
-        return cand, f_cand, IterationRecord(k, f_x, gap, alpha, "forward",
-                                             backtrack_count=backtracks, estimate=mu_prev)
+        line, f_x = point.restrict(s - point.x), point.value()
+        alpha, mu_prev, backtracks, _, _ = step_m(
+            obj, feasible, line.v, point.x, mu_prev, config, gap_value=gap, f_x=f_x, line=line)
+        return line.at(alpha), IterationRecord(k, f_x, gap, alpha, "forward",
+                                               backtrack_count=backtracks, estimate=mu_prev)
 
-    return _frank_wolfe(obj, feasible, x, config, meta, step)
+    return _frank_wolfe(feasible, point, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -356,37 +366,39 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
     strong-convexity estimate sigma_f; when absent it is taken as the
     smallest Hessian eigenvalue at the start, floored at 1e-10.
     """
-    x, meta = _start(obj, feasible, x0, "fwlloo")
+    point, meta = _start(obj, feasible, x0, "fwlloo")
     sigma = config.sigma_f
     if sigma is None:
-        sigma = max(smallest_hessian_eigenvalue(obj, x), 1e-10)
+        sigma = max(smallest_hessian_eigenvalue(obj, point.x), 1e-10)
     if not sigma > 0.0:
         raise ValueError("sigma_f must be positive")
     meta["sigma_f"] = sigma
     gap0 = r_0 = None
     c_k = 1.0
 
-    def step(k, x, g, s_id, s, gap, f_x):
+    def step(k, point, g, s_id, s, gap):
         nonlocal gap0, r_0, c_k
         if k == 0:
             gap0 = gap
             r_0 = meta["r_0"] = math.sqrt(2.0 * gap0 / sigma)
         r_k = r_0 * math.sqrt(c_k)
-        v = lloo.query(x, r_k, g) - x
+        f_x = point.value()
+        v = lloo.query(point.x, r_k, g) - point.x
         beta = l2_norm(v)
         if beta == 0.0:
-            return x, f_x, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
-                                           certificate=gap0 * c_k, radius=r_k)
-        e2 = max(inner(obj.hess_vec(x, v), v), 0.0)
+            return point, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
+                                          certificate=gap0 * c_k, radius=r_k)
+        line = point.restrict(v)
+        e2 = max(line.curvature(), 0.0)
         params = PsiParams(delta=obj.spec.m * delta_nu(obj.spec, beta, math.sqrt(e2)),
                            xi=2.0 * e2 / (gap0 * c_k), nu=obj.spec.nu)
         alpha = min(1.0, t_star(params))
         rec = IterationRecord(k, f_x, gap, alpha, "forward", estimate=c_k,
                               certificate=gap0 * c_k, radius=r_k)
         c_k *= math.exp(-0.5 * alpha)
-        return x + alpha * v, None, rec
+        return line.at(alpha), rec
 
-    return _frank_wolfe(obj, feasible, x, config, meta, step)
+    return _frank_wolfe(feasible, point, config, meta, step)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +494,11 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) ->
     else:
         vid, point = start
         active = ActiveSet.single(vid, point)
-    x, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
+    point, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
     meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
 
-    def step(k, x, g, s_id, s, gap, f_x):
+    def step(k, point, g, s_id, s, gap):
+        x = point.x
         uid, u = away_vertex(g, active)
         away_gap = inner(g, u) - inner(g, x)
         forward = gap >= away_gap
@@ -497,21 +510,23 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) ->
         else:
             mu_u = active.weight(uid)
             v, t_bar, kind, g_mod = x - u, mu_u / (1.0 - mu_u), "away", away_gap
-        dec = analytic_step(obj.spec, LocalGeometry.from_direction(obj, x, v, g_mod), cap=t_bar)
+        line = point.restrict(v)
+        geom = LocalGeometry.from_direction(obj, x, v, g_mod, line=line)
+        dec = analytic_step(obj.spec, geom, cap=t_bar)
         if kind == "away" and dec.alpha >= t_bar:
             kind = "drop"
             meta["drop_steps"] += 1
-        x_new = x + dec.alpha * v
+        nxt = line.at(dec.alpha)
         if forward:
             active.forward_update(s_id, s, dec.alpha)
         else:
             active.away_update(uid, dec.alpha)
-        drift = l2_norm(active.reconstruct() - x_new) / (1.0 + l2_norm(x_new))
+        drift = l2_norm(active.reconstruct() - nxt.x) / (1.0 + l2_norm(nxt.x))
         meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
-        return x_new, None, IterationRecord(k, f_x, g_mod, dec.alpha, kind,
-                                            predicted_decrease=dec.predicted_decrease)
+        return nxt, IterationRecord(k, point.value(), g_mod, dec.alpha, kind,
+                                    predicted_decrease=dec.predicted_decrease)
 
-    trace = _frank_wolfe(obj, polytope, x, config, meta, step)
+    trace = _frank_wolfe(polytope, point, config, meta, step)
     meta["active_set_size"] = len(active)
     return trace
 

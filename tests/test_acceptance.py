@@ -16,6 +16,7 @@ from gscfw import (ActiveSet, SolverConfig, UnitSimplex, asfwgsc, descent_bounds
                    fw_standard, fwgsc, fwlloo, lbtfwgsc, mbtfwgsc, omega,
                    portfolio_generator, portfolio_problem, run_experiment)
 from gscfw.bench import build_problem, make_start, relative_error
+from gscfw.problems import MarginLine
 from gscfw.sets import SimplexLLOO
 from gscfw.stepsize import PsiParams, psi, psi_at_tstar, psi_lower_bound, t_star
 
@@ -44,10 +45,27 @@ def portfolio_reference():
 
 
 @pytest.fixture(scope="module")
-def fwgsc_long_run(portfolio_reference):
+def fwgsc_long(portfolio_reference):
+    """The long fwgsc run, and the evaluation cache it carried to its last
+    iterate (the last point a line handed on)."""
     instance, x0, _, _ = portfolio_reference
-    return fwgsc(instance.objective, instance.feasible_set, x0,
-                 SolverConfig(epsilon=1e-14, max_iter=ACCEPTANCE_BUDGET))
+    carried = []
+    at = MarginLine.at
+
+    def keep_last(line, t):
+        carried[:] = [at(line, t)]
+        return carried[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MarginLine, "at", keep_last)
+        trace = fwgsc(instance.objective, instance.feasible_set, x0,
+                      SolverConfig(epsilon=1e-14, max_iter=ACCEPTANCE_BUDGET))
+    return trace, carried[0]
+
+
+@pytest.fixture(scope="module")
+def fwgsc_long_run(fwgsc_long):
+    return fwgsc_long[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +220,21 @@ def test_criterion_4_sublinear_rate(portfolio_reference, fwgsc_long_run):
     assert hits and hits[0] <= ACCEPTANCE_BUDGET
     _ok(4, f"min-predicted-decrease bound holds for every prefix and relative "
            f"error 1e-4 is reached at iteration {hits[0]} <= {ACCEPTANCE_BUDGET}")
+
+
+def test_carried_margins_match_a_fresh_evaluation(portfolio_reference, fwgsc_long):
+    """Margins carried as z + alpha dz over the whole run stay within 1e-11
+    of B x computed afresh at the final iterate, and so does f."""
+    instance, _, _, _ = portfolio_reference
+    obj = instance.objective
+    trace, carried = fwgsc_long
+    assert len(trace.iterations) == ACCEPTANCE_BUDGET
+    assert np.array_equal(carried.x, trace.x)
+    fresh = obj.at(trace.x)
+    assert np.all(np.abs(carried.z - fresh.z) <= 1e-11 * np.abs(fresh.z))
+    assert carried.value() == trace.final_f
+    assert math.isclose(trace.final_f, fresh.value(), rel_tol=1e-11)
+    assert obj.in_domain(trace.x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Frozen solver traces: seeded cells over every family and applicable solver
 must reproduce the committed fixture iteration by iteration.
 
-Regenerate the fixture with ``python3 scripts/make_reference_fixtures.py``
-only when a change is meant to alter traces.
+Regenerate the fixture with ``python3 scripts/make_reference_fixtures.py
+golden`` only when a change is meant to alter traces.
 """
 
 import json

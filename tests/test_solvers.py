@@ -221,23 +221,27 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
     assert all(fs[i + 1] <= fs[i] + 1e-10 for i in range(len(fs) - 1))
     assert trace.status in ("gap-converged", "iteration-cap")
     # the estimate stays under max(L_init, gamma_u * curvature bound)
-    # replay the run to validate the accepted quadratic model at every step
-    x = np.asarray(feasible.vertex(0), dtype=float)
+    # replay the run to validate the accepted quadratic model at every step;
+    # the replay carries the evaluation cache from point to point as the
+    # solver does, so its gaps carry the same rounding as the recorded ones
+    point = obj.at(np.asarray(feasible.vertex(0), dtype=float))
     l_prev = trace.meta["l_init"]
     from gscfw.sets import gap as fw_gap
     config = SolverConfig(epsilon=1e-12, max_iter=400)
     for rec in trace.iterations[:100]:
-        g = obj.gradient(x)
+        x, g = point.x, point.gradient()
         s = feasible.lmo(g)
         gp = fw_gap(g, x, s)
-        v = s - x
-        f_x = obj.value(x)
-        alpha, l_prev, _, cand, f_cand = step_l(obj, feasible, v, x, l_prev, config,
-                                                gap_value=gp, f_x=f_x)
+        line = point.restrict(s - x)
+        f_x = point.value()
+        alpha, l_prev, _, cand, f_cand = step_l(obj, feasible, line.v, x, l_prev, config,
+                                                gap_value=gp, f_x=f_x, line=line)
         assert alpha == pytest.approx(rec.alpha, rel=1e-12)
-        model = f_x - alpha * gp + 0.5 * l_prev * alpha * alpha * float(v @ v)
+        model = f_x - alpha * gp + 0.5 * l_prev * alpha * alpha * float(line.v @ line.v)
         assert f_cand <= model + 1e-10 * (1.0 + abs(f_x))
-        x = cand
+        assert obj.value(cand) <= model + 1e-10 * (1.0 + abs(f_x))  # from scratch
+        point = line.at(alpha)
+        assert np.array_equal(point.x, cand)
 
 
 def test_lbtfwgsc_estimate_bound_on_known_curvature():

@@ -293,11 +293,6 @@ class Line:
         return self._probe(t)
 
 
-def oracle_line(obj: Objective, x, v) -> Line:
-    """The generic restriction through x along v, built from obj's oracles."""
-    return Line(Point(obj, np.asarray(x, dtype=float)), np.asarray(v, dtype=float))
-
-
 @dataclass(frozen=True)
 class LocalGeometry:
     """Per-iterate quantities feeding the step-size formulas.
@@ -315,9 +310,11 @@ class LocalGeometry:
     def from_direction(cls, obj: Objective, x, v, gap: float,
                        line: Line | None = None) -> "LocalGeometry":
         """``line``, the restriction through x along v, supplies the
-        curvature; without it, hess_vec does."""
+        curvature (``obj.at(x).restrict(v)`` if None)."""
+        if line is None:
+            line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
         beta = l2_norm(v)
-        e2 = (line or oracle_line(obj, x, v)).curvature()
+        e2 = line.curvature()
         e = math.sqrt(max(e2, 0.0))
         return cls(beta=beta, e=e, delta=delta_nu(obj.spec, beta, e), gap=gap)
 

@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .gsc import Line, Objective, inner, l2_norm, oracle_line
+from .gsc import Line, Objective, inner, l2_norm
 
 
 class OracleViolation(RuntimeError):
@@ -328,13 +328,13 @@ class SimplexLLOO:
 def max_feasible_step(obj: Objective, x, v, line: Line | None = None) -> float:
     """Largest step in (0, 1] keeping x + t v inside dom f, shrunk for safety.
 
-    Asks ``line``, the restriction of f through x along v, when given.
-    Otherwise uses the objective's exact boundary rule when it provides one,
-    or else 30 bisection steps on the domain oracle followed by a
-    (1 - 1e-7) shrink.
+    Asks ``line``, the restriction of f through x along v
+    (``obj.at(x).restrict(v)`` if None): an exact boundary rule when the
+    objective has one, or else 30 bisection steps on the domain oracle
+    followed by a (1 - 1e-7) shrink.
     """
     if line is None:
-        line = oracle_line(obj, x, v)
+        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
     if not line.in_domain(0.0):
         raise ValueError("x must lie in the domain")
     return line.max_step()

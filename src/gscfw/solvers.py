@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, delta_nu, inner, l2_norm,
-                  oracle_line)
+from .gsc import GscSpec, Line, LocalGeometry, Objective, Point, delta_nu, inner, l2_norm
 from .sets import FeasibleSet, SimplexLLOO, VertexSet, gap as fw_gap, max_feasible_step
 from .stepsize import PsiParams, analytic_step, t_star
 
@@ -174,9 +173,9 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
 def _exact_line_search(obj: Objective, x, v, config: SolverConfig,
                        line: Line | None = None) -> float:
     """Bisection on the slope of f along x + t v over the domain-feasible
-    range; ``line`` is that restriction (built from obj's oracles if None)."""
+    range; ``line`` is that restriction (``obj.at(x).restrict(v)`` if None)."""
     if line is None:
-        line = oracle_line(obj, x, v)
+        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
     t_max = max_feasible_step(obj, x, v, line=line)
     if line.slope(t_max) <= 0.0:
         return t_max
@@ -235,10 +234,10 @@ def step_l(obj: Objective, feasible: FeasibleSet, v, x, l_prev: float,
            config: SolverConfig, *, gap_value=None, f_x=None, line: Line | None = None):
     """Quadratic-model backtracking: doubles the estimate until the candidate
     is in the domain and below the model.  Trials are probes of ``line``,
-    the restriction of f through x along v (built from obj's oracles if
+    the restriction of f through x along v (``obj.at(x).restrict(v)`` if
     None).  Returns (alpha, L_new, backtracks, candidate, f_candidate)."""
     if line is None:
-        line = oracle_line(obj, x, v)
+        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
     if gap_value is None:
         gap_value = -line.slope(0.0)
     if f_x is None:
@@ -254,7 +253,7 @@ def step_l(obj: Objective, feasible: FeasibleSet, v, x, l_prev: float,
             f_cand = line.value(alpha)
             model = f_x - alpha * gap_value + 0.5 * lt * alpha * alpha * beta2
             if f_cand <= model + slack:
-                return alpha, lt, trial, x + alpha * v, f_cand
+                return alpha, lt, trial, line.at(alpha).x, f_cand
         lt *= config.gamma_u
     raise BacktrackingError("quadratic-model backtracking exceeded 100 doublings")
 
@@ -305,7 +304,7 @@ def step_m(obj: Objective, feasible: FeasibleSet, v, x, mu_prev: float,
     the analytic step it induces satisfies the matching upper model.  Trials
     are probes of ``line`` as in ``step_l``."""
     if line is None:
-        line = oracle_line(obj, x, v)
+        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
     if gap_value is None:
         gap_value = -line.slope(0.0)
     if f_x is None:
@@ -320,7 +319,7 @@ def step_m(obj: Objective, feasible: FeasibleSet, v, x, mu_prev: float,
         if line.in_domain(dec.alpha):
             f_cand = line.value(dec.alpha)
             if f_cand <= f_x - dec.predicted_decrease + slack:
-                return dec.alpha, mt, trial, x + dec.alpha * v, f_cand
+                return dec.alpha, mt, trial, line.at(dec.alpha).x, f_cand
         mt *= config.gamma_u
     raise BacktrackingError("GSC-constant backtracking exceeded 100 doublings")
 

@@ -12,9 +12,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscfw import (SOLVERS, SolverConfig, covariance_generator, covariance_problem,
-                   dwd_problem, inner, l2_norm, logistic_problem, max_feasible_step,
-                   portfolio_generator, portfolio_problem, synthetic_classification)
+from gscfw import (SOLVERS, Line, Point, SolverConfig, covariance_generator,
+                   covariance_problem, dwd_problem, inner, l2_norm, logistic_problem,
+                   max_feasible_step, portfolio_generator, portfolio_problem,
+                   synthetic_classification)
 from gscfw.bench import build_problem, make_start, run_method
 
 from conftest import NegLogObjective
@@ -102,8 +103,9 @@ def test_line_matches_oracles_from_scratch(family, seed, inside, edge_exp):
     else:
         assert _close(line.max_step(), reach)
     blind = copy.copy(obj)
-    blind.max_step = lambda x, v: None
-    assert abs(line.max_step() - max_feasible_step(blind, x, v)) <= BISECTION_RESOLUTION
+    blind.max_step = lambda x, v: None  # the generic line then bisects
+    bisected = max_feasible_step(blind, x, v, line=Line(Point(blind, x), v))
+    assert abs(line.max_step() - bisected) <= BISECTION_RESOLUTION
     assert max_feasible_step(obj, x, v, line=line) == line.max_step()
 
     assert _close(line.curvature(), inner(obj.hess_vec(x, v), v))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from gscfw import (EuclideanBall, IntervalBlock, L1Ball, NonnegativeBall, OracleViolation,
-                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, gap,
-                   max_feasible_step, sym_l1_lmo)
+from gscfw import (EuclideanBall, IntervalBlock, L1Ball, Line, NonnegativeBall,
+                   OracleViolation, Point, ProductSet, SimplexLLOO, SymmetricL1Ball,
+                   UnitSimplex, gap, max_feasible_step, sym_l1_lmo)
 from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
                    portfolio_problem, synthetic_classification)
 from gscfw.bench import make_start
@@ -358,12 +358,12 @@ def test_max_feasible_step_covariance_eigen_rule_matches_bisection():
              (dwd, x_dwd, rng.standard_normal)]
     for exact_obj, x0, direction in cases:
         blind = copy.copy(exact_obj)
-        blind.max_step = lambda x, v: None  # forces the bisection fallback
+        blind.max_step = lambda x, v: None  # the generic line then bisects
         capped = 0
         for _ in range(20):
             v = direction(x0.shape)
             exact = exact_obj.max_step(x0, v)
-            generic = max_feasible_step(blind, x0, v)
+            generic = max_feasible_step(blind, x0, v, line=Line(Point(blind, x0), v))
             assert generic == pytest.approx(exact, abs=1e-6, rel=1e-5)
             capped += exact < 1.0
         assert capped > 0

@@ -7,7 +7,7 @@ import pytest
 from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry,
                    ProblemInstance, SolverConfig, UnitSimplex, analytic_step, asfwgsc,
                    away_vertex, delta_nu, fw_line_search, fw_standard, fwgsc, fwlloo,
-                   lbtfwgsc, mbtfwgsc, omega, step_l, step_m)
+                   inner, lbtfwgsc, mbtfwgsc, omega, step_l, step_m)
 from gscfw.bench import run_method
 from gscfw.sets import SimplexLLOO
 from gscfw import portfolio_generator, portfolio_problem
@@ -228,6 +228,7 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
     l_prev = trace.meta["l_init"]
     from gscfw.sets import gap as fw_gap
     config = SolverConfig(epsilon=1e-12, max_iter=400)
+    eps = np.finfo(float).eps
     for rec in trace.iterations[:100]:
         x, g = point.x, point.gradient()
         s = feasible.lmo(g)
@@ -237,9 +238,20 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
         alpha, l_prev, _, cand, f_cand = step_l(obj, feasible, line.v, x, l_prev, config,
                                                 gap_value=gp, f_x=f_x, line=line)
         assert alpha == pytest.approx(rec.alpha, rel=1e-12)
-        model = f_x - alpha * gp + 0.5 * l_prev * alpha * alpha * float(line.v @ line.v)
+        beta2 = float(line.v @ line.v)
+        model = f_x - alpha * gp + 0.5 * l_prev * alpha * alpha * beta2
         assert f_cand <= model + 1e-10 * (1.0 + abs(f_x))
-        assert obj.value(cand) <= model + 1e-10 * (1.0 + abs(f_x))  # from scratch
+        # the same model from f and the gradient evaluated from scratch
+        f_0, g_0, z_0 = obj.value(x), obj.gradient(x), obj.b @ x
+        gp_0 = inner(g_0, x) - inner(g_0, s)
+        model_0 = f_0 - alpha * gp_0 + 0.5 * l_prev * alpha * alpha * beta2
+        assert obj.value(cand) <= model_0 + 1e-10 * (1.0 + abs(f_0))
+        # carried and from-scratch values differ by rounding only: f = -sum log z
+        # within that of the sum and of the margins, the gap within that of <g, x - s>
+        f_floor = eps * float(np.sum(np.abs(np.log(z_0)))
+                              + np.sum((np.abs(obj.b) @ np.abs(x)) / z_0))
+        assert abs(f_x - f_0) <= 16.0 * f_floor
+        assert abs(gp - gp_0) <= 16.0 * eps * (abs(inner(g_0, x)) + abs(inner(g_0, s)))
         point = line.at(alpha)
         assert np.array_equal(point.x, cand)
 

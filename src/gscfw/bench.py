@@ -24,8 +24,8 @@ from .problems import (ProblemInstance, covariance_generator, covariance_problem
                        dwd_problem, logistic_problem, portfolio_generator,
                        portfolio_problem, synthetic_classification)
 from .sets import UnitSimplex
-from .solvers import (SOLVERS, ActiveSet, RunTrace, SolverConfig, asfwgsc, fwlloo,
-                      make_simplex_lloo)
+from .solvers import (SOLVERS, ActiveSet, IterationRecord, RunTrace, SolverConfig, asfwgsc,
+                      fwlloo, make_simplex_lloo)
 
 WORKER_ENV = "GSCFW_WORKERS"
 
@@ -167,37 +167,44 @@ DEFAULT_SIZES = {
 }
 
 
-def _check_spec(spec) -> str:
-    """The family name of a grid spec; keys other than the family's
-    DEFAULT_SIZES, name and seed are a ConfigError."""
+def _check_spec(spec):
+    """The family name of a grid spec and its parameters: the family's
+    DEFAULT_SIZES and seed, overridden by the spec and cast to the defaults'
+    types.  Other keys, and values that do not cast, are a ConfigError."""
     if not isinstance(spec, dict) or spec.get("name") not in DEFAULT_SIZES:
         raise ConfigError(f"bad problem spec {spec!r}")
     name = spec["name"]
     unknown = sorted(set(spec) - set(DEFAULT_SIZES[name]) - {"name", "seed"})
     if unknown:
         raise ConfigError(f"unknown keys {unknown} for problem {name!r}")
-    return name
+    defaults = {**DEFAULT_SIZES[name], "seed": 0}
+    params = {**defaults, **spec}
+    try:
+        for key, default in defaults.items():
+            if default is not None or params[key] is not None:
+                params[key] = (float if default is None else type(default))(params[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} for problem {name!r}: {exc}") from exc
+    return name, params
 
 
 def build_problem(spec: dict) -> ProblemInstance:
     """Instantiate a benchmark problem from a grid-spec dictionary."""
-    name = _check_spec(spec)
-    seed = int(spec.get("seed", 0))
-    params = {**DEFAULT_SIZES[name], **spec}
+    name, params = _check_spec(spec)
+    seed = params["seed"]
     if name == "logistic":
-        data = synthetic_classification(int(params["p"]), int(params["n"]),
-                                        density=float(params["density"]), seed=seed)
+        data = synthetic_classification(params["p"], params["n"],
+                                        density=params["density"], seed=seed)
         gamma = params["gamma"]
-        gamma = 1.0 / data.count if gamma is None else float(gamma)
-        return logistic_problem(data, gamma, float(params["radius"]), int(params["nu_mode"]))
+        gamma = 1.0 / data.count if gamma is None else gamma
+        return logistic_problem(data, gamma, params["radius"], params["nu_mode"])
     if name == "portfolio":
-        returns = portfolio_generator(int(params["p"]), int(params["n"]), seed)
+        returns = portfolio_generator(params["p"], params["n"], seed)
         return portfolio_problem(returns)
     if name == "dwd":
-        data = synthetic_classification(int(params["p"]), int(params["d"]), seed=seed)
-        return dwd_problem(data, q=float(params["q"]), u=float(params["u"]),
-                           big_r=float(params["big_r"]))
-    returns = covariance_generator(int(params["p"]), seed)
+        data = synthetic_classification(params["p"], params["d"], seed=seed)
+        return dwd_problem(data, q=params["q"], u=params["u"], big_r=params["big_r"])
+    returns = covariance_generator(params["p"], seed)
     return covariance_problem(returns)
 
 
@@ -325,7 +332,15 @@ def _parse_config(config: dict):
         solver_config = SolverConfig(**solver_kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
-    n_starts = int(config.get("n_starts", 1))
+    epsilons = config.get("profile_epsilons", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    if not isinstance(epsilons, list):
+        raise ConfigError("profile_epsilons must be a list of numbers")
+    try:
+        n_starts = int(config.get("n_starts", 1))
+        base_seed = int(config.get("seed", solver_config.seed))
+        epsilons = [float(eps) for eps in epsilons]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad grid settings: {exc}") from exc
     if n_starts < 1:
         raise ConfigError("n_starts must be at least 1")
     methods = list(config["methods"])
@@ -335,7 +350,7 @@ def _parse_config(config: dict):
     for spec in config["problems"]:
         _check_spec(spec)
     problems = [dict(spec) for spec in config["problems"]]
-    return problems, methods, n_starts, solver_config
+    return problems, methods, n_starts, base_seed, solver_config, epsilons
 
 
 def _cell_id(problem_spec: dict) -> str:
@@ -368,10 +383,10 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
             config = json.loads(Path(config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
-    problems, methods, n_starts, solver_config = _parse_config(config)
+    problems, methods, n_starts, base_seed, solver_config, epsilons = _parse_config(config)
     out_dir = Path(out_dir if out_dir is not None else config.get("out_dir", "records"))
 
-    cells = [(spec, method, start, int(config.get("seed", solver_config.seed)),
+    cells = [(spec, method, start, base_seed,
               {k: getattr(solver_config, k) for k in _SOLVER_FIELDS})
              for spec in problems for method in methods for start in range(n_starts)]
     if dry_run:
@@ -399,46 +414,50 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
         lines = trace_to_lines(problem, method, start, trace, f_star[problem])
         write_record(out_dir / record_filename(problem, method, start), lines)
 
-    epsilons = config.get("profile_epsilons", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     write_profile_csv(out_dir / "profiles.csv", profile_points(records, epsilons))
     return records
 
 
+def profile_table(rows):
+    """The CSV header, then the text fields of each profile row."""
+    yield ["epsilon", "method", "rho", "rho_iter", "rho_time"]
+    for row in rows:
+        yield [f"{row.epsilon:g}", row.method, f"{row.rho:.6f}",
+               "" if row.rho_iter is None else f"{row.rho_iter:.6f}",
+               "" if row.rho_time is None else f"{row.rho_time:.6f}"]
+
+
 def write_profile_csv(path: Path, rows):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "method", "rho", "rho_iter", "rho_time"])
-        for row in rows:
-            writer.writerow([
-                f"{row.epsilon:g}", row.method, f"{row.rho:.6f}",
-                "" if row.rho_iter is None else f"{row.rho_iter:.6f}",
-                "" if row.rho_time is None else f"{row.rho_time:.6f}",
-            ])
+        csv.writer(fh).writerows(profile_table(rows))
 
 
 def load_records(directory) -> list:
-    """Read record files back into RunRecords (for the profile subcommand)."""
-    from .solvers import IterationRecord
+    """Read record files back into RunRecords (for the profile subcommand).
+    An empty, truncated or incomplete file is a ConfigError naming it."""
     out = []
     for path in sorted(Path(directory).glob("*.jsonl")):
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        iterations = []
-        for line in lines[1:]:
-            row = json.loads(line)
-            iterations.append(IterationRecord(
-                k=row["k"], f_value=row["f"], gap=row["gap"], alpha=row["alpha"],
-                step_kind=row["kind"], backtrack_count=row.get("backtracks", 0),
-                estimate=row.get("estimate"), elapsed_seconds=row.get("elapsed", 0.0),
-                predicted_decrease=row.get("predicted"),
-                certificate=row.get("certificate"), radius=row.get("radius")))
-        trace = RunTrace(iterations=iterations, status=header["status"],
-                         final_f=header["final_f"], final_gap=header["final_gap"],
-                         x=np.empty(0), meta={"problem": header["problem"],
-                                              "solver": header["method"]})
-        f_star = header.get("f_star_estimate")
-        if f_star is None:
-            f_star = trace.best_f()
-        out.append(RunRecord(header["problem"], header["method"], header["start"],
-                             trace, f_star))
+        try:
+            first, *rest = path.read_text().splitlines()
+            header = json.loads(first)
+            iterations = []
+            for line in rest:
+                row = json.loads(line)
+                iterations.append(IterationRecord(
+                    k=row["k"], f_value=row["f"], gap=row["gap"], alpha=row["alpha"],
+                    step_kind=row["kind"], backtrack_count=row.get("backtracks", 0),
+                    estimate=row.get("estimate"), elapsed_seconds=row.get("elapsed", 0.0),
+                    predicted_decrease=row.get("predicted"),
+                    certificate=row.get("certificate"), radius=row.get("radius")))
+            trace = RunTrace(iterations=iterations, status=header["status"],
+                             final_f=header["final_f"], final_gap=header["final_gap"],
+                             x=np.empty(0), meta={"problem": header["problem"],
+                                                  "solver": header["method"]})
+            f_star = header.get("f_star_estimate")
+            if f_star is None:
+                f_star = trace.best_f()
+            out.append(RunRecord(header["problem"], header["method"], header["start"],
+                                 trace, f_star))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} is not a complete record file: {exc!r}") from exc
     return out

@@ -71,11 +71,8 @@ def _cmd_profile(args) -> int:
     if args.out:
         bench.write_profile_csv(Path(args.out), rows)
     else:
-        print("epsilon,method,rho,rho_iter,rho_time")
-        for r in rows:
-            print(f"{r.epsilon:g},{r.method},{r.rho:.6f},"
-                  f"{'' if r.rho_iter is None else f'{r.rho_iter:.6f}'},"
-                  f"{'' if r.rho_time is None else f'{r.rho_time:.6f}'}")
+        for fields in bench.profile_table(rows):
+            print(",".join(fields))
     return 0
 
 

@@ -18,8 +18,6 @@ import numpy as np
 # Branch snapping: interior-branch exponents blow up at the endpoints.
 NU_BRANCH_TOL = 1e-9
 
-_LN2 = math.log(2.0)
-
 
 def inner(a, b) -> float:
     """Inner product that works for vector and (symmetric) matrix variables.
@@ -196,7 +194,8 @@ class Objective(ABC):
     def max_step(self, x, v):
         """Exact sup{t in (0,1] : x + t v in dom f} when cheaply available.
 
-        Return None to fall back on the generic bisection oracle.
+        The generic ``Line`` asks this hook, so it serves objectives without
+        a line of their own.  Return None to fall back on bisection.
         """
         return None
 
@@ -233,17 +232,25 @@ class Point:
         return Line(self, v)
 
 
+def pull_back(t_raw: float) -> float:
+    """A step just inside a domain boundary met at t_raw: shrunk by 1e-7
+    relative, capped at 1."""
+    t = t_raw * (1.0 - 1e-7)
+    return 1.0 if t >= 1.0 else t
+
+
 class Line:
     """The restriction phi(t) = f(x + t v) of f to one line through a point.
 
     ``value(t)`` is +inf outside dom f, ``slope(t)`` = phi'(t) is asked
     inside it only, ``curvature()`` = phi''(0) = <hess f(x) v, v>,
     ``max_step()`` is the largest step in (0, 1] that stays inside dom f,
-    shrunk by 1e-7 relative (1.0 if the whole segment is inside), and
+    pulled back from the boundary (1.0 if the whole segment is inside), and
     ``at(t)`` is the point x + t v, with whatever the last question about
-    the same t computed there.  This generic line calls the objective's
-    oracles at x + t v and bisects on ``in_domain`` when ``max_step`` gives
-    no exact answer.
+    the same t computed there.  This generic line asks ``obj.at`` for the
+    points along it, the objective's oracles for the curvature and the
+    domain, and bisects on ``in_domain`` when ``max_step`` gives no exact
+    answer.
     """
 
     __slots__ = ("point", "v", "_t", "_probe_point")
@@ -253,25 +260,25 @@ class Line:
         self._t = self._probe_point = None
 
     def _point_at(self, t) -> Point:
-        return Point(self.point.obj, self.point.x + t * self.v)
+        return self.point.obj.at(self.point.x + t * self.v)
 
-    def _probe(self, t) -> Point:
+    def at(self, t) -> Point:
         """The point x + t v, kept until a question about another t."""
         if t != self._t:
             self._t, self._probe_point = t, self._point_at(t)
         return self._probe_point
 
     def value(self, t) -> float:
-        return self._probe(t).value()
+        return self.at(t).value()
 
     def slope(self, t) -> float:
-        return inner(self._probe(t).gradient(), self.v)
+        return inner(self.at(t).gradient(), self.v)
 
     def curvature(self) -> float:
         return inner(self.point.obj.hess_vec(self.point.x, self.v), self.v)
 
     def in_domain(self, t) -> bool:
-        return bool(self.point.obj.in_domain(self._probe(t).x))
+        return bool(self.point.obj.in_domain(self.at(t).x))
 
     def max_step(self) -> float:
         obj, x, v = self.point.obj, self.point.x, self.v
@@ -287,10 +294,7 @@ class Line:
                 lo = mid
             else:
                 hi = mid
-        return lo * (1.0 - 1e-7)
-
-    def at(self, t) -> Point:
-        return self._probe(t)
+        return pull_back(lo)
 
 
 @dataclass(frozen=True)
@@ -307,16 +311,12 @@ class LocalGeometry:
     gap: float
 
     @classmethod
-    def from_direction(cls, obj: Objective, x, v, gap: float,
-                       line: Line | None = None) -> "LocalGeometry":
-        """``line``, the restriction through x along v, supplies the
-        curvature (``obj.at(x).restrict(v)`` if None)."""
-        if line is None:
-            line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
-        beta = l2_norm(v)
+    def from_direction(cls, line: Line, gap: float) -> "LocalGeometry":
+        """The geometry of ``line``'s direction v at its point x."""
+        beta = l2_norm(line.v)
         e2 = line.curvature()
         e = math.sqrt(max(e2, 0.0))
-        return cls(beta=beta, e=e, delta=delta_nu(obj.spec, beta, e), gap=gap)
+        return cls(beta=beta, e=e, delta=delta_nu(line.point.obj.spec, beta, e), gap=gap)
 
 
 def descent_bounds(f: Objective, x, y):

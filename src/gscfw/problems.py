@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from scipy.special import expit
 
 from .gsc import (GscSpec, Line, Objective, Point, gsc_affine_constant,
-                  gsc_finite_sum_constant, gsc_sum_constant, inner)
+                  gsc_finite_sum_constant, gsc_sum_constant, inner, pull_back)
 from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
                    ProductSet, SymmetricL1Ball, UnitSimplex)
 
@@ -149,7 +149,6 @@ class ProblemInstance:
     objective: Objective
     feasible_set: FeasibleSet
     name: str
-    reference_optimum: float | None = None
 
     def __post_init__(self):
         if self.objective.dimension != self.feasible_set.dimension:
@@ -159,12 +158,6 @@ class ProblemInstance:
 # ---------------------------------------------------------------------------
 # Losses of an affine margin: logistic regression, portfolio, DWD
 # ---------------------------------------------------------------------------
-
-def _pull_back(t_raw: float) -> float:
-    """A step just inside a domain boundary met at t_raw, capped at 1."""
-    t = t_raw * (1.0 - 1e-7)
-    return 1.0 if t >= 1.0 else t
-
 
 class MarginKernel:
     """A scalar (m, nu)-GSC loss: ``phi(z)``, ``d1(z)`` = phi'(z) and
@@ -273,9 +266,6 @@ class MarginObjective(Objective):
     def in_domain(self, x) -> bool:
         return not self.kernel.positive or bool(np.all(self.b @ x > 0.0))
 
-    def max_step(self, x, v):
-        return self.at(x).restrict(v).max_step()
-
 
 class MarginPoint(Point):
     """x with its margins z = Bx."""
@@ -328,7 +318,7 @@ class MarginLine(Line):
         return MarginPoint(p.obj, p.x + t * self.v, p.z + t * self.dz)
 
     def slope(self, t) -> float:
-        obj, v, q = self.point.obj, self.v, self._probe(t)
+        obj, v, q = self.point.obj, self.v, self.at(t)
         if obj.kernel.positive and not np.all(q.z > 0.0):
             raise ValueError("slope undefined outside the domain")
         out = float(obj.kernel.d1(q.z) @ self.dz) / obj.count
@@ -345,7 +335,7 @@ class MarginLine(Line):
         obj = self.point.obj
         if not obj.kernel.positive:
             return True
-        q = self._probe(t)
+        q = self.at(t)
         low = float(np.min(q.z))
         if low <= 0.0:
             return False
@@ -360,7 +350,7 @@ class MarginLine(Line):
         shrinking = dz < 0.0
         if not np.any(shrinking):
             return 1.0
-        return _pull_back(float(np.min(self.point.z[shrinking] / -dz[shrinking])))
+        return pull_back(float(np.min(self.point.z[shrinking] / -dz[shrinking])))
 
 
 def logistic_problem(data: SparseDataset, gamma: float, radius: float,
@@ -481,9 +471,6 @@ class CovarianceObjective(Objective):
     def in_domain(self, x) -> bool:
         return self._factor(x) is not None
 
-    def max_step(self, x, v):
-        return self.at(x).restrict(np.asarray(v, dtype=float)).max_step()
-
 
 class LogdetPoint(Point):
     """X with its Cholesky factor (None outside the domain) and L^{-1}."""
@@ -567,17 +554,14 @@ class LogdetLine(Line):
 
     def in_domain(self, t) -> bool:
         edge = self._edge(t)
-        return edge > _LOGDET_EDGE or (edge > 0.0 and self._probe(t).low is not None)
+        return edge > _LOGDET_EDGE or (edge > 0.0 and self.at(t).low is not None)
 
     def max_step(self) -> float:
         # X + tV > 0 iff t * lam_max(-W) < 1
         lam_min = float(self._eig()[0])
         if lam_min >= 0.0:
             return 1.0
-        return _pull_back(1.0 / -lam_min)
-
-    def _point_at(self, t) -> LogdetPoint:
-        return LogdetPoint(self.point.obj, self.point.x + t * self.v)
+        return pull_back(1.0 / -lam_min)
 
 
 def covariance_problem(sigma_hat, radius: float | None = None) -> ProblemInstance:

@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .gsc import Line, Objective, inner, l2_norm
+from .gsc import Line, inner, l2_norm
 
 
 class OracleViolation(RuntimeError):
@@ -325,16 +325,13 @@ class SimplexLLOO:
 # Domain-boundary search
 # ---------------------------------------------------------------------------
 
-def max_feasible_step(obj: Objective, x, v, line: Line | None = None) -> float:
+def max_feasible_step(line: Line) -> float:
     """Largest step in (0, 1] keeping x + t v inside dom f, shrunk for safety.
 
-    Asks ``line``, the restriction of f through x along v
-    (``obj.at(x).restrict(v)`` if None): an exact boundary rule when the
-    objective has one, or else 30 bisection steps on the domain oracle
-    followed by a (1 - 1e-7) shrink.
+    Asks ``line``, the restriction of f through x along v: an exact boundary
+    rule when the objective has one, or else 30 bisection steps on the
+    domain oracle, then pulled back from the boundary.
     """
-    if line is None:
-        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
     if not line.in_domain(0.0):
         raise ValueError("x must lie in the domain")
     return line.max_step()

@@ -83,12 +83,6 @@ class RunTrace:
         """Objective value at every iterate, final point included."""
         return [rec.f_value for rec in self.iterations] + [self.final_f]
 
-    def gaps(self):
-        return [rec.gap for rec in self.iterations] + [self.final_gap]
-
-    def alphas(self):
-        return [rec.alpha for rec in self.iterations]
-
     def cumulative_seconds(self):
         """Wall time elapsed when each iterate was produced (iterate 0 at 0)."""
         out = [0.0]
@@ -116,7 +110,7 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
     """The iteration every solver shares: gradient, oracle, gap, stop test, step.
 
     ``point`` is the evaluation cache at the iterate (``Objective.at``).
-    ``step(k, point, g, s_id, s, gap)`` returns ``(point_new, record)`` and
+    ``step(k, point, s_id, s, gap)`` returns ``(point_new, record)`` and
     carries the solver's own state; ``s_id`` is the vertex id on polytopes
     and None elsewhere.  A step moves along the restriction of f to its
     direction, so the new point comes from ``Line.at`` with whatever the
@@ -142,7 +136,7 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
             break
         if k == config.max_iter:
             break
-        point, rec = step(k, point, g, s_id, s, gp)
+        point, rec = step(k, point, s_id, s, gp)
         rec.elapsed_seconds = time.perf_counter() - t0
         records.append(rec)
         if iterates is not None:
@@ -160,7 +154,7 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
     """Oblivious 2/(k+2) schedule; domain-violating candidates are zeroed."""
     point, meta = _start(obj, feasible, x0, "fw-standard")
 
-    def step(k, point, g, s_id, s, gap):
+    def step(k, point, s_id, s, gap):
         alpha = 2.0 / (k + 2.0)
         line = point.restrict(s - point.x)
         if not line.in_domain(alpha):
@@ -170,18 +164,15 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
     return _frank_wolfe(feasible, point, config, meta, step)
 
 
-def _exact_line_search(obj: Objective, x, v, config: SolverConfig,
-                       line: Line | None = None) -> float:
-    """Bisection on the slope of f along x + t v over the domain-feasible
-    range; ``line`` is that restriction (``obj.at(x).restrict(v)`` if None)."""
-    if line is None:
-        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
-    t_max = max_feasible_step(obj, x, v, line=line)
+def _exact_line_search(line: Line, tol: float) -> float:
+    """Bisection on the slope of ``line`` over its domain-feasible range,
+    to an interval of width ``tol``."""
+    t_max = max_feasible_step(line)
     if line.slope(t_max) <= 0.0:
         return t_max
     lo, hi = 0.0, t_max  # slope(0) = -gap < 0
     for _ in range(200):
-        if hi - lo <= config.line_search_tol:
+        if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
         if line.slope(mid) < 0.0:
@@ -195,9 +186,9 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
     """Exact line search within the domain-feasible segment."""
     point, meta = _start(obj, feasible, x0, "fw-line-search")
 
-    def step(k, point, g, s_id, s, gap):
+    def step(k, point, s_id, s, gap):
         line = point.restrict(s - point.x)
-        alpha = _exact_line_search(obj, point.x, line.v, config, line=line)
+        alpha = _exact_line_search(line, config.line_search_tol)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
     return _frank_wolfe(feasible, point, config, meta, step)
@@ -215,9 +206,9 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     """
     point, meta = _start(obj, feasible, x0, "fwgsc")
 
-    def step(k, point, g, s_id, s, gap):
+    def step(k, point, s_id, s, gap):
         line = point.restrict(s - point.x)
-        geom = LocalGeometry.from_direction(obj, point.x, line.v, gap, line=line)
+        geom = LocalGeometry.from_direction(line, gap)
         dec = analytic_step(obj.spec, geom, cap=1.0)
         return line.at(dec.alpha), IterationRecord(
             k, point.value(), gap, dec.alpha, "forward",
@@ -230,30 +221,24 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
 # Backtracking over the local Lipschitz estimate
 # ---------------------------------------------------------------------------
 
-def step_l(obj: Objective, feasible: FeasibleSet, v, x, l_prev: float,
-           config: SolverConfig, *, gap_value=None, f_x=None, line: Line | None = None):
-    """Quadratic-model backtracking: doubles the estimate until the candidate
-    is in the domain and below the model.  Trials are probes of ``line``,
-    the restriction of f through x along v (``obj.at(x).restrict(v)`` if
-    None).  Returns (alpha, L_new, backtracks, candidate, f_candidate)."""
-    if line is None:
-        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
-    if gap_value is None:
-        gap_value = -line.slope(0.0)
-    if f_x is None:
-        f_x = line.value(0.0)
-    beta2 = inner(v, v)
+def step_l(line: Line, gap: float, l_prev: float, config: SolverConfig):
+    """Quadratic-model backtracking: doubles the estimate until the step is
+    in the domain and below the model.  Trials are probes of ``line``, the
+    restriction of f through x along v, and ``gap`` = -phi'(0).  Returns
+    (alpha, L_new, backtracks)."""
+    f_x = line.point.value()
+    beta2 = inner(line.v, line.v)
     if beta2 <= 0.0:
         raise ValueError("zero direction")
     lt = max(config.gamma_d * l_prev, _ESTIMATE_FLOOR)
     slack = 1e-12 * (1.0 + abs(f_x))
     for trial in range(_BACKTRACK_LIMIT + 1):
-        alpha = min(1.0, gap_value / (lt * beta2))
+        alpha = min(1.0, gap / (lt * beta2))
         if line.in_domain(alpha):
             f_cand = line.value(alpha)
-            model = f_x - alpha * gap_value + 0.5 * lt * alpha * alpha * beta2
+            model = f_x - alpha * gap + 0.5 * lt * alpha * alpha * beta2
             if f_cand <= model + slack:
-                return alpha, lt, trial, line.at(alpha).x, f_cand
+                return alpha, lt, trial
         lt *= config.gamma_u
     raise BacktrackingError("quadratic-model backtracking exceeded 100 doublings")
 
@@ -282,12 +267,11 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     l_prev = config.l_init if config.l_init is not None else _probe_l_init(obj, feasible, point)
     meta["l_init"] = l_prev
 
-    def step(k, point, g, s_id, s, gap):
+    def step(k, point, s_id, s, gap):
         nonlocal l_prev
-        line, f_x = point.restrict(s - point.x), point.value()
-        alpha, l_prev, backtracks, _, _ = step_l(
-            obj, feasible, line.v, point.x, l_prev, config, gap_value=gap, f_x=f_x, line=line)
-        return line.at(alpha), IterationRecord(k, f_x, gap, alpha, "forward",
+        line = point.restrict(s - point.x)
+        alpha, l_prev, backtracks = step_l(line, gap, l_prev, config)
+        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=l_prev)
 
     return _frank_wolfe(feasible, point, config, meta, step)
@@ -297,21 +281,14 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 # Backtracking over the self-concordance constant
 # ---------------------------------------------------------------------------
 
-def step_m(obj: Objective, feasible: FeasibleSet, v, x, mu_prev: float,
-           config: SolverConfig, *, gap_value=None, f_x=None, geom=None,
-           line: Line | None = None):
+def step_m(line: Line, gap: float, mu_prev: float, config: SolverConfig):
     """Backtracking over the GSC constant: the trial constant is doubled until
     the analytic step it induces satisfies the matching upper model.  Trials
-    are probes of ``line`` as in ``step_l``."""
-    if line is None:
-        line = obj.at(np.asarray(x, dtype=float)).restrict(np.asarray(v, dtype=float))
-    if gap_value is None:
-        gap_value = -line.slope(0.0)
-    if f_x is None:
-        f_x = line.value(0.0)
-    if geom is None:
-        geom = LocalGeometry.from_direction(obj, x, v, gap_value, line=line)
-    nu = obj.spec.nu
+    are probes of ``line`` as in ``step_l``.  Returns (alpha, mu_new,
+    backtracks)."""
+    f_x = line.point.value()
+    geom = LocalGeometry.from_direction(line, gap)
+    nu = line.point.obj.spec.nu
     mt = max(config.gamma_d * mu_prev, _ESTIMATE_FLOOR)
     slack = 1e-12 * (1.0 + abs(f_x))
     for trial in range(_BACKTRACK_LIMIT + 1):
@@ -319,7 +296,7 @@ def step_m(obj: Objective, feasible: FeasibleSet, v, x, mu_prev: float,
         if line.in_domain(dec.alpha):
             f_cand = line.value(dec.alpha)
             if f_cand <= f_x - dec.predicted_decrease + slack:
-                return dec.alpha, mt, trial, line.at(dec.alpha).x, f_cand
+                return dec.alpha, mt, trial
         mt *= config.gamma_u
     raise BacktrackingError("GSC-constant backtracking exceeded 100 doublings")
 
@@ -329,12 +306,11 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     point, meta = _start(obj, feasible, x0, "mbtfwgsc")
     mu_prev = config.mu_init
 
-    def step(k, point, g, s_id, s, gap):
+    def step(k, point, s_id, s, gap):
         nonlocal mu_prev
-        line, f_x = point.restrict(s - point.x), point.value()
-        alpha, mu_prev, backtracks, _, _ = step_m(
-            obj, feasible, line.v, point.x, mu_prev, config, gap_value=gap, f_x=f_x, line=line)
-        return line.at(alpha), IterationRecord(k, f_x, gap, alpha, "forward",
+        line = point.restrict(s - point.x)
+        alpha, mu_prev, backtracks = step_m(line, gap, mu_prev, config)
+        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=mu_prev)
 
     return _frank_wolfe(feasible, point, config, meta, step)
@@ -375,14 +351,14 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
     gap0 = r_0 = None
     c_k = 1.0
 
-    def step(k, point, g, s_id, s, gap):
+    def step(k, point, s_id, s, gap):
         nonlocal gap0, r_0, c_k
         if k == 0:
             gap0 = gap
             r_0 = meta["r_0"] = math.sqrt(2.0 * gap0 / sigma)
         r_k = r_0 * math.sqrt(c_k)
         f_x = point.value()
-        v = lloo.query(point.x, r_k, g) - point.x
+        v = lloo.query(point.x, r_k, point.gradient()) - point.x
         beta = l2_norm(v)
         if beta == 0.0:
             return point, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
@@ -496,8 +472,8 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) ->
     point, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
     meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
 
-    def step(k, point, g, s_id, s, gap):
-        x = point.x
+    def step(k, point, s_id, s, gap):
+        x, g = point.x, point.gradient()
         uid, u = away_vertex(g, active)
         away_gap = inner(g, u) - inner(g, x)
         forward = gap >= away_gap
@@ -510,7 +486,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) ->
             mu_u = active.weight(uid)
             v, t_bar, kind, g_mod = x - u, mu_u / (1.0 - mu_u), "away", away_gap
         line = point.restrict(v)
-        geom = LocalGeometry.from_direction(obj, x, v, g_mod, line=line)
+        geom = LocalGeometry.from_direction(line, g_mod)
         dec = analytic_step(obj.spec, geom, cap=t_bar)
         if kind == "away" and dec.alpha >= t_bar:
             kind = "drop"

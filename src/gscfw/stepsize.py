@@ -39,10 +39,8 @@ class PsiParams:
 class StepDecision:
     """Outcome of the analytic step rule: alpha = min(cap, t_star)."""
 
-    t_star: float
     alpha: float
     predicted_decrease: float
-    cap: float
 
 
 def psi(params: PsiParams, t: float) -> float:
@@ -177,14 +175,12 @@ def analytic_step(spec: GscSpec, geom: LocalGeometry, cap: float) -> StepDecisio
     if geom.gap <= 0.0:
         raise ValueError("converged: analytic step requires a positive gap")
     if geom.e == 0.0:
-        return StepDecision(t_star=math.inf, alpha=cap,
-                            predicted_decrease=geom.gap * cap, cap=cap)
+        return StepDecision(alpha=cap, predicted_decrease=geom.gap * cap)
     params = PsiParams(delta=spec.m * geom.delta, xi=geom.e ** 2 / geom.gap, nu=spec.nu)
     ts = t_star(params)
     alpha = min(cap, ts)
     predicted = geom.gap * psi(params, alpha)
-    return StepDecision(t_star=ts, alpha=alpha,
-                        predicted_decrease=max(predicted, 0.0), cap=cap)
+    return StepDecision(alpha=alpha, predicted_decrease=max(predicted, 0.0))
 
 
 def progress_constants(m: float, nu: float, diam: float, l_grad: float):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gscfw.cli import main
 
 
@@ -70,3 +72,77 @@ def test_cli_profile_empty_dir_exit_code(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
     assert main(["profile", str(empty)]) == 2
+
+
+def _record_file(tmp_path):
+    """A directory holding one record file written by ``gscfw trace``."""
+    rec = tmp_path / "rec"
+    rec.mkdir()
+    assert main(["trace", "--problem", "portfolio", "--method", "fwgsc", "--p", "20",
+                 "--n", "6", "--seed", "2", "--max-iter", "20",
+                 "--out", str(rec / "cell.jsonl")]) == 0
+    assert len((rec / "cell.jsonl").read_text().splitlines()) == 21  # header, 20 rows
+    return rec / "cell.jsonl"
+
+
+def _without_status(text):
+    first, *rest = text.splitlines()
+    header = json.loads(first)
+    del header["status"]
+    return "\n".join([json.dumps(header)] + rest) + "\n"
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda text: "", id="empty"),
+    pytest.param(lambda text: text[:-20], id="truncated-line"),
+    pytest.param(_without_status, id="header-without-status"),
+])
+def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, damage):
+    path = _record_file(tmp_path)
+    assert main(["profile", str(path.parent)]) == 0
+    capsys.readouterr()
+    path.write_text(damage(path.read_text()))
+    assert main(["profile", str(path.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+
+
+@pytest.mark.parametrize("setting", [
+    pytest.param({"n_starts": "two"}, id="n_starts"),
+    pytest.param({"problems": [{"name": "portfolio", "p": "ten", "n": 5}]}, id="problem-size"),
+    pytest.param({"profile_epsilons": "x"}, id="profile_epsilons"),
+])
+def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, setting):
+    out_dir = tmp_path / "rec"
+    config = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"],
+              "max_iter": 5, "out_dir": str(out_dir), **setting}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--dry-run"]) == 2
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("config error:") == 2
+    assert not out_dir.exists()
+
+
+def test_cli_profile_stdout_matches_the_csv_file(tmp_path, capsys):
+    config = {"problems": [{"name": "portfolio", "p": 15, "n": 5, "seed": 3}],
+              "methods": ["fwgsc", "fw-standard"], "epsilon": 1e-7, "max_iter": 80,
+              "out_dir": str(tmp_path / "rec")}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == 0
+    out_csv = tmp_path / "prof.csv"
+    assert main(["profile", str(tmp_path / "rec"), "--epsilons", "1e-2,1e-5",
+                 "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert main(["profile", str(tmp_path / "rec"), "--epsilons", "1e-2,1e-5"]) == 0
+    printed = capsys.readouterr().out
+    # the file is written by the csv module (CRLF rows), stdout by print
+    assert printed == out_csv.read_bytes().decode().replace("\r\n", "\n")
+    lines = printed.splitlines()
+    assert lines[0] == "epsilon,method,rho,rho_iter,rho_time"
+    assert len(lines) == 1 + 2 * 2
+    for line in lines[1:]:
+        eps, method, rho, rho_iter, rho_time = line.split(",")
+        assert eps in ("0.01", "1e-05") and method in ("fwgsc", "fw-standard")
+        assert all(f == "" or len(f.split(".")[1]) == 6 for f in (rho, rho_iter, rho_time))

@@ -339,7 +339,7 @@ def test_covariance_domain_oracle_matches_eigen_rule():
     for _ in range(30):
         raw = rng.standard_normal((5, 5))
         v = (raw + raw.T) / 2.0
-        t_max = obj.max_step(x, v)
+        t_max = obj.at(x).restrict(v).max_step()
         assert obj.in_domain(x + t_max * v)
         if t_max < 1.0:
             assert not obj.in_domain(x + (t_max / (1 - 1e-7) + 1e-6) * v)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import math
 
@@ -313,27 +312,27 @@ def test_lloo_contract():
 def test_max_feasible_step_full_domain():
     from conftest import QuadraticObjective
     obj = QuadraticObjective(3)
-    assert max_feasible_step(obj, np.zeros(3), np.ones(3)) == 1.0
+    assert max_feasible_step(obj.at(np.zeros(3)).restrict(np.ones(3))) == 1.0
 
 
 def test_max_feasible_step_neg_log_bisection():
     # -log objective: boundary at x + t v hitting 0
     obj = NegLogObjective(1)
-    t = max_feasible_step(obj, np.array([0.5]), np.array([-1.0]))
+    t = max_feasible_step(obj.at(np.array([0.5])).restrict(np.array([-1.0])))
     assert t == pytest.approx(0.5, rel=1e-6)
     assert t < 0.5
     with pytest.raises(ValueError):
-        max_feasible_step(obj, np.array([-0.5]), np.array([1.0]))
+        max_feasible_step(obj.at(np.array([-0.5])).restrict(np.array([1.0])))
 
 
 def test_max_feasible_step_portfolio_linear_rule():
     instance = portfolio_problem(np.array([[1.0]]))
     obj = instance.objective
-    t = max_feasible_step(obj, np.array([0.5]), np.array([-1.0]))
+    t = max_feasible_step(obj.at(np.array([0.5])).restrict(np.array([-1.0])))
     assert t == pytest.approx(0.5, rel=1e-6)
     assert t < 0.5
     # unconstrained direction hits the cap
-    assert max_feasible_step(obj, np.array([0.5]), np.array([0.2])) == 1.0
+    assert max_feasible_step(obj.at(np.array([0.5])).restrict(np.array([0.2]))) == 1.0
 
 
 def test_max_feasible_step_covariance_eigen_rule_matches_bisection():
@@ -342,7 +341,7 @@ def test_max_feasible_step_covariance_eigen_rule_matches_bisection():
     obj = covariance_problem(sigma).objective
     x = np.eye(4)
     s = np.diag([3.0, -1.0, 0.5, 0.5])  # lambda_max(I - S) = 2 -> t just below 0.5
-    t = obj.max_step(x, s - x)
+    t = obj.at(x).restrict(s - x).max_step()
     assert t == pytest.approx(0.5, rel=1e-6)
     assert t < 0.5
 
@@ -357,13 +356,12 @@ def test_max_feasible_step_covariance_eigen_rule_matches_bisection():
     cases = [(obj, x, symmetric), (portfolio, np.full(8, 1.0 / 8), rng.standard_normal),
              (dwd, x_dwd, rng.standard_normal)]
     for exact_obj, x0, direction in cases:
-        blind = copy.copy(exact_obj)
-        blind.max_step = lambda x, v: None  # the generic line then bisects
         capped = 0
         for _ in range(20):
             v = direction(x0.shape)
-            exact = exact_obj.max_step(x0, v)
-            generic = max_feasible_step(blind, x0, v, line=Line(Point(blind, x0), v))
+            exact = exact_obj.at(x0).restrict(v).max_step()
+            # the generic line knows no boundary rule of the family: it bisects
+            generic = max_feasible_step(Line(Point(exact_obj, x0), v))
             assert generic == pytest.approx(exact, abs=1e-6, rel=1e-5)
             capped += exact < 1.0
         assert capped > 0

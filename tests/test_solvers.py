@@ -144,7 +144,7 @@ def test_fwgsc_dikin_step_safety(portfolio_toy):
         if gp <= config.epsilon:
             break
         v = s - x
-        geom = LocalGeometry.from_direction(obj, x, v, gp)
+        geom = LocalGeometry.from_direction(obj.at(x).restrict(v), gp)
         dec = analytic_step(obj.spec, geom, cap=1.0)
         assert dec.alpha * obj.spec.m * geom.delta < 1.0
         x = x + dec.alpha * v
@@ -181,9 +181,9 @@ def test_step_l_quadratic_curvature():
     feasible = UnitSimplex(3)
     x = np.array([0.2, 0.3, 0.5])
     g = obj.gradient(x)
-    v = feasible.lmo(g) - x
+    line = obj.at(x).restrict(feasible.lmo(g) - x)
     config = SolverConfig()
-    alpha, l_new, backtracks, _, _ = step_l(obj, feasible, v, x, 4.0, config)
+    alpha, l_new, backtracks = step_l(line, -line.slope(0.0), 4.0, config)
     # the first trial shrinks below the true curvature, so at most one doubling
     assert backtracks <= 1
     assert l_new <= max(4.0, config.gamma_u * 4.0)
@@ -194,9 +194,9 @@ def test_step_l_recovers_from_tiny_estimate():
     obj = QuadraticObjective(3, curvature=4.0)
     feasible = UnitSimplex(3)
     x = np.array([0.2, 0.3, 0.5])
-    v = feasible.lmo(obj.gradient(x)) - x
+    line = obj.at(x).restrict(feasible.lmo(obj.gradient(x)) - x)
     config = SolverConfig()
-    alpha, l_new, _, _, _ = step_l(obj, feasible, v, x, 4.0 / 1000.0, config)
+    alpha, l_new, _ = step_l(line, -line.slope(0.0), 4.0 / 1000.0, config)
     assert l_new <= max(4.0 / 1000.0, config.gamma_u * 4.0)
 
 
@@ -208,9 +208,10 @@ def test_step_l_domain_violation_forces_doubling(portfolio_toy):
     assert obj.in_domain(x)
     g = obj.gradient(x)
     v = feasible.lmo(g) - x
-    alpha, l_new, backtracks, cand, _ = step_l(obj, feasible, v, x, 1e-8, SolverConfig())
+    line = obj.at(x).restrict(v)
+    alpha, l_new, backtracks = step_l(line, -line.slope(0.0), 1e-8, SolverConfig())
     assert backtracks >= 1
-    assert obj.in_domain(cand)
+    assert obj.in_domain(x + alpha * v)
 
 
 def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
@@ -235,8 +236,8 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
         gp = fw_gap(g, x, s)
         line = point.restrict(s - x)
         f_x = point.value()
-        alpha, l_prev, _, cand, f_cand = step_l(obj, feasible, line.v, x, l_prev, config,
-                                                gap_value=gp, f_x=f_x, line=line)
+        alpha, l_prev, _ = step_l(line, gp, l_prev, config)
+        cand, f_cand = x + alpha * line.v, line.value(alpha)
         assert alpha == pytest.approx(rec.alpha, rel=1e-12)
         beta2 = float(line.v @ line.v)
         model = f_x - alpha * gp + 0.5 * l_prev * alpha * alpha * beta2
@@ -282,8 +283,7 @@ def test_step_l_exhaustion_raises():
 
     obj = Impossible(2)
     with pytest.raises(BacktrackingError):
-        step_l(obj, UnitSimplex(2), np.array([1.0, 0.0]), np.zeros(2), 1.0,
-               SolverConfig(), gap_value=1.0, f_x=0.0)
+        step_l(obj.at(np.zeros(2)).restrict(np.array([1.0, 0.0])), 1.0, 1.0, SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +294,10 @@ def test_step_m_accepts_first_trial_with_true_constant(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
     x = np.full(feasible.dimension, 1.0 / feasible.dimension)
     g = obj.gradient(x)
-    v = feasible.lmo(g) - x
+    line = obj.at(x).restrict(feasible.lmo(g) - x)
     # seeding above the true constant: gamma_d * mu_prev is still >= M_f
     config = SolverConfig(gamma_d=0.9)
-    alpha, mu_new, backtracks, _, _ = step_m(obj, feasible, v, x, obj.spec.m / 0.9 + 0.5,
-                                             config)
+    alpha, mu_new, backtracks = step_m(line, -line.slope(0.0), obj.spec.m / 0.9 + 0.5, config)
     assert backtracks == 0
     assert 0.0 < alpha <= 1.0
 
@@ -320,7 +319,7 @@ def test_step_m_smaller_constant_gives_larger_step(portfolio_toy):
     from gscfw.sets import gap as fw_gap
     gp = fw_gap(g, x, feasible.lmo(g))
     v = feasible.lmo(g) - x
-    geom = LocalGeometry.from_direction(obj, x, v, gp)
+    geom = LocalGeometry.from_direction(obj.at(x).restrict(v), gp)
     a_small = analytic_step(GscSpec(0.5, 3.0), geom, cap=1.0).alpha
     a_big = analytic_step(GscSpec(2.0, 3.0), geom, cap=1.0).alpha
     assert a_small >= a_big

@@ -5,7 +5,7 @@ from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, d_nu, delta_nu
                   gsc_sum_constant, inner, l2_norm, omega)
 from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
                    OracleViolation, ProductSet, SimplexLLOO, SymmetricL1Ball,
-                   UnitSimplex, VertexSet, gap, max_feasible_step, sym_l1_lmo)
+                   UnitSimplex, VertexSet, gap, max_feasible_step)
 from .stepsize import (PsiParams, StepDecision, analytic_step, gamma_tilde, psi,
                        psi_at_tstar, psi_lower_bound, progress_constants, t_star)
 from .solvers import (SOLVERS, ActiveSet, BacktrackingError, IterationRecord,

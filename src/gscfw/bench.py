@@ -15,7 +15,7 @@ import math
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,12 @@ import numpy as np
 from .problems import (ProblemInstance, covariance_generator, covariance_problem,
                        dwd_problem, logistic_problem, portfolio_generator,
                        portfolio_problem, synthetic_classification)
-from .sets import UnitSimplex
+from .sets import SimplexLLOO, UnitSimplex
 from .solvers import (SOLVERS, ActiveSet, IterationRecord, RunTrace, SolverConfig, asfwgsc,
-                      fwlloo, make_simplex_lloo)
+                      fwlloo)
 
 WORKER_ENV = "GSCFW_WORKERS"
+make_simplex_lloo = SimplexLLOO  # a name the benchmark's tracer rebinds to wrap queries
 
 
 class ConfigError(ValueError):
@@ -167,10 +168,18 @@ DEFAULT_SIZES = {
 }
 
 
+_SPEC_RANGES = (
+    (("p", "n", "d", "q"), ">= 1", lambda v: v >= 1),
+    (("gamma", "radius", "u", "big_r"), "> 0", lambda v: v > 0),
+    (("density",), "in (0, 1]", lambda v: 0 < v <= 1),
+    (("nu_mode",), "2 or 3", lambda v: v in (2, 3)),
+)
+
+
 def _check_spec(spec):
     """The family name of a grid spec and its parameters: the family's
     DEFAULT_SIZES and seed, overridden by the spec and cast to the defaults'
-    types.  Other keys, and values that do not cast, are a ConfigError."""
+    types.  Other keys, and values that do not cast or are out of range, are a ConfigError."""
     if not isinstance(spec, dict) or spec.get("name") not in DEFAULT_SIZES:
         raise ConfigError(f"bad problem spec {spec!r}")
     name = spec["name"]
@@ -183,6 +192,10 @@ def _check_spec(spec):
         for key, default in defaults.items():
             if default is not None or params[key] is not None:
                 params[key] = (float if default is None else type(default))(params[key])
+        for keys, allowed, ok in _SPEC_RANGES:
+            for key in keys:
+                if params.get(key) is not None and not ok(params[key]):
+                    raise ValueError(f"must be {allowed}, got {params[key]!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {key!r} for problem {name!r}: {exc}") from exc
     return name, params
@@ -276,6 +289,18 @@ def run_method(method: str, instance: ProblemInstance, x0, active, config: Solve
 # Record serialization
 # ---------------------------------------------------------------------------
 
+# IterationRecord field -> row key, the cast on writing, and whether the key
+# is left out (rather than written as null) when the field is None.
+_ROW_SCHEMA = (
+    ("k", "k", int, False), ("f_value", "f", float, False), ("gap", "gap", float, False),
+    ("alpha", "alpha", float, False), ("step_kind", "kind", str, False),
+    ("backtrack_count", "backtracks", int, False), ("estimate", "estimate", float, False),
+    ("elapsed_seconds", "elapsed", float, False),
+    ("predicted_decrease", "predicted", float, True),
+    ("certificate", "certificate", float, True), ("radius", "radius", float, True),
+)
+
+
 def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
                    f_star_estimate=None):
     """Line-delimited record: one header object, then one object per iteration."""
@@ -288,19 +313,11 @@ def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
     }
     lines = [json.dumps(header, sort_keys=True)]
     for rec in trace.iterations:
-        row = {
-            "k": rec.k, "f": float(rec.f_value), "gap": float(rec.gap),
-            "alpha": float(rec.alpha), "kind": rec.step_kind,
-            "backtracks": rec.backtrack_count,
-            "estimate": None if rec.estimate is None else float(rec.estimate),
-            "elapsed": float(rec.elapsed_seconds),
-        }
-        if rec.predicted_decrease is not None:
-            row["predicted"] = float(rec.predicted_decrease)
-        if rec.certificate is not None:
-            row["certificate"] = float(rec.certificate)
-        if rec.radius is not None:
-            row["radius"] = float(rec.radius)
+        row = {}
+        for name, key, cast, omit_none in _ROW_SCHEMA:
+            value = getattr(rec, name)
+            if value is not None or not omit_none:
+                row[key] = None if value is None else cast(value)
         lines.append(json.dumps(row, sort_keys=True))
     return lines
 
@@ -317,8 +334,8 @@ def record_filename(problem: str, method: str, start: int) -> str:
 # Grid runner
 # ---------------------------------------------------------------------------
 
-_SOLVER_FIELDS = ("epsilon", "max_iter", "gamma_u", "gamma_d", "l_init", "mu_init",
-                  "sigma_f", "line_search_tol", "seed")
+_SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name != "keep_iterates")
+_GRID_KEYS = ("problems", "methods", "n_starts", "seed", "profile_epsilons", "out_dir")
 
 
 def _parse_config(config: dict):
@@ -327,6 +344,9 @@ def _parse_config(config: dict):
     for key in ("problems", "methods"):
         if key not in config or not isinstance(config[key], list) or not config[key]:
             raise ConfigError(f"config needs a nonempty {key!r} list")
+    unknown = sorted(set(config) - set(_GRID_KEYS) - set(_SOLVER_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     solver_kwargs = {k: config[k] for k in _SOLVER_FIELDS if k in config}
     try:
         solver_config = SolverConfig(**solver_kwargs)
@@ -337,7 +357,7 @@ def _parse_config(config: dict):
         raise ConfigError("profile_epsilons must be a list of numbers")
     try:
         n_starts = int(config.get("n_starts", 1))
-        base_seed = int(config.get("seed", solver_config.seed))
+        base_seed = int(config.get("seed", 0))
         epsilons = [float(eps) for eps in epsilons]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid settings: {exc}") from exc
@@ -361,9 +381,8 @@ def _cell_id(problem_spec: dict) -> str:
 
 def _run_cell(payload):
     """Worker entry: build everything locally so cells are independent."""
-    problem_spec, method, start_index, base_seed, solver_kwargs = payload
+    problem_spec, method, start_index, base_seed, config = payload
     instance = build_problem(problem_spec)
-    config = SolverConfig(**solver_kwargs)
     cell_tag = zlib.crc32(_cell_id(problem_spec).encode())  # stable across processes
     start_seed = int(np.random.SeedSequence(
         [base_seed, cell_tag, start_index]).generate_state(1)[0])
@@ -386,8 +405,7 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
     problems, methods, n_starts, base_seed, solver_config, epsilons = _parse_config(config)
     out_dir = Path(out_dir if out_dir is not None else config.get("out_dir", "records"))
 
-    cells = [(spec, method, start, base_seed,
-              {k: getattr(solver_config, k) for k in _SOLVER_FIELDS})
+    cells = [(spec, method, start, base_seed, solver_config)
              for spec in problems for method in methods for start in range(n_starts)]
     if dry_run:
         for spec, method, start, _, _ in cells:
@@ -444,11 +462,9 @@ def load_records(directory) -> list:
             for line in rest:
                 row = json.loads(line)
                 iterations.append(IterationRecord(
-                    k=row["k"], f_value=row["f"], gap=row["gap"], alpha=row["alpha"],
-                    step_kind=row["kind"], backtrack_count=row.get("backtracks", 0),
-                    estimate=row.get("estimate"), elapsed_seconds=row.get("elapsed", 0.0),
-                    predicted_decrease=row.get("predicted"),
-                    certificate=row.get("certificate"), radius=row.get("radius")))
+                    **{name: row[key] for name, key, _, _ in _ROW_SCHEMA if key in row}))
+            if len(iterations) != header["n_iterations"]:
+                raise ValueError(f"{len(iterations)} rows, header says {header['n_iterations']}")
             trace = RunTrace(iterations=iterations, status=header["status"],
                              final_f=header["final_f"], final_gap=header["final_gap"],
                              x=np.empty(0), meta={"problem": header["problem"],

@@ -85,7 +85,7 @@ def _cmd_trace(args) -> int:
     if args.problem == "logistic":
         spec["nu_mode"] = args.nu_mode
     instance = bench.build_problem(spec)
-    config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter, seed=args.seed)
+    config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     x0, active = bench.make_start(instance, args.seed)
     trace = bench.run_method(args.method, instance, x0, active, config)
     lines = bench.trace_to_lines(bench._cell_id(spec), args.method, 0, trace)

@@ -66,33 +66,6 @@ class VertexSet(FeasibleSet):
 
 
 # ---------------------------------------------------------------------------
-# Elementary oracles (functional forms)
-# ---------------------------------------------------------------------------
-
-def sym_l1_lmo(grad_matrix, radius: float):
-    """Symmetric-matrix analogue of the l1-ball oracle.
-
-    Picks the entry of largest magnitude; a diagonal hit returns
-    -R*sign(g_ii)*E_ii, an off-diagonal hit splits the l1 budget over the
-    symmetric pair.  The output always has entrywise l1 norm exactly R.
-    """
-    g = np.asarray(grad_matrix, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(g))) if g.size else 1.0)
-    if float(np.max(np.abs(g - g.T))) > 1e-10 * scale:
-        raise ValueError("gradient matrix is not symmetric")
-    i, j = np.unravel_index(int(np.argmax(np.abs(g))), g.shape)
-    out = np.zeros_like(g)
-    sign = 1.0 if g[i, j] >= 0 else -1.0
-    if i == j:
-        out[i, i] = -radius * sign
-    else:
-        out[i, j] = out[j, i] = -0.5 * radius * sign
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Set classes
 # ---------------------------------------------------------------------------
 
@@ -163,13 +136,17 @@ class SymmetricL1Ball(VertexSet):
         self.diameter = 2.0 * self.radius
 
     def lmo_indexed(self, c):
-        v = sym_l1_lmo(c, self.radius)
-        flat = int(np.argmax(np.abs(v)))
-        i, j = divmod(flat, self.p)
-        if i > j:
-            i, j = j, i
-        sign = 1 if v[i, j] > 0 else -1
-        return (i, j, sign), v
+        # the vertex -sign(c_ij) at the first largest-magnitude entry in
+        # row-major order; sign(0) taken as +1
+        c = np.asarray(c, dtype=float)
+        if c.shape != (self.p, self.p):
+            raise ValueError(f"expected a square {self.p} x {self.p} matrix")
+        mag = np.abs(c)
+        i, j = divmod(int(np.argmax(mag)), self.p)
+        if float(np.max(np.abs(c - c.T))) > 1e-10 * max(1.0, float(np.max(mag))):
+            raise ValueError("gradient matrix is not symmetric")
+        vid = (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
+        return vid, self.vertex(vid)
 
     def vertex(self, vid):
         i, j, sign = vid

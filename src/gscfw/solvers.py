@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gsc import GscSpec, Line, LocalGeometry, Objective, Point, delta_nu, inner, l2_norm
-from .sets import FeasibleSet, SimplexLLOO, VertexSet, gap as fw_gap, max_feasible_step
+from .sets import FeasibleSet, VertexSet, gap as fw_gap, max_feasible_step
 from .stepsize import PsiParams, analytic_step, t_star
 
 _STALL_LIMIT = 50  # consecutive zero steps before giving up
+_LINE_SEARCH_TOL = 1e-10  # bracket width at which the exact line search stops
 _BACKTRACK_LIMIT = 100  # doublings; beyond this the model is being misused
 # Trial estimates shrink by gamma_d after every accepted step; without a floor
 # a long quadratic-like phase drives them so low that recovery would blow the
@@ -41,8 +42,6 @@ class SolverConfig:
     l_init: float | None = None  # None: curvature probe along the first direction
     mu_init: float = 1.0
     sigma_f: float | None = None  # None: smallest Hessian eigenvalue at x0
-    line_search_tol: float = 1e-10
-    seed: int = 0
     keep_iterates: bool = False
 
     def __post_init__(self):
@@ -188,7 +187,7 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
 
     def step(k, point, s_id, s, gap):
         line = point.restrict(s - point.x)
-        alpha = _exact_line_search(line, config.line_search_tol)
+        alpha = _exact_line_search(line, _LINE_SEARCH_TOL)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
     return _frank_wolfe(feasible, point, config, meta, step)
@@ -218,29 +217,37 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
 
 
 # ---------------------------------------------------------------------------
-# Backtracking over the local Lipschitz estimate
+# Backtracking over the local Lipschitz estimate or the self-concordance constant
 # ---------------------------------------------------------------------------
 
+def _backtrack(line: Line, estimate: float, config: SolverConfig, trial, rule: str):
+    """The search of both step rules (Pedregosa et al., 2020): gamma_d times
+    the estimate, floored, is doubled until ``trial(estimate)`` = (alpha,
+    model) is a step in the domain with f there below the model.  Returns
+    (alpha, estimate, backtracks)."""
+    est = max(config.gamma_d * estimate, _ESTIMATE_FLOOR)
+    slack = 1e-12 * (1.0 + abs(line.point.value()))
+    for count in range(_BACKTRACK_LIMIT + 1):
+        alpha, model = trial(est)
+        if line.in_domain(alpha) and line.value(alpha) <= model + slack:
+            return alpha, est, count
+        est *= config.gamma_u
+    raise BacktrackingError(f"{rule} backtracking exceeded {_BACKTRACK_LIMIT} doublings")
+
+
 def step_l(line: Line, gap: float, l_prev: float, config: SolverConfig):
-    """Quadratic-model backtracking: doubles the estimate until the step is
-    in the domain and below the model.  Trials are probes of ``line``, the
-    restriction of f through x along v, and ``gap`` = -phi'(0).  Returns
-    (alpha, L_new, backtracks)."""
+    """Backtracking over L: the step min(1, gap/(L beta^2)) against the
+    quadratic model.  Returns (alpha, L_new, backtracks)."""
     f_x = line.point.value()
     beta2 = inner(line.v, line.v)
     if beta2 <= 0.0:
         raise ValueError("zero direction")
-    lt = max(config.gamma_d * l_prev, _ESTIMATE_FLOOR)
-    slack = 1e-12 * (1.0 + abs(f_x))
-    for trial in range(_BACKTRACK_LIMIT + 1):
+
+    def trial(lt):
         alpha = min(1.0, gap / (lt * beta2))
-        if line.in_domain(alpha):
-            f_cand = line.value(alpha)
-            model = f_x - alpha * gap + 0.5 * lt * alpha * alpha * beta2
-            if f_cand <= model + slack:
-                return alpha, lt, trial
-        lt *= config.gamma_u
-    raise BacktrackingError("quadratic-model backtracking exceeded 100 doublings")
+        return alpha, f_x - alpha * gap + 0.5 * lt * alpha * alpha * beta2
+
+    return _backtrack(line, l_prev, config, trial, "quadratic-model")
 
 
 def _probe_l_init(obj: Objective, feasible: FeasibleSet, point: Point) -> float:
@@ -277,28 +284,18 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     return _frank_wolfe(feasible, point, config, meta, step)
 
 
-# ---------------------------------------------------------------------------
-# Backtracking over the self-concordance constant
-# ---------------------------------------------------------------------------
-
 def step_m(line: Line, gap: float, mu_prev: float, config: SolverConfig):
-    """Backtracking over the GSC constant: the trial constant is doubled until
-    the analytic step it induces satisfies the matching upper model.  Trials
-    are probes of ``line`` as in ``step_l``.  Returns (alpha, mu_new,
-    backtracks)."""
+    """Backtracking over mu: the analytic step of GscSpec(mu, nu) against its
+    predicted decrease.  Returns (alpha, mu_new, backtracks)."""
     f_x = line.point.value()
     geom = LocalGeometry.from_direction(line, gap)
     nu = line.point.obj.spec.nu
-    mt = max(config.gamma_d * mu_prev, _ESTIMATE_FLOOR)
-    slack = 1e-12 * (1.0 + abs(f_x))
-    for trial in range(_BACKTRACK_LIMIT + 1):
+
+    def trial(mt):
         dec = analytic_step(GscSpec(mt, nu), geom, cap=1.0)
-        if line.in_domain(dec.alpha):
-            f_cand = line.value(dec.alpha)
-            if f_cand <= f_x - dec.predicted_decrease + slack:
-                return dec.alpha, mt, trial
-        mt *= config.gamma_u
-    raise BacktrackingError("GSC-constant backtracking exceeded 100 doublings")
+        return dec.alpha, f_x - dec.predicted_decrease
+
+    return _backtrack(line, mu_prev, config, trial, "GSC-constant")
 
 
 def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
@@ -454,21 +451,16 @@ def away_vertex(grad, active: ActiveSet):
     return best_id, active.points[best_id]
 
 
-def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) -> RunTrace:
+def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: SolverConfig) -> RunTrace:
     """Away-step variant over a polytope with vertex-representation updates.
 
-    ``start`` is either an ActiveSet or a (vertex_id, vertex) pair.  Away
-    steps are capped at weight/(1-weight); hitting the cap drops the vertex.
+    ``start`` is the ActiveSet of the starting point.  Away steps are capped
+    at weight/(1-weight); hitting the cap drops the vertex.
     """
     if not isinstance(polytope, VertexSet):
         raise ValueError("away-step solver needs a polytope with vertex ids")
-    if isinstance(start, ActiveSet):
-        # the run owns its bookkeeping; never mutate the caller's copy
-        active = ActiveSet([(vid, start.points[vid], w)
-                            for vid, w in start.weights.items()])
-    else:
-        vid, point = start
-        active = ActiveSet.single(vid, point)
+    # the run owns its bookkeeping; never mutate the caller's copy
+    active = ActiveSet([(vid, start.points[vid], w) for vid, w in start.weights.items()])
     point, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
     meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
 
@@ -509,10 +501,6 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start, config: SolverConfig) ->
 # ---------------------------------------------------------------------------
 # Registry used by the benchmark harness
 # ---------------------------------------------------------------------------
-
-def make_simplex_lloo(n: int) -> SimplexLLOO:
-    return SimplexLLOO(n)
-
 
 SOLVERS = {
     "fw-standard": fw_standard,

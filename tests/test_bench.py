@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -123,18 +124,66 @@ def test_build_problem_rejects_unknown_keys():
                        dry_run=True)
 
 
-def test_records_keep_lloo_radius(tmp_path):
+@pytest.mark.parametrize("method", ["fwlloo", "lbtfwgsc", "fwgsc", "asfwgsc"])
+def test_records_round_trip_every_field(tmp_path, method):
     inst = build_problem({"name": "portfolio", "p": 20, "n": 6, "seed": 2})
     x0, active = make_start(inst, start_seed=4)
-    trace = run_method("fwlloo", inst, x0, active, SolverConfig(epsilon=1e-9, max_iter=40))
-    assert any(rec.radius is not None for rec in trace.iterations)
-    write_record(tmp_path / record_filename("portfolio", "fwlloo", 0),
-                 trace_to_lines("portfolio", "fwlloo", 0, trace))
+    trace = run_method(method, inst, x0, active, SolverConfig(epsilon=1e-9, max_iter=40))
+    assert trace.iterations
+    write_record(tmp_path / record_filename("portfolio", method, 0),
+                 trace_to_lines("portfolio", method, 0, trace, f_star_estimate=-1.5))
     (loaded,) = load_records(tmp_path)
-    assert len(loaded.trace.iterations) == len(trace.iterations)
-    for got, want in zip(loaded.trace.iterations, trace.iterations):
-        assert (got.radius, got.certificate, got.estimate) == \
-            (want.radius, want.certificate, want.estimate)
+    assert [dataclasses.asdict(rec) for rec in loaded.trace.iterations] == \
+        [dataclasses.asdict(rec) for rec in trace.iterations]
+    assert (loaded.problem, loaded.method, loaded.start, loaded.f_star_estimate) == \
+        ("portfolio", method, 0, -1.5)
+    assert (loaded.trace.status, loaded.trace.final_f, loaded.trace.final_gap) == \
+        (trace.status, trace.final_f, trace.final_gap)
+
+
+def test_records_round_trip_covers_every_optional_field(tmp_path):
+    # between them these runs set every optional field: radius and
+    # certificate (fwlloo), estimate and backtracks (lbtfwgsc), predicted
+    # (fwgsc, asfwgsc), and away or drop steps (asfwgsc)
+    inst = build_problem({"name": "portfolio", "p": 20, "n": 6, "seed": 2})
+    x0, active = make_start(inst, start_seed=4)
+    set_fields = set()
+    for method in ("fwlloo", "lbtfwgsc", "fwgsc", "asfwgsc"):
+        trace = run_method(method, inst, x0, active, SolverConfig(epsilon=1e-9, max_iter=40))
+        set_fields |= {name for rec in trace.iterations
+                       for name, value in dataclasses.asdict(rec).items() if value is not None}
+    assert set_fields == {f.name for f in dataclasses.fields(IterationRecord)}
+
+
+_GRID = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"name": "logistic", "p": 0}, {"name": "logistic", "n": 0},
+    {"name": "logistic", "density": -1}, {"name": "logistic", "density": 0},
+    {"name": "logistic", "density": 1.5}, {"name": "logistic", "gamma": -1},
+    {"name": "logistic", "radius": 0}, {"name": "logistic", "nu_mode": 4},
+    {"name": "portfolio", "p": 0}, {"name": "portfolio", "n": 0},
+    {"name": "dwd", "p": 0}, {"name": "dwd", "d": 0}, {"name": "dwd", "q": 0.5},
+    {"name": "dwd", "u": -1}, {"name": "dwd", "big_r": -1},
+    {"name": "covariance", "p": 0},
+], ids=lambda spec: "-".join(f"{k}{v}" if k != "name" else v for k, v in spec.items()))
+def test_out_of_range_problem_specs_are_config_errors(spec):
+    (key,) = set(spec) - {"name"}
+    with pytest.raises(ConfigError, match=f"bad {key!r} for problem"):
+        run_experiment(dict(_GRID, problems=[spec]), dry_run=True)
+
+
+def test_problem_specs_at_the_range_edges_build():
+    for spec in ({"name": "logistic", "p": 1, "n": 1, "density": 1.0, "nu_mode": 3},
+                 {"name": "dwd", "p": 2, "d": 1, "q": 1.0}):
+        build_problem(spec)
+
+
+@pytest.mark.parametrize("key", ["max_iters", "line_search_tol", "keep_iterates"])
+def test_unknown_top_level_config_keys_are_config_errors(key):
+    with pytest.raises(ConfigError, match=f"unknown config keys \\['{key}'\\]"):
+        run_experiment(dict(_GRID, **{key: 3}), dry_run=True)
 
 
 def test_run_method_dispatch_and_errors():

@@ -96,6 +96,8 @@ def _without_status(text):
     pytest.param(lambda text: "", id="empty"),
     pytest.param(lambda text: text[:-20], id="truncated-line"),
     pytest.param(_without_status, id="header-without-status"),
+    pytest.param(lambda text: "".join(text.splitlines(keepends=True)[:-3]),
+                 id="rows-cut-at-line-boundary"),
 ])
 def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, damage):
     path = _record_file(tmp_path)

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from gscfw import (EuclideanBall, IntervalBlock, L1Ball, Line, NonnegativeBall,
                    OracleViolation, Point, ProductSet, SimplexLLOO, SymmetricL1Ball,
-                   UnitSimplex, gap, max_feasible_step, sym_l1_lmo)
+                   UnitSimplex, gap, max_feasible_step)
 from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
                    portfolio_problem, synthetic_classification)
 from gscfw.bench import make_start
@@ -75,16 +75,16 @@ def test_l1ball_lmo():
 
 def test_sym_l1_lmo():
     g = np.diag([1.0, -3.0])
-    s = sym_l1_lmo(g, 2.0)
+    s = SymmetricL1Ball(2, 2.0).lmo(g)
     assert np.array_equal(s, np.diag([0.0, 2.0]))
     g2 = np.array([[0.0, 5.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    s2 = sym_l1_lmo(g2, 2.0)
+    s2 = SymmetricL1Ball(3, 2.0).lmo(g2)
     expected = np.zeros((3, 3))
     expected[0, 1] = expected[1, 0] = -1.0
     assert np.array_equal(s2, expected)
     assert np.sum(np.abs(s2)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        sym_l1_lmo(np.array([[0.0, 1.0], [0.5, 0.0]]), 1.0)
+        SymmetricL1Ball(2, 1.0).lmo(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_sym_l1_lmo_against_vertex_enumeration():
@@ -100,7 +100,7 @@ def test_sym_l1_lmo_against_vertex_enumeration():
     for _ in range(200):
         raw = rng.standard_normal((p, p))
         g = (raw + raw.T) / 2.0
-        s = sym_l1_lmo(g, radius)
+        s = ball.lmo(g)
         best = min(float(np.sum(g * v)) for v in vertices)
         assert float(np.sum(g * s)) == pytest.approx(best, rel=1e-12, abs=1e-12)
         assert float(np.sum(g * s)) == pytest.approx(-radius * np.max(np.abs(g)), rel=1e-12)

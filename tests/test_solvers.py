@@ -434,7 +434,8 @@ def test_active_set_updates():
 def test_asfwgsc_bookkeeping_and_monotonicity(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
     x0 = feasible.vertex(0)
-    trace = asfwgsc(obj, feasible, (0, x0), SolverConfig(epsilon=1e-10, max_iter=600))
+    trace = asfwgsc(obj, feasible, ActiveSet.single(0, x0),
+                    SolverConfig(epsilon=1e-10, max_iter=600))
     fs = trace.f_values()
     assert all(fs[i + 1] <= fs[i] + 1e-10 for i in range(len(fs) - 1))
     assert trace.meta["active_set_max_drift"] <= 1e-9
@@ -450,15 +451,17 @@ def test_asfwgsc_requires_vertex_set(portfolio_toy):
     from gscfw import EuclideanBall
     with pytest.raises(ValueError):
         asfwgsc(portfolio_toy.objective, EuclideanBall(10, 1.0),
-                (0, np.zeros(10)), SolverConfig())
+                ActiveSet.single(0, np.zeros(10)), SolverConfig())
 
 
 def test_asfwgsc_geometric_decrease(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
     x0 = feasible.vertex(0)
-    long = asfwgsc(obj, feasible, (0, x0), SolverConfig(epsilon=1e-13, max_iter=2000))
+    long = asfwgsc(obj, feasible, ActiveSet.single(0, x0),
+                   SolverConfig(epsilon=1e-13, max_iter=2000))
     f_star = long.best_f()
-    trace = asfwgsc(obj, feasible, (0, x0), SolverConfig(epsilon=1e-13, max_iter=400))
+    trace = asfwgsc(obj, feasible, ActiveSet.single(0, x0),
+                    SolverConfig(epsilon=1e-13, max_iter=400))
     hs = [f - f_star for f in trace.f_values()]
     # qualitative linear rate: the error at K is a fraction of the error at K/2
     k = min(len(hs) - 1, 60)
@@ -497,7 +500,8 @@ def test_mbtfwgsc_beats_conservative_constant_on_logistic_toy():
     inst = logistic_problem(data, gamma=1.0 / 80, radius=10.0, nu_mode=3)
     obj, feasible = inst.objective, inst.feasible_set
     x0 = feasible.vertex((0, 1))
-    ref = asfwgsc(obj, feasible, ((0, 1), x0), SolverConfig(epsilon=1e-13, max_iter=50000))
+    ref = asfwgsc(obj, feasible, ActiveSet.single((0, 1), x0),
+                  SolverConfig(epsilon=1e-13, max_iter=50000))
     f_star = ref.best_f()
 
     def iters_to(trace, tol):
@@ -544,7 +548,7 @@ def test_elapsed_covers_active_set_bookkeeping(portfolio_toy, monkeypatch):
         return reconstruct(self)
 
     monkeypatch.setattr(ActiveSet, "reconstruct", slow_reconstruct)
-    trace = asfwgsc(obj, feasible, (0, feasible.vertex(0)),
+    trace = asfwgsc(obj, feasible, ActiveSet.single(0, feasible.vertex(0)),
                     SolverConfig(epsilon=1e-10, max_iter=20))
     assert trace.iterations
     assert all(rec.elapsed_seconds >= 0.002 for rec in trace.iterations)

@@ -15,13 +15,16 @@ Run from the repository root, naming the fixtures to write:
     python3 scripts/make_reference_fixtures.py golden
     python3 scripts/make_reference_fixtures.py portfolio-reference
 
-With no fixture named, with ``--help`` or with an unknown name it writes
-nothing.
+``golden --diff`` writes nothing: it reruns the golden cells and prints, per
+cell, whether status and length match the committed fixture and the largest
+relative difference of each field.  With no fixture named, with ``--help``
+or with an unknown name it writes nothing either.
 """
 
 import argparse
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 from gscfw import (IterationRecord, SolverConfig, asfwgsc, portfolio_generator,
@@ -100,6 +103,35 @@ def write_golden_traces():
               f"{len(cell['records']['k'])} iterations")
 
 
+def _rel_diff(actual, expected) -> float:
+    """|actual - expected| relative to |expected| (absolute below 1e-300);
+    0 for equal values, inf for a mismatch that is not numeric."""
+    if actual == expected:
+        return 0.0
+    if not all(isinstance(v, (int, float)) for v in (actual, expected)):
+        return math.inf
+    return abs(actual - expected) / max(abs(expected), 1e-300)
+
+
+def diff_golden_traces():
+    """Rerun every golden cell and compare it with the committed fixture."""
+    committed = json.loads((FIXTURES / "golden_traces.json").read_text())["cells"]
+    print("cell                       status length  largest relative difference per field")
+    for old in committed:
+        new = golden_cell(old["problem"], old["method"])
+        fields = {name: max((_rel_diff(a, b) for a, b in
+                             zip(new["records"][name], old["records"][name])), default=0.0)
+                  for name in GOLDEN_FIELDS}
+        fields.update({name: _rel_diff(new[name], old[name]) for name in ("final_f", "final_gap")})
+        fields.update({f"meta.{key}": _rel_diff(new["meta"].get(key), old["meta"].get(key))
+                       for key in sorted(old["meta"].keys() | new["meta"].keys())})
+        moved = ", ".join(f"{name} {d:.1e}" for name, d in fields.items() if d) or "identical"
+        length = len(new["records"]["k"]) == len(old["records"]["k"])
+        print(f"{old['problem']['name'] + ' ' + old['method']:<26} "
+              f"{'same' if new['status'] == old['status'] else 'DIFF':<6} "
+              f"{'same' if length else 'DIFF':<7} {moved}")
+
+
 WRITERS = {"golden": write_golden_traces, "portfolio-reference": write_portfolio_reference}
 
 
@@ -108,7 +140,15 @@ def main(argv=None):
     parser.add_argument("fixtures", nargs="+", choices=sorted(WRITERS),
                         help="fixtures to write (portfolio-reference reruns a "
                              "500,000-iteration reference)")
+    parser.add_argument("--diff", action="store_true",
+                        help="compare the golden cells with the committed fixture, "
+                             "writing nothing")
     args = parser.parse_args(argv)
+    if args.diff:
+        if set(args.fixtures) != {"golden"}:
+            parser.error("--diff compares the golden fixture only")
+        diff_golden_traces()
+        return
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for name in dict.fromkeys(args.fixtures):
         WRITERS[name]()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -170,10 +171,19 @@ DEFAULT_SIZES = {
 
 _SPEC_RANGES = (
     (("p", "n", "d", "q"), ">= 1", lambda v: v >= 1),
+    (("seed",), ">= 0", lambda v: v >= 0),
     (("gamma", "radius", "u", "big_r"), "> 0", lambda v: v > 0),
     (("density",), "in (0, 1]", lambda v: 0 < v <= 1),
     (("nu_mode",), "2 or 3", lambda v: v in (2, 3)),
 )
+
+
+def _integer(value) -> int:
+    """An int or an integral float as an int; anything else is a ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _check_spec(spec):
@@ -191,7 +201,8 @@ def _check_spec(spec):
     try:
         for key, default in defaults.items():
             if default is not None or params[key] is not None:
-                params[key] = (float if default is None else type(default))(params[key])
+                cast = float if default is None else type(default)
+                params[key] = (_integer if cast is int else cast)(params[key])
         for keys, allowed, ok in _SPEC_RANGES:
             for key in keys:
                 if params.get(key) is not None and not ok(params[key]):
@@ -347,22 +358,22 @@ def _parse_config(config: dict):
     unknown = sorted(set(config) - set(_GRID_KEYS) - set(_SOLVER_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
-    solver_kwargs = {k: config[k] for k in _SOLVER_FIELDS if k in config}
     try:
-        solver_config = SolverConfig(**solver_kwargs)
+        solver_config = SolverConfig(**{k: _integer(config[k]) if k == "max_iter" else config[k]
+                                        for k in _SOLVER_FIELDS if k in config})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
     epsilons = config.get("profile_epsilons", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     if not isinstance(epsilons, list):
         raise ConfigError("profile_epsilons must be a list of numbers")
     try:
-        n_starts = int(config.get("n_starts", 1))
-        base_seed = int(config.get("seed", 0))
+        n_starts = _integer(config.get("n_starts", 1))
+        base_seed = _integer(config.get("seed", 0))
         epsilons = [float(eps) for eps in epsilons]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid settings: {exc}") from exc
-    if n_starts < 1:
-        raise ConfigError("n_starts must be at least 1")
+    if n_starts < 1 or base_seed < 0:
+        raise ConfigError(f"need n_starts >= 1 and seed >= 0, got {n_starts} and {base_seed}")
     methods = list(config["methods"])
     for m in methods:
         if m not in SOLVERS:

@@ -231,6 +231,10 @@ class Point:
         """phi(t) = f(x + t v)."""
         return Line(self, v)
 
+    def toward(self, s, away=False) -> "Line":
+        """The line toward vertex s, v = s - x, or away from it, v = x - s."""
+        return self.restrict(self.x - s if away else s - self.x)
+
 
 def pull_back(t_raw: float) -> float:
     """A step just inside a domain boundary met at t_raw: shrunk by 1e-7

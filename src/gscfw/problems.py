@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dtrtri
-from scipy.special import expit
 
 from .gsc import (GscSpec, Line, Objective, Point, gsc_affine_constant,
                   gsc_finite_sum_constant, gsc_sum_constant, inner, pull_back)
@@ -160,29 +159,38 @@ class ProblemInstance:
 # ---------------------------------------------------------------------------
 
 class MarginKernel:
-    """A scalar (m, nu)-GSC loss: ``phi(z)``, ``d1(z)`` = phi'(z) and
-    ``d2(z, u)`` = phi''(z) u, elementwise.  ``positive`` restricts the
-    domain to z > 0; otherwise it is the real line."""
+    """A scalar (m, nu)-GSC loss: ``phi(w)``, ``d1(w)`` = phi'(z) and
+    ``d2(w, u)`` = phi''(z) u, elementwise, at ``w = prepare(z)``: z, or a
+    pass over z the three share.  ``positive`` restricts the domain to z > 0;
+    otherwise it is the real line."""
 
     m: float
     nu: float
     positive: bool
 
+    def prepare(self, z):
+        return z
+
 
 class LogisticLoss(MarginKernel):
-    """log(1 + e^-z): (1, 2)-GSC on the real line."""
+    """log(1 + e^-z): (1, 2)-GSC on the real line, from e = exp(-|z|)."""
 
     m, nu, positive = 1.0, 2.0, False
 
-    def phi(self, z):
-        return np.logaddexp(0.0, -z)
+    def prepare(self, z):
+        return z, np.exp(-np.abs(z))
 
-    def d1(self, z):
-        return -expit(-z)
+    def phi(self, w):
+        z, e = w
+        return np.maximum(-z, 0.0) + np.log1p(e)
 
-    def d2(self, z, u):
-        s = expit(z)
-        return s * (1.0 - s) * u
+    def d1(self, w):
+        z, e = w  # -1/(1 + e^z)
+        return -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+
+    def d2(self, w, u):
+        _, e = w  # e^z / (1 + e^z)^2, symmetric in z
+        return e / ((1.0 + e) * (1.0 + e)) * u
 
 
 class LogLoss(MarginKernel):
@@ -227,10 +235,11 @@ class MarginObjective(Objective):
     The GSC pair follows from the kernel's by the affine rule on each row
     b_i and the sum rule with weights 1/count.  ``at(x)`` keeps the margins
     z = Bx; a line through x adds dz = Bv, after which f, its slope and the
-    domain test along the line cost O(p) per probe.  B is only ever used
-    through ``b @`` and ``bt @``, where ``bt`` is the transposed view of B
-    taken once at construction: it shares B's arrays, and taking it anew
-    for every gradient costs a format check of B each time.
+    domain test along the line cost O(p) per probe.  ``bt`` is the transposed
+    view of B taken once: taking it anew for every gradient costs a format
+    check of B each time.  ``columns`` is B when it is stored column-wise
+    (dense or CSC), else None; then the line toward a vertex with one
+    nonzero s_i reads dz = s_i B[:, i] - z instead of a product.
     """
 
     def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
@@ -241,6 +250,7 @@ class MarginObjective(Objective):
         self.kernel = kernel
         self.b = b
         self.bt = b.T
+        self.columns = b if isinstance(b, np.ndarray) or b.format == "csc" else None
         self.count = count
         self.c = c
         self.gamma = float(gamma)
@@ -260,7 +270,7 @@ class MarginObjective(Objective):
         return self.at(x).gradient()
 
     def hess_vec(self, x, v):
-        u = self.kernel.d2(self.b @ x, self.b @ v)
+        u = self.kernel.d2(self.kernel.prepare(self.b @ x), self.b @ v)
         return (self.bt @ u) / self.count + self.gamma * v
 
     def in_domain(self, x) -> bool:
@@ -268,13 +278,13 @@ class MarginObjective(Objective):
 
 
 class MarginPoint(Point):
-    """x with its margins z = Bx."""
+    """x with its margins z = Bx and the kernel's argument w = prepare(z)."""
 
-    __slots__ = ("z",)
+    __slots__ = ("z", "w")
 
     def __init__(self, obj: MarginObjective, x, z):
         super().__init__(obj, x)
-        self.z = z
+        self.z, self.w = z, obj.kernel.prepare(z)
 
     def value(self) -> float:
         if self._f is None:
@@ -282,7 +292,7 @@ class MarginPoint(Point):
             if obj.kernel.positive and np.any(z <= 0.0):
                 self._f = math.inf
             else:
-                out = float(np.sum(obj.kernel.phi(z))) / obj.count
+                out = float(np.sum(obj.kernel.phi(self.w))) / obj.count
                 if obj.c is not None:
                     out += float(obj.c @ x)
                 self._f = out + 0.5 * obj.gamma * float(x @ x)
@@ -291,12 +301,28 @@ class MarginPoint(Point):
     def gradient(self):
         if self._g is None:
             obj = self.obj
-            g = (obj.bt @ obj.kernel.d1(self.z)) / obj.count + obj.gamma * self.x
+            g = (obj.bt @ obj.kernel.d1(self.w)) / obj.count + obj.gamma * self.x
             self._g = g if obj.c is None else g + obj.c
         return self._g
 
     def restrict(self, v) -> "MarginLine":
-        return MarginLine(self, v)
+        return MarginLine(self, v, self.obj.b @ v)
+
+    def toward(self, s, away=False) -> "MarginLine":
+        cols = self.obj.columns
+        nonzero = np.flatnonzero(s) if cols is not None else ()
+        if len(nonzero) != 1:
+            return super().toward(s, away)
+        i = nonzero[0]
+        if sp.issparse(cols):
+            lo, hi = cols.indptr[i], cols.indptr[i + 1]
+            rows, column = cols.indices[lo:hi], cols.data[lo:hi]
+        else:
+            rows, column = slice(None), cols[:, i]
+        dz = -self.z  # B(s - x) = s_i B[:, i] - z
+        dz[rows] += s[i] * column
+        v = s - self.x
+        return MarginLine(self, -v, -dz) if away else MarginLine(self, v, dz)
 
 
 # Margins z + t dz this close to 0, relative to max |z| + |t| max |dz|, may be
@@ -309,9 +335,9 @@ class MarginLine(Line):
 
     __slots__ = ("dz",)
 
-    def __init__(self, point: MarginPoint, v):
+    def __init__(self, point: MarginPoint, v, dz):
         super().__init__(point, v)
-        self.dz = point.obj.b @ v
+        self.dz = dz
 
     def _point_at(self, t) -> MarginPoint:
         p = self.point
@@ -321,14 +347,14 @@ class MarginLine(Line):
         obj, v, q = self.point.obj, self.v, self.at(t)
         if obj.kernel.positive and not np.all(q.z > 0.0):
             raise ValueError("slope undefined outside the domain")
-        out = float(obj.kernel.d1(q.z) @ self.dz) / obj.count
+        out = float(obj.kernel.d1(q.w) @ self.dz) / obj.count
         if obj.c is not None:
             out += float(obj.c @ v)
         return out + obj.gamma * float(q.x @ v)
 
     def curvature(self) -> float:
         obj, dz = self.point.obj, self.dz
-        return (float(obj.kernel.d2(self.point.z, dz) @ dz) / obj.count
+        return (float(obj.kernel.d2(self.point.w, dz) @ dz) / obj.count
                 + obj.gamma * float(self.v @ self.v))
 
     def in_domain(self, t) -> bool:
@@ -362,9 +388,10 @@ def logistic_problem(data: SparseDataset, gamma: float, radius: float,
     if nu_mode not in (2, 3):
         raise ValueError("nu_mode must be 2 or 3")
     a = data.matrix
-    # rows y_i a_i, exact because y_i = +-1
+    # rows y_i a_i, exact because y_i = +-1, by columns without duplicates
     b = sp.csr_matrix((a.data * np.repeat(data.labels, np.diff(a.indptr)), a.indices,
-                       a.indptr), shape=a.shape)
+                       a.indptr), shape=a.shape).tocsc()
+    b.sum_duplicates()
     obj = MarginObjective("logistic", LogisticLoss(), b, data.count, gamma=gamma)
     if nu_mode == 3:
         # the order-3 classification borrows strong convexity from gamma

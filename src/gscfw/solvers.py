@@ -155,7 +155,7 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
 
     def step(k, point, s_id, s, gap):
         alpha = 2.0 / (k + 2.0)
-        line = point.restrict(s - point.x)
+        line = point.toward(s)
         if not line.in_domain(alpha):
             return point, IterationRecord(k, point.value(), gap, 0.0, "zero")
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
@@ -186,7 +186,7 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
     point, meta = _start(obj, feasible, x0, "fw-line-search")
 
     def step(k, point, s_id, s, gap):
-        line = point.restrict(s - point.x)
+        line = point.toward(s)
         alpha = _exact_line_search(line, _LINE_SEARCH_TOL)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
@@ -206,7 +206,7 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     point, meta = _start(obj, feasible, x0, "fwgsc")
 
     def step(k, point, s_id, s, gap):
-        line = point.restrict(s - point.x)
+        line = point.toward(s)
         geom = LocalGeometry.from_direction(line, gap)
         dec = analytic_step(obj.spec, geom, cap=1.0)
         return line.at(dec.alpha), IterationRecord(
@@ -250,33 +250,32 @@ def step_l(line: Line, gap: float, l_prev: float, config: SolverConfig):
     return _backtrack(line, l_prev, config, trial, "quadratic-model")
 
 
-def _probe_l_init(obj: Objective, feasible: FeasibleSet, point: Point) -> float:
-    """One finite-difference curvature probe along the first search direction."""
-    x, g = point.x, point.gradient()
-    v = feasible.lmo(g) - x
-    beta2 = inner(v, v)
+def _probe_l_init(feasible: FeasibleSet, point: Point) -> float:
+    """|slope(h) - slope(0)| / (h beta^2) on the line toward the first vertex:
+    a finite-difference curvature probe that asks the line, not f from scratch."""
+    line = point.toward(feasible.lmo(point.gradient()))
+    beta2 = inner(line.v, line.v)
     if beta2 == 0.0:
         return 1.0
     h = 1e-6
     for _ in range(40):
-        if obj.in_domain(x + h * v):
+        if line.in_domain(h):
             break
         h *= 0.1
     else:
         return 1.0
-    curv = abs(inner(obj.gradient(x + h * v) - g, v)) / (h * beta2)
-    return max(curv, 1e-6)
+    return max(abs(line.slope(h) - line.slope(0.0)) / (h * beta2), 1e-6)
 
 
 def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Backtracking over the gradient's local Lipschitz modulus."""
     point, meta = _start(obj, feasible, x0, "lbtfwgsc")
-    l_prev = config.l_init if config.l_init is not None else _probe_l_init(obj, feasible, point)
+    l_prev = config.l_init if config.l_init is not None else _probe_l_init(feasible, point)
     meta["l_init"] = l_prev
 
     def step(k, point, s_id, s, gap):
         nonlocal l_prev
-        line = point.restrict(s - point.x)
+        line = point.toward(s)
         alpha, l_prev, backtracks = step_l(line, gap, l_prev, config)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=l_prev)
@@ -305,7 +304,7 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 
     def step(k, point, s_id, s, gap):
         nonlocal mu_prev
-        line = point.restrict(s - point.x)
+        line = point.toward(s)
         alpha, mu_prev, backtracks = step_m(line, gap, mu_prev, config)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=mu_prev)
@@ -472,12 +471,12 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: Solve
         if not forward and active.weight(uid) >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
             meta["forced_forward_steps"] += 1
+        line = point.toward(s) if forward else point.toward(u, away=True)
         if forward:
-            v, t_bar, kind, g_mod = s - x, 1.0, "forward", gap
+            t_bar, kind, g_mod = 1.0, "forward", gap
         else:
             mu_u = active.weight(uid)
-            v, t_bar, kind, g_mod = x - u, mu_u / (1.0 - mu_u), "away", away_gap
-        line = point.restrict(v)
+            t_bar, kind, g_mod = mu_u / (1.0 - mu_u), "away", away_gap
         geom = LocalGeometry.from_direction(line, g_mod)
         dec = analytic_step(obj.spec, geom, cap=t_bar)
         if kind == "away" and dec.alpha >= t_bar:

@@ -126,6 +126,37 @@ def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, set
     assert not out_dir.exists()
 
 
+def _spec(**keys):
+    return {"problems": [{"name": "portfolio", "p": 15, "n": 5, **keys}]}
+
+
+@pytest.mark.parametrize("setting", [
+    pytest.param(_spec(seed=-1), id="spec-seed-negative"),
+    pytest.param(_spec(seed=True), id="spec-seed-bool"),
+    pytest.param({"seed": -4}, id="grid-seed-negative"),
+    pytest.param({"seed": 2.5}, id="grid-seed-fraction"),
+    pytest.param({"n_starts": 1.7}, id="n_starts-fraction"),
+    pytest.param({"n_starts": True}, id="n_starts-bool"),
+    pytest.param({"max_iter": 2.5}, id="max_iter-fraction"),
+    pytest.param({"max_iter": True}, id="max_iter-bool"),
+    pytest.param(_spec(p=20.7), id="p-fraction"),
+    pytest.param(_spec(n=False), id="n-bool"),
+    pytest.param({"problems": [{"name": "dwd", "p": 10, "d": 3.5}]}, id="d-fraction"),
+    pytest.param({"problems": [{"name": "logistic", "nu_mode": 2.5}]}, id="nu_mode-fraction"),
+    pytest.param({"problems": [{"name": "logistic", "nu_mode": True}]}, id="nu_mode-bool"),
+])
+def test_cli_run_rejects_non_integer_settings_before_any_cell(tmp_path, capsys, setting):
+    out_dir = tmp_path / "rec"
+    config = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"],
+              "max_iter": 5, "out_dir": str(out_dir), **setting}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--dry-run"]) == 2
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("config error:") == 2
+    assert not out_dir.exists()
+
+
 def test_cli_profile_stdout_matches_the_csv_file(tmp_path, capsys):
     config = {"problems": [{"name": "portfolio", "p": 15, "n": 5, "seed": 3}],
               "methods": ["fwgsc", "fw-standard"], "epsilon": 1e-7, "max_iter": 80,

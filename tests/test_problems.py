@@ -1,9 +1,11 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from gscfw import (SparseDataset, covariance_generator, covariance_problem,
                    descent_bounds, dwd_problem, libsvm_parse, libsvm_serialize,
                    logistic_problem, portfolio_generator, portfolio_problem,
                    synthetic_classification)
+from gscfw.problems import LogisticLoss
 from gscfw.solvers import SolverConfig, fw_line_search
 
 from conftest import fd_gradient_check, fd_hess_vec_check, golden_section_max
@@ -117,6 +120,22 @@ def test_logistic_finite_difference():
         fd_gradient_check(inst.objective, x)
         fd_hess_vec_check(inst.objective, x, rng.standard_normal(x.size))
     assert inst.objective.in_domain(rng.standard_normal(inst.objective.dimension) * 100)
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 745.0, -745.0,
+                               1e3, -1e3])
+def test_logistic_kernel_from_one_exponential(z):
+    # phi, d1 and d2 from e = exp(-|z|) against logaddexp and expit; d2 is
+    # compared with expit(z) expit(-z), since s (1 - s) with s = expit(z)
+    # cancels for |z| beyond about 20
+    kernel, z = LogisticLoss(), np.array([z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = kernel.prepare(z)
+        phi, d1, d2 = kernel.phi(w), kernel.d1(w), kernel.d2(w, 1.0)
+        expected = (np.logaddexp(0.0, -z), -expit(-z), expit(z) * expit(-z))
+    for actual, want in zip((phi, d1, d2), expected):
+        np.testing.assert_array_max_ulp(actual, want, maxulp=4)
 
 
 def test_logistic_rejects_bad_inputs():

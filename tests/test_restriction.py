@@ -11,10 +11,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscfw import (SOLVERS, Line, Point, SolverConfig, covariance_generator,
-                   covariance_problem, dwd_problem, inner, l2_norm, logistic_problem,
-                   max_feasible_step, portfolio_generator, portfolio_problem,
-                   synthetic_classification)
+from gscfw import (SOLVERS, L1Ball, Line, Point, SolverConfig, SymmetricL1Ball, UnitSimplex,
+                   covariance_generator, covariance_problem, dwd_problem, inner, l2_norm,
+                   logistic_problem, max_feasible_step, portfolio_generator,
+                   portfolio_problem, synthetic_classification)
 from gscfw.bench import build_problem, make_start, run_method
 
 from conftest import NegLogObjective
@@ -138,6 +138,75 @@ def test_line_matches_oracles_from_scratch(family, seed, inside, edge_exp):
             assert obj.in_domain(x + t * v)
 
 
+def _vertex(family, rng, obj, x):
+    """A vertex of the family's set: one nonzero on the l1 ball and the
+    simplex, the oracle's answer to a random gradient on DWD's product set
+    and a symmetric l1-ball vertex on covariance."""
+    if family == "logistic":
+        return L1Ball(x.size, 5.0).vertex((int(rng.integers(x.size)), int(rng.choice([-1, 1]))))
+    if family == "portfolio":
+        return UnitSimplex(x.size).vertex(int(rng.integers(x.size)))
+    if family == "dwd":
+        return dwd_problem(synthetic_classification(12, 5, seed=0)).feasible_set.lmo(
+            rng.standard_normal(x.size))
+    p = x.shape[0]
+    i, j = sorted(int(k) for k in rng.integers(p, size=2))
+    return SymmetricL1Ball(p, 3.0).vertex((i, j, int(rng.choice([-1, 1]))))
+
+
+@pytest.mark.parametrize("family", ["logistic", "portfolio"])
+@pytest.mark.parametrize("away", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), frac=st.floats(0.0, 1.0))
+def test_vertex_line_from_one_column_matches_the_product(family, away, seed, frac):
+    rng = np.random.default_rng(seed)
+    obj, x, _ = FAMILIES[family](rng, seed % 1000)
+    s = _vertex(family, rng, obj, x)
+    line = obj.at(x).toward(s, away=away)
+    ref = obj.at(x).restrict(x - s if away else s - x)
+    assert np.array_equal(line.v, ref.v)
+    # dz = s_i B[:, i] - z against B v: a few units of rounding of |B| (|s| + |x|)
+    eps = np.finfo(float).eps
+    floor = np.abs(obj.b) @ (np.abs(s) + np.abs(x))
+    assert np.all(np.abs(line.dz - ref.dz) <= 4.0 * eps * floor)
+
+    def close(actual, expected):
+        return abs(actual - expected) <= 64.0 * eps * max(1.0, abs(expected))
+
+    assert close(line.curvature(), ref.curvature())
+    assert close(line.max_step(), ref.max_step())
+    for t in (0.0, frac * line.max_step(), line.max_step()):
+        assert close(line.value(t), ref.value(t)) and close(line.slope(t), ref.slope(t))
+        assert np.array_equal(line.at(t).x, ref.at(t).x)
+    # in_domain agrees away from the boundary t_b, where either may round across
+    t_bound = ref.max_step() / (1.0 - 1e-7)
+    for t in np.linspace(0.0, 2.0, 41):
+        if abs(t - t_bound) > 1e-6 * t_bound:
+            assert line.in_domain(t) == ref.in_domain(t)
+
+
+@pytest.mark.parametrize("family", ["dwd", "covariance"])
+@pytest.mark.parametrize("away", [False, True])
+def test_vertex_line_without_column_storage_is_the_restriction(family, away):
+    rng = np.random.default_rng(7)
+    for seed in range(5):
+        obj, x, _ = FAMILIES[family](rng, seed)
+        one_hot = np.zeros_like(x)
+        one_hot.flat[int(rng.integers(x.size))] = 1.0
+        for s in (_vertex(family, rng, obj, x), one_hot):
+            line = obj.at(x).toward(s, away=away)
+            ref = obj.at(x).restrict(x - s if away else s - x)
+            assert np.array_equal(line.v, ref.v)
+            t_max = ref.max_step()
+            assert line.max_step() == t_max and line.curvature() == ref.curvature()
+            for t in (0.0, 0.5 * t_max, t_max, 2.0):
+                assert line.in_domain(t) == ref.in_domain(t)
+                assert line.value(t) == ref.value(t)
+                if ref.in_domain(t):
+                    assert line.slope(t) == ref.slope(t)
+                assert np.array_equal(line.at(t).x, ref.at(t).x)
+
+
 def test_covariance_rejects_non_finite_and_asymmetric_points():
     obj = covariance_problem(covariance_generator(3, seed=1)).objective
     for bad in (np.nan, np.inf, -np.inf):
@@ -180,10 +249,10 @@ def test_products_with_the_design_per_iteration(method):
     trace = run_method(method, inst, x0, active, SolverConfig(epsilon=1e-14, max_iter=40))
     k = len(trace.iterations)
     assert k == 40
-    # B x0 once; one B^T product per gradient (k steps and the final gap);
-    # one B v per step direction; lbtfwgsc's curvature probe takes a
-    # gradient at x0 + h v from scratch (two more)
-    assert counter[0] <= 1 + (k + 1) + k + (2 if method == "lbtfwgsc" else 0)
+    # B x0 once and one B^T product per gradient (k steps and the final
+    # gap); every line, lbtfwgsc's curvature probe included, runs toward an
+    # l1-ball vertex and reads its direction from one column of B
+    assert counter[0] <= 1 + (k + 1)
 
 
 @pytest.mark.parametrize("method", sorted(SOLVERS))

@@ -223,8 +223,9 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
     assert trace.status in ("gap-converged", "iteration-cap")
     # the estimate stays under max(L_init, gamma_u * curvature bound)
     # replay the run to validate the accepted quadratic model at every step;
-    # the replay carries the evaluation cache from point to point as the
-    # solver does, so its gaps carry the same rounding as the recorded ones
+    # the replay carries the evaluation cache from point to point and builds
+    # each line toward the vertex as the solver does, so its gaps and steps
+    # carry the same rounding as the recorded ones
     point = obj.at(np.asarray(feasible.vertex(0), dtype=float))
     l_prev = trace.meta["l_init"]
     from gscfw.sets import gap as fw_gap
@@ -234,7 +235,7 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
         x, g = point.x, point.gradient()
         s = feasible.lmo(g)
         gp = fw_gap(g, x, s)
-        line = point.restrict(s - x)
+        line = point.toward(s)
         f_x = point.value()
         alpha, l_prev, _ = step_l(line, gp, l_prev, config)
         cand, f_cand = x + alpha * line.v, line.value(alpha)

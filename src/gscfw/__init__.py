@@ -1,20 +1,18 @@
 """Projection-free optimization for generalized self-concordant objectives."""
 
-from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, d_nu, delta_nu,
-                  descent_bounds, gsc_affine_constant, gsc_finite_sum_constant,
-                  gsc_sum_constant, inner, l2_norm, omega)
+from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, delta_nu,
+                  gsc_affine_constant, gsc_finite_sum_constant, gsc_sum_constant, inner,
+                  l2_norm, omega)
 from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
                    OracleViolation, ProductSet, SimplexLLOO, SymmetricL1Ball,
                    UnitSimplex, VertexSet, gap, max_feasible_step)
-from .stepsize import (PsiParams, StepDecision, analytic_step, gamma_tilde, psi,
-                       psi_at_tstar, psi_lower_bound, progress_constants, t_star)
+from .stepsize import PsiParams, StepDecision, analytic_step, psi, t_star
 from .solvers import (SOLVERS, ActiveSet, BacktrackingError, IterationRecord,
                       RunTrace, SolverConfig, asfwgsc, away_vertex, fw_line_search,
                       fw_standard, fwgsc, fwlloo, lbtfwgsc, mbtfwgsc, step_l, step_m)
 from .problems import (ProblemInstance, SparseDataset, covariance_generator,
-                       covariance_problem, dwd_problem, libsvm_parse, libsvm_serialize,
-                       logistic_problem, portfolio_generator, portfolio_problem,
-                       synthetic_classification)
+                       covariance_problem, dwd_problem, libsvm_parse, logistic_problem,
+                       portfolio_generator, portfolio_problem, synthetic_classification)
 from .bench import (ProfilePoint, RunRecord, iteration_ratio, profile_points,
                     relative_error, run_experiment, success_ratio, time_ratio)
 

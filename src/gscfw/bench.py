@@ -385,8 +385,10 @@ def _parse_config(config: dict):
 
 
 def _cell_id(problem_spec: dict) -> str:
-    name = problem_spec["name"]
-    tags = [f"{k}{problem_spec[k]}" for k in sorted(problem_spec) if k != "name"]
+    """The family name, then each key the spec carries with its value as
+    ``_check_spec`` casts it, so specs that build one problem share one id."""
+    name, params = _check_spec(problem_spec)
+    tags = [f"{k}{params[k]}" for k in sorted(problem_spec) if k != "name"]
     return "-".join([name] + tags) if tags else name
 
 
@@ -394,12 +396,13 @@ def _run_cell(payload):
     """Worker entry: build everything locally so cells are independent."""
     problem_spec, method, start_index, base_seed, config = payload
     instance = build_problem(problem_spec)
-    cell_tag = zlib.crc32(_cell_id(problem_spec).encode())  # stable across processes
+    cell_id = _cell_id(problem_spec)
+    cell_tag = zlib.crc32(cell_id.encode())  # stable across processes
     start_seed = int(np.random.SeedSequence(
         [base_seed, cell_tag, start_index]).generate_state(1)[0])
     x0, active = make_start(instance, start_seed)
     trace = run_method(method, instance, x0, active, config)
-    return _cell_id(problem_spec), method, start_index, trace
+    return cell_id, method, start_index, trace
 
 
 def run_experiment(config, out_dir=None, dry_run: bool = False):

@@ -2,9 +2,9 @@
 
 A convex C^3 function f is (M, nu)-generalized self-concordant (GSC) when its
 third derivative along any direction is controlled by the power nu/2 of the
-second.  Everything downstream (step sizes, descent bounds, feasibility
-safeguards) is driven by the scalar kernel ``omega`` and the distance-like
-quantities ``d_nu`` / ``delta_nu`` implemented here.
+second.  Everything downstream (step sizes, feasibility safeguards) is
+driven by the scalar kernel ``omega`` and the direction shape factor
+``delta_nu`` implemented here.
 """
 
 from __future__ import annotations
@@ -118,28 +118,9 @@ def omega(nu: float, t: float) -> float:
 # Distance-like quantities
 # ---------------------------------------------------------------------------
 
-def d_nu(spec: GscSpec, step_euclid: float, step_local: float) -> float:
-    """Distance-like function of the displacement: M*||y-x||_2 for nu = 2,
-    ((nu-2)/2) * M * ||y-x||_2^(3-nu) * ||y-x||_x^(nu-2) otherwise.
-
-    A zero displacement in either norm yields 0 (avoids 0^negative).
-    """
-    if step_euclid < 0 or step_local < 0:
-        raise ValueError("norms must be nonnegative")
-    branch = spec.branch
-    if branch == 2:
-        return spec.m * step_euclid
-    if step_euclid == 0.0 or step_local == 0.0:
-        return 0.0
-    if branch == 3:
-        return 0.5 * spec.m * step_local
-    nu = spec.nu
-    return 0.5 * (nu - 2.0) * spec.m * step_euclid ** (3.0 - nu) * step_local ** (nu - 2.0)
-
-
 def delta_nu(spec: GscSpec, beta: float, e: float) -> float:
     """Direction shape factor: beta for nu = 2, ((nu-2)/2) beta^(3-nu) e^(nu-2)
-    for nu > 2.  Satisfies d_nu(x, x + t*v) = t * M * delta_nu(x)."""
+    for nu > 2.  The paper's distance-like d_nu(x, x + t*v) is t * M * delta_nu(x)."""
     if beta < 0 or e < 0:
         raise ValueError("norms must be nonnegative")
     branch = spec.branch
@@ -321,23 +302,6 @@ class LocalGeometry:
         e2 = line.curvature()
         e = math.sqrt(max(e2, 0.0))
         return cls(beta=beta, e=e, delta=delta_nu(line.point.obj.spec, beta, e), gap=gap)
-
-
-def descent_bounds(f: Objective, x, y):
-    """Local sandwich on f(y) from the expansion at x.
-
-    Returns (lower, upper); the upper bound is None when nu > 2 and
-    d_nu(x, y) >= 1, where the model is no longer valid.
-    """
-    v = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    local2 = max(inner(f.hess_vec(x, v), v), 0.0)
-    local = math.sqrt(local2)
-    d = d_nu(f.spec, l2_norm(v), local)
-    base = f.value(x) + inner(f.gradient(x), v)
-    lower = base + omega(f.spec.nu, -d) * local2
-    if f.spec.branch != 2 and d >= 1.0:
-        return lower, None
-    return lower, base + omega(f.spec.nu, d) * local2
 
 
 # ---------------------------------------------------------------------------

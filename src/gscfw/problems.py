@@ -106,18 +106,6 @@ def libsvm_parse(source, normalize: bool = False, dimension: int | None = None) 
     return data.normalized() if normalize else data
 
 
-def libsvm_serialize(data: SparseDataset) -> str:
-    """Inverse of libsvm_parse (indices re-based to 1)."""
-    lines = []
-    m = data.matrix
-    for i in range(data.count):
-        row = m.getrow(i)
-        pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(row.indices, row.data))
-        label = int(data.labels[i])
-        lines.append(f"{label:+d} {pairs}".rstrip())
-    return "\n".join(lines)
-
-
 def synthetic_classification(p: int, n: int, density: float = 0.15,
                              seed: int = 0, normalize: bool = True) -> SparseDataset:
     """Seeded sparse classification data with a planted linear separator."""
@@ -233,13 +221,15 @@ class MarginObjective(Objective):
     """(1/count) sum_i phi(<b_i, x>) + <c, x> + (gamma/2) ||x||^2.
 
     The GSC pair follows from the kernel's by the affine rule on each row
-    b_i and the sum rule with weights 1/count.  ``at(x)`` keeps the margins
-    z = Bx; a line through x adds dz = Bv, after which f, its slope and the
-    domain test along the line cost O(p) per probe.  ``bt`` is the transposed
-    view of B taken once: taking it anew for every gradient costs a format
-    check of B each time.  ``columns`` is B when it is stored column-wise
-    (dense or CSC), else None; then the line toward a vertex with one
-    nonzero s_i reads dz = s_i B[:, i] - z instead of a product.
+    b_i and the sum rule with weights 1/count; the weights are equal and the
+    affine rule grows with ||b_i||, so the largest row norm decides it.
+    ``at(x)`` keeps the margins z = Bx; a line through x adds dz = Bv, after
+    which f, its slope and the domain test along the line cost O(p) per
+    probe.  ``bt`` is the transposed view of B taken once: taking it anew
+    for every gradient costs a format check of B each time.  ``columns`` is
+    B when it is stored column-wise (dense or CSC), else None; then the line
+    toward a vertex with one nonzero s_i reads dz = s_i B[:, i] - z instead
+    of a product.
     """
 
     def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
@@ -256,9 +246,8 @@ class MarginObjective(Objective):
         self.gamma = float(gamma)
         self.dimension = b.shape[1]
         sq = b.multiply(b).sum(axis=1) if sp.issparse(b) else np.sum(b * b, axis=1)
-        terms = [(1.0 / count, gsc_affine_constant(kernel.m, kernel.nu, r))
-                 for r in np.sqrt(np.asarray(sq).ravel())]
-        self.spec = GscSpec(gsc_sum_constant(terms, kernel.nu), kernel.nu)
+        m = gsc_affine_constant(kernel.m, kernel.nu, np.max(np.sqrt(sq)))
+        self.spec = GscSpec(gsc_sum_constant([(1.0 / count, m)], kernel.nu), kernel.nu)
 
     def at(self, x) -> "MarginPoint":
         return MarginPoint(self, x, self.b @ x)
@@ -395,7 +384,7 @@ def logistic_problem(data: SparseDataset, gamma: float, radius: float,
     obj = MarginObjective("logistic", LogisticLoss(), b, data.count, gamma=gamma)
     if nu_mode == 3:
         # the order-3 classification borrows strong convexity from gamma
-        m = gsc_finite_sum_constant([(1.0, r) for r in data.row_norms()], 2.0, gamma)
+        m = gsc_finite_sum_constant([(1.0, np.max(data.row_norms()))], 2.0, gamma)
         obj.spec = GscSpec(m, 3.0)
     return ProblemInstance(obj, L1Ball(data.dimension, radius),
                            name=f"logistic-nu{nu_mode}")

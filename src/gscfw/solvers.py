@@ -163,15 +163,15 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
     return _frank_wolfe(feasible, point, config, meta, step)
 
 
-def _exact_line_search(line: Line, tol: float) -> float:
+def _exact_line_search(line: Line) -> float:
     """Bisection on the slope of ``line`` over its domain-feasible range,
-    to an interval of width ``tol``."""
+    to an interval of width ``_LINE_SEARCH_TOL``."""
     t_max = max_feasible_step(line)
     if line.slope(t_max) <= 0.0:
         return t_max
     lo, hi = 0.0, t_max  # slope(0) = -gap < 0
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= _LINE_SEARCH_TOL:
             break
         mid = 0.5 * (lo + hi)
         if line.slope(mid) < 0.0:
@@ -187,7 +187,7 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
 
     def step(k, point, s_id, s, gap):
         line = point.toward(s)
-        alpha = _exact_line_search(line, _LINE_SEARCH_TOL)
+        alpha = _exact_line_search(line)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
     return _frank_wolfe(feasible, point, config, meta, step)

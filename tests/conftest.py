@@ -1,6 +1,8 @@
 """Shared test oracles: finite differences, bracketed scalar maximization,
-and small closed-form objectives.  These stay independent of the code paths
-they are used to check."""
+the paper's reference formulas (the distance d_nu, the two-sided descent
+sandwich, the closed-form value psi(t_star) and its lower bound), the LIBSVM
+writer, and small closed-form objectives.  These stay independent of the
+code paths they are used to check."""
 
 import functools
 import math
@@ -8,9 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from gscfw import GscSpec, Objective, omega
+from gscfw import GscSpec, Objective, SparseDataset, inner, l2_norm, omega
+from gscfw.gsc import nu_branch
 from gscfw.sets import VertexSet
 from gscfw.stepsize import PsiParams, psi
+
+_LN2 = math.log(2.0)
 
 
 def golden_section_max(fn, lo, hi, iters=200):
@@ -95,6 +100,142 @@ def omega_slope_at_zero(nu: float) -> float:
         return (omega(nu, step) - omega(nu, -step)) / (2.0 * step)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def d_nu(spec: GscSpec, step_euclid: float, step_local: float) -> float:
+    """Distance-like function of the displacement: M*||y-x||_2 for nu = 2,
+    ((nu-2)/2) * M * ||y-x||_2^(3-nu) * ||y-x||_x^(nu-2) otherwise.
+
+    A zero displacement in either norm yields 0 (avoids 0^negative).
+    """
+    if step_euclid < 0 or step_local < 0:
+        raise ValueError("norms must be nonnegative")
+    branch = spec.branch
+    if branch == 2:
+        return spec.m * step_euclid
+    if step_euclid == 0.0 or step_local == 0.0:
+        return 0.0
+    if branch == 3:
+        return 0.5 * spec.m * step_local
+    nu = spec.nu
+    return 0.5 * (nu - 2.0) * spec.m * step_euclid ** (3.0 - nu) * step_local ** (nu - 2.0)
+
+
+
+def descent_bounds(f: Objective, x, y):
+    """Local sandwich on f(y) from the expansion at x.
+
+    Returns (lower, upper); the upper bound is None when nu > 2 and
+    d_nu(x, y) >= 1, where the model is no longer valid.
+    """
+    v = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    local2 = max(inner(f.hess_vec(x, v), v), 0.0)
+    local = math.sqrt(local2)
+    d = d_nu(f.spec, l2_norm(v), local)
+    base = f.value(x) + inner(f.gradient(x), v)
+    lower = base + omega(f.spec.nu, -d) * local2
+    if f.spec.branch != 2 and d >= 1.0:
+        return lower, None
+    return lower, base + omega(f.spec.nu, d) * local2
+
+
+
+def _alternating_series(u: float, ratio) -> float:
+    # sum_{k>=1} term_k with term_1 = ratio-seeded and term_{k+1} = term_k * ratio(k)
+    term = ratio(0) * u
+    total = 0.0
+    k = 1
+    while abs(term) > 1e-18 * (abs(total) + 1e-300) and k < 200:
+        total += term
+        term *= ratio(k) * u
+        k += 1
+    return total
+
+
+
+def psi_at_tstar(params: PsiParams) -> float:
+    """Closed-form optimal value psi(t_star).
+
+    Small delta/xi ratios cancel catastrophically in the raw closed forms;
+    below a branch-scaled threshold the value is summed as a power series
+    in the ratio instead.
+    """
+    dl, xi = params.delta, params.xi
+    if xi == 0.0:
+        raise ValueError("psi is unbounded when xi = 0")
+    if dl == 0.0:
+        return 1.0 / (2.0 * xi)
+    branch = params.branch
+    u = dl / xi
+    if branch == 2:
+        # (1/delta) * ((1 + xi/delta) log(1 + delta/xi) - 1)
+        if u < 0.5:
+            # sum (-1)^(k+1) u^k / (k (k+1))
+            g = _alternating_series(u, lambda k: 0.5 if k == 0 else -k / (k + 2.0))
+        else:
+            g = (1.0 + 1.0 / u) * math.log1p(u) - 1.0
+        return g / dl
+    if branch == 3:
+        # (1/delta) * (1 - (xi/delta) log(1 + delta/xi))
+        if u < 0.5:
+            # sum (-1)^(k+1) u^k / (k+1)
+            g = _alternating_series(u, lambda k: 0.5 if k == 0 else -(k + 1.0) / (k + 2.0))
+        else:
+            g = 1.0 - math.log1p(u) / u
+        return g / dl
+    nu = params.nu
+    big_b = (4.0 - nu) / (nu - 2.0)
+    theta = 2.0 * (3.0 - nu) / (4.0 - nu)  # in (0, 1)
+    x = big_b * u
+    if x < 0.5:
+        # psi* delta = -sum_{j>=1} [prod_{i=1..j} (theta-i) / (j+1)!] x^j
+        g = -_alternating_series(
+            x, lambda j: (theta - 1.0) / 2.0 if j == 0 else (theta - j - 1.0) / (j + 2.0))
+    else:
+        # 1 - ((1+x)^theta - 1) / (theta x)
+        g = 1.0 - math.expm1(theta * math.log1p(x)) / (theta * x)
+    return g / dl
+
+
+
+def gamma_tilde(nu: float) -> float:
+    """Interior-branch progress constant; tends to 1 - ln 2 as nu -> 3."""
+    branch = nu_branch(nu)
+    if branch == 3:
+        return 1.0 - _LN2
+    if branch == 2:
+        return 0.0
+    s = 3.0 - nu
+    return 1.0 - (4.0 - nu) / (2.0 * s) * math.expm1(2.0 * s * _LN2 / (4.0 - nu))
+
+
+
+def psi_lower_bound(params: PsiParams) -> float:
+    """Branch-wise lower bound on psi(t_star); tight at delta = xi."""
+    dl, xi = params.delta, params.xi
+    if not (dl > 0.0 and xi > 0.0):
+        raise ValueError("lower bound requires delta > 0 and xi > 0")
+    branch = params.branch
+    if branch == 2:
+        return (2.0 * _LN2 - 1.0) / dl * min(1.0, dl / xi)
+    if branch == 3:
+        return (1.0 - _LN2) / dl * min(1.0, dl / xi)
+    nu = params.nu
+    ratio = (dl / xi) * (4.0 - nu) / (nu - 2.0)
+    return gamma_tilde(nu) / dl * min(1.0, ratio)
+
+
+
+def libsvm_serialize(data: SparseDataset) -> str:
+    """Inverse of libsvm_parse (indices re-based to 1)."""
+    lines = []
+    m = data.matrix
+    for i in range(data.count):
+        row = m.getrow(i)
+        pairs = " ".join(f"{j + 1}:{float(v)!r}" for j, v in zip(row.indices, row.data))
+        label = int(data.labels[i])
+        lines.append(f"{label:+d} {pairs}".rstrip())
+    return "\n".join(lines)
 
 
 def fd_gradient_check(obj, x, rel_tol=1e-5):

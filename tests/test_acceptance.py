@@ -12,15 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gscfw import (ActiveSet, SolverConfig, UnitSimplex, asfwgsc, descent_bounds,
-                   fw_standard, fwgsc, fwlloo, lbtfwgsc, mbtfwgsc, omega,
-                   portfolio_generator, portfolio_problem, run_experiment)
+from gscfw import (ActiveSet, SolverConfig, UnitSimplex, asfwgsc, fw_standard, fwgsc,
+                   fwlloo, lbtfwgsc, mbtfwgsc, omega, portfolio_generator,
+                   portfolio_problem, run_experiment)
 from gscfw.bench import build_problem, make_start, relative_error
 from gscfw.problems import MarginLine
 from gscfw.sets import SimplexLLOO
-from gscfw.stepsize import PsiParams, psi, psi_at_tstar, psi_lower_bound, t_star
+from gscfw.stepsize import PsiParams, psi, t_star
 
-from conftest import IntervalSet, NegLogObjective, ShiftedQuadratic, numeric_psi_max
+from conftest import (IntervalSet, NegLogObjective, ShiftedQuadratic, descent_bounds,
+                      numeric_psi_max, psi_at_tstar, psi_lower_bound)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gscfw import relative_error, run_experiment, success_ratio
-from gscfw.bench import (ConfigError, RunRecord, build_problem, iteration_ratio,
+from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, iteration_ratio,
                          load_records, make_start, profile_points, record_filename,
                          run_method, time_ratio, trace_to_lines, write_record)
 from gscfw.solvers import IterationRecord, RunTrace, SolverConfig
@@ -243,25 +243,47 @@ def test_run_experiment_smoke(tmp_path):
         assert len(twin.trace.iterations) == len(rec.trace.iterations)
 
 
+def _strip_times(path):
+    rows = []
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        row.pop("elapsed", None)
+        rows.append(row)
+    return rows
+
+
 def test_run_experiment_deterministic_modulo_time(tmp_path):
     config = _smoke_config(tmp_path / "a")
     run_experiment(config)
     config2 = dict(config, out_dir=str(tmp_path / "b"))
     run_experiment(config2)
 
-    def strip_times(path):
-        rows = []
-        for line in path.read_text().splitlines():
-            row = json.loads(line)
-            row.pop("elapsed", None)
-            rows.append(row)
-        return rows
-
     files_a = sorted((tmp_path / "a").glob("*.jsonl"))
     files_b = sorted((tmp_path / "b").glob("*.jsonl"))
     assert [f.name for f in files_a] == [f.name for f in files_b]
     for fa, fb in zip(files_a, files_b):
-        assert strip_times(fa) == strip_times(fb)
+        assert _strip_times(fa) == _strip_times(fb)
+
+
+def test_cell_id_is_built_from_the_cast_spec(tmp_path):
+    # integral floats build the same problem as integers, so they must also
+    # name it and seed its starts the same way
+    runs = {}
+    for label, spec in (("int", {"name": "portfolio", "n": 5, "p": 15, "seed": 3}),
+                        ("float", {"name": "portfolio", "n": 5, "p": 15.0, "seed": 3.0})):
+        config = {"problems": [spec], "methods": ["fwgsc", "asfwgsc"], "n_starts": 3,
+                  "epsilon": 1e-10, "max_iter": 40, "out_dir": str(tmp_path / label)}
+        run_experiment(config)
+        runs[label] = {f.name: _strip_times(f)
+                       for f in sorted((tmp_path / label).glob("*.jsonl"))}
+    assert sorted(runs["int"]) == sorted(
+        f"portfolio-n5-p15-seed3__{method}__s{start}.jsonl"
+        for method in ("fwgsc", "asfwgsc") for start in range(3))
+    assert runs["float"] == runs["int"]
+    # a float parameter is named as the float it is cast to
+    assert _cell_id({"name": "logistic", "radius": 10}) == "logistic-radius10.0"
+    assert (_cell_id({"name": "logistic", "radius": 10.0, "seed": 2.0})
+            == "logistic-radius10.0-seed2")
 
 
 def test_run_experiment_dry_run(tmp_path, capsys):

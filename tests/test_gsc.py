@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gscfw import (GscSpec, d_nu, delta_nu, descent_bounds, gsc_affine_constant,
-                   gsc_finite_sum_constant, gsc_sum_constant, omega,
-                   portfolio_generator, portfolio_problem)
+from gscfw import (GscSpec, delta_nu, gsc_affine_constant, gsc_finite_sum_constant,
+                   gsc_sum_constant, omega, portfolio_generator, portfolio_problem)
 from gscfw.gsc import nu_branch
 
-from conftest import (QuadraticObjective, fd_gradient_check, fd_hess_vec_check,
-                      omega_slope_at_zero)
+from conftest import (QuadraticObjective, d_nu, descent_bounds, fd_gradient_check,
+                      fd_hess_vec_check, omega_slope_at_zero)
 
 
 # ---------------------------------------------------------------------------

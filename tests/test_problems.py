@@ -9,14 +9,15 @@ from scipy.special import expit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscfw import (SparseDataset, covariance_generator, covariance_problem,
-                   descent_bounds, dwd_problem, libsvm_parse, libsvm_serialize,
-                   logistic_problem, portfolio_generator, portfolio_problem,
+from gscfw import (SparseDataset, covariance_generator, covariance_problem, dwd_problem,
+                   gsc_affine_constant, gsc_finite_sum_constant, gsc_sum_constant,
+                   libsvm_parse, logistic_problem, portfolio_generator, portfolio_problem,
                    synthetic_classification)
 from gscfw.problems import LogisticLoss
 from gscfw.solvers import SolverConfig, fw_line_search
 
-from conftest import fd_gradient_check, fd_hess_vec_check, golden_section_max
+from conftest import (descent_bounds, fd_gradient_check, fd_hess_vec_check,
+                      golden_section_max, libsvm_serialize)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +259,34 @@ def test_dwd_constant_follows_sum_affine_calculus():
     expected = data.count ** (1.0 / (q + 2.0)) * m_phi * np.max(norms ** (q / (q + 2.0)))
     assert obj.spec.m == pytest.approx(expected, rel=1e-12)
 
+
+
+def _row_norms(b):
+    """Row norms of a design as MarginObjective takes them."""
+    sq = b.multiply(b).sum(axis=1) if sp.issparse(b) else np.sum(b * b, axis=1)
+    return np.sqrt(np.asarray(sq).ravel())
+
+
+def test_margin_constant_equals_the_per_row_calculus():
+    # the constant is taken at the largest row norm; row by row, the affine
+    # and sum rules (finite-sum rule for order-3 logistic) give the same float
+    data = synthetic_classification(30, 8, density=0.4, seed=2)
+    a = data.matrix.tolil()
+    a[4, :] = 0.0
+    data = SparseDataset(a.tocsr(), data.labels)
+    assert data.row_norms()[4] == 0.0
+    returns = portfolio_generator(12, 5, seed=3)
+    returns[2] = 0.0
+    for inst in (logistic_problem(data, gamma=0.05, radius=10.0, nu_mode=2),
+                 dwd_problem(data, q=2.0), portfolio_problem(returns)):
+        obj = inst.objective
+        kernel = obj.kernel
+        terms = [(1.0 / obj.count, gsc_affine_constant(kernel.m, kernel.nu, r))
+                 for r in _row_norms(obj.b)]
+        assert obj.spec.m == gsc_sum_constant(terms, kernel.nu), inst.name
+    order3 = logistic_problem(data, gamma=0.05, radius=10.0, nu_mode=3).objective
+    assert order3.spec.m == gsc_finite_sum_constant(
+        [(1.0, r) for r in data.row_norms()], 2.0, 0.05)
 
 def test_dwd_single_sample_gradient_fd():
     data = SparseDataset(sp.csr_matrix(np.array([[2.0]])), [1.0])

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gscfw import GscSpec, LocalGeometry, delta_nu
-from gscfw.stepsize import (PsiParams, analytic_step, gamma_tilde, psi, psi_at_tstar,
-                            psi_lower_bound, progress_constants, t_star)
+from gscfw.stepsize import PsiParams, analytic_step, psi, t_star
 
-from conftest import numeric_psi_max
+from conftest import gamma_tilde, numeric_psi_max, psi_at_tstar, psi_lower_bound
 
 LN2 = math.log(2.0)
 
@@ -185,16 +184,3 @@ def test_analytic_step_signals():
     # feasibility of the capped step for nu > 2
     dec2 = analytic_step(GscSpec(4.0, 2.5), LocalGeometry(0.5, 2.0, delta_nu(GscSpec(4.0, 2.5), 0.5, 2.0), 1.0), cap=1.0)
     assert dec2.alpha * 4.0 * delta_nu(GscSpec(4.0, 2.5), 0.5, 2.0) < 1.0
-
-
-def test_progress_constants():
-    c1, c2 = progress_constants(0.0, 2.0, 2.0, 1.0)
-    assert c1 == 0.5
-    c1, c2 = progress_constants(1.0, 2.0, 2.0, 1.0)
-    assert c1 == pytest.approx(min(0.5, (2 * LN2 - 1) / 2.0))
-    assert c2 == pytest.approx((2 * LN2 - 1) / 4.0)
-    c1, c2 = progress_constants(2.0, 3.0, 1.0, 1.0)
-    assert c1 == pytest.approx(1.0 - LN2)
-    assert c2 == pytest.approx(2.0 * (1.0 - LN2))
-    c1_int, c2_int = progress_constants(1.0, 2.5, 1.0, 1.0)
-    assert 0.0 < c1_int <= 0.5 and c2_int > 0.0

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import warnings
@@ -74,6 +75,22 @@ def test_libsvm_round_trip(rows):
     back = libsvm_parse(libsvm_serialize(data), dimension=n)
     assert np.array_equal(back.labels, data.labels)
     assert (back.matrix != data.matrix).nnz == 0
+
+
+# sha256 over dtype and bytes of indptr, indices, data and labels: the
+# generator's random stream feeds every benchmark input and golden trace
+@pytest.mark.parametrize("p, n, density, seed, normalize, expected", [
+    (500, 50, 0.15, 0, True, "25bfd16dc736b9cecc648ea088511f049be9f791c31427298f1a5621d4c3e69c"),
+    (200, 30, 0.15, 7, True, "ace004557b2141facb0995695b9a90b0cf94973f5cd9acdc6afa0276e6c77e93"),
+    (60, 40, 0.05, 3, False, "ed82c24526dd14fa666d2ed4e511af3d555c4251def30740131e363daa1c7223"),
+])
+def test_synthetic_classification_stream_is_pinned(p, n, density, seed, normalize, expected):
+    data = synthetic_classification(p, n, density=density, seed=seed, normalize=normalize)
+    digest = hashlib.sha256()
+    for arr in (data.matrix.indptr, data.matrix.indices, data.matrix.data, data.labels):
+        digest.update(str(arr.dtype).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -392,11 +392,17 @@ def _cell_id(problem_spec: dict) -> str:
     return "-".join([name] + tags) if tags else name
 
 
-def _run_cell(payload):
-    """Worker entry: build everything locally so cells are independent."""
+def _run_cell(payload, memo: dict):
+    """Run one (problem, method, start) cell.  ``memo`` maps the cell id of
+    the last built instance to it; cells arrive spec-major, so each problem is
+    built once per run (once per pool worker) and one instance is alive at a
+    time.  Runs leave instances unchanged, so cells can share one."""
     problem_spec, method, start_index, base_seed, config = payload
-    instance = build_problem(problem_spec)
     cell_id = _cell_id(problem_spec)
+    if cell_id not in memo:
+        memo.clear()  # release the previous instance before building the next
+        memo[cell_id] = build_problem(problem_spec)
+    instance = memo[cell_id]
     cell_tag = zlib.crc32(cell_id.encode())  # stable across processes
     start_seed = int(np.random.SeedSequence(
         [base_seed, cell_tag, start_index]).generate_state(1)[0])
@@ -405,11 +411,36 @@ def _run_cell(payload):
     return cell_id, method, start_index, trace
 
 
+_worker_memo = None  # the memo of one pool worker process, for the pool's life
+
+
+def _init_worker():
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _run_pooled_cell(payload):
+    return _run_cell(payload, _worker_memo)
+
+
+def _worker_count() -> int:
+    """GSCFW_WORKERS as an integer >= 1 (default 1); anything else is a ConfigError."""
+    text = os.environ.get(WORKER_ENV, "1")
+    try:
+        workers = _integer(float(text))
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"{WORKER_ENV} must be an integer >= 1, got {text!r}")
+    return workers
+
+
 def run_experiment(config, out_dir=None, dry_run: bool = False):
     """Execute a (problem x method x start) grid and write record files.
 
     Returns the list of RunRecords (empty for a dry run).  Worker count is
-    taken from the GSCFW_WORKERS environment variable (default 1).
+    taken from the GSCFW_WORKERS environment variable (default 1); a value
+    that is not an integer >= 1 is a ConfigError, raised before any cell runs.
     """
     if isinstance(config, (str, Path)):
         try:
@@ -417,6 +448,7 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
     problems, methods, n_starts, base_seed, solver_config, epsilons = _parse_config(config)
+    workers = _worker_count()
     out_dir = Path(out_dir if out_dir is not None else config.get("out_dir", "records"))
 
     cells = [(spec, method, start, base_seed, solver_config)
@@ -426,12 +458,12 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
             print(f"{_cell_id(spec)} x {method} x start{start}")
         return []
 
-    workers = int(os.environ.get(WORKER_ENV, "1"))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, cells))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
+            results = list(pool.map(_run_pooled_cell, cells))
     else:
-        results = [_run_cell(c) for c in cells]
+        memo = {}
+        results = [_run_cell(c, memo) for c in cells]
 
     # f*_j: best value attained on problem j by any method from any start
     f_star = {}

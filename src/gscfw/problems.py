@@ -110,16 +110,15 @@ def synthetic_classification(p: int, n: int, density: float = 0.15,
                              seed: int = 0, normalize: bool = True) -> SparseDataset:
     """Seeded sparse classification data with a planted linear separator."""
     rng = np.random.default_rng(seed)
-    nnz_per_row = max(1, int(round(density * n)))
-    indptr = [0]
-    indices = []
-    values = []
-    for _ in range(p):
-        cols = np.sort(rng.choice(n, size=nnz_per_row, replace=False))
-        indices.extend(cols.tolist())
-        values.extend(rng.standard_normal(nnz_per_row).tolist())
-        indptr.append(len(indices))
-    matrix = sp.csr_matrix((values, indices, indptr), shape=(p, n))
+    k = max(1, int(round(density * n)))
+    indices = np.empty((p, k), dtype=np.int64)
+    values = np.empty((p, k))
+    for r in range(p):
+        indices[r] = rng.choice(n, size=k, replace=False)
+        values[r] = rng.standard_normal(k)
+    indices.sort(axis=1)  # values pair with the sorted columns, in draw order
+    matrix = sp.csr_matrix((values.ravel(), indices.ravel(), np.arange(0, p * k + 1, k)),
+                           shape=(p, n))
     planted = rng.standard_normal(n)
     margins = matrix @ planted + 0.5 * rng.standard_normal(p)
     labels = np.where(margins >= 0, 1.0, -1.0)

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gscfw import (ActiveSet, SolverConfig, UnitSimplex, asfwgsc, fw_standard, fwgsc,
-                   fwlloo, lbtfwgsc, mbtfwgsc, omega, portfolio_generator,
-                   portfolio_problem, run_experiment)
+from gscfw import (SolverConfig, UnitSimplex, asfwgsc, fw_standard, fwgsc, fwlloo,
+                   lbtfwgsc, mbtfwgsc, omega, portfolio_generator, portfolio_problem,
+                   run_experiment)
 from gscfw.bench import build_problem, make_start, relative_error
 from gscfw.problems import MarginLine
 from gscfw.sets import SimplexLLOO
@@ -365,7 +365,7 @@ def test_criterion_9_harness_integrity(tmp_path):
     }
     records = run_experiment(dict(config, out_dir=str(tmp_path / "a")))
     assert len(records) == 2 * 3 * 2
-    from gscfw.bench import profile_points, success_ratio
+    from gscfw.bench import profile_points
     rows = profile_points(records, config["profile_epsilons"])
     for method in ("fwgsc", "mbtfwgsc", "asfwgsc"):
         rhos = [r.rho for r in rows if r.method == method]

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from gscfw import bench as gbench
 from gscfw import relative_error, run_experiment, success_ratio
 from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, iteration_ratio,
                          load_records, make_start, profile_points, record_filename,
@@ -308,25 +310,47 @@ def test_run_experiment_config_errors(tmp_path):
         run_experiment(bad)
 
 
+def _count_builds(monkeypatch, log):
+    """Rebind ``bench.build_problem`` to log the cell id of each build to a
+    file, so builds in forked pool workers count too; return a reader."""
+    build = gbench.build_problem
+
+    def counted(spec):
+        with open(log, "a") as fh:
+            fh.write(_cell_id(spec) + "\n")
+        return build(spec)
+
+    monkeypatch.setattr(gbench, "build_problem", counted)
+    return lambda: log.read_text().splitlines() if log.exists() else []
+
+
+def test_each_problem_is_built_once_per_run(tmp_path, monkeypatch):
+    builds = _count_builds(monkeypatch, tmp_path / "builds.log")
+    config = _smoke_config(tmp_path / "a")  # 2 problems x 3 methods x 2 starts
+    assert len(run_experiment(config)) == 12
+    assert builds() == ["portfolio-n8-p25-seed3", "covariance-p4-seed4"]
+    # the memo lives for one call: a second run pays its own builds
+    run_experiment(dict(config, out_dir=str(tmp_path / "b")))
+    assert builds() == ["portfolio-n8-p25-seed3", "covariance-p4-seed4"] * 2
+
+
 def test_run_experiment_worker_pool_matches_serial(tmp_path, monkeypatch):
     config = _smoke_config(tmp_path / "serial")
     run_experiment(config)
+    builds = _count_builds(monkeypatch, tmp_path / "builds.log")
     monkeypatch.setenv("GSCFW_WORKERS", "2")
     run_experiment(dict(config, out_dir=str(tmp_path / "pooled")))
-
-    def strip_times(path):
-        rows = []
-        for line in path.read_text().splitlines():
-            row = json.loads(line)
-            row.pop("elapsed", None)
-            rows.append(row)
-        return rows
+    # each worker builds each problem at most once; forked workers inherit
+    # the counting build_problem, other start methods import the plain one
+    assert len(builds()) <= 2 * 2
+    if multiprocessing.get_start_method() == "fork":
+        assert len(builds()) >= 2
 
     serial = sorted((tmp_path / "serial").glob("*.jsonl"))
     pooled = sorted((tmp_path / "pooled").glob("*.jsonl"))
     assert [f.name for f in serial] == [f.name for f in pooled]
     for fa, fb in zip(serial, pooled):
-        assert strip_times(fa) == strip_times(fb)
+        assert _strip_times(fa) == _strip_times(fb)
 
 
 def test_portfolio_smoke_grid_fits_budget(tmp_path):

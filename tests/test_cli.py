@@ -157,6 +157,20 @@ def test_cli_run_rejects_non_integer_settings_before_any_cell(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("workers", ["two", "2.5", "0", "-3"])
+def test_cli_run_rejects_a_bad_worker_count_before_any_cell(tmp_path, capsys, monkeypatch,
+                                                            workers):
+    out_dir = tmp_path / "rec"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"problems": [{"name": "portfolio", "p": 15, "n": 5}],
+                               "methods": ["fwgsc"], "max_iter": 5, "out_dir": str(out_dir)}))
+    monkeypatch.setenv("GSCFW_WORKERS", workers)
+    assert main(["run", str(cfg), "--dry-run"]) == 2
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("GSCFW_WORKERS must be an integer >= 1") == 2
+    assert not out_dir.exists()
+
+
 def test_cli_profile_stdout_matches_the_csv_file(tmp_path, capsys):
     config = {"problems": [{"name": "portfolio", "p": 15, "n": 5, "seed": 3}],
               "methods": ["fwgsc", "fw-standard"], "epsilon": 1e-7, "max_iter": 80,

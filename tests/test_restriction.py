@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,15 +256,56 @@ def test_products_with_the_design_per_iteration(method):
     assert counter[0] <= 1 + (k + 1)
 
 
+def _contents(value):
+    """Copies of the arrays an instance attribute holds, and its other
+    values, nested as the attribute nests them."""
+    if scipy.sparse.issparse(value):
+        return (value.shape, value.indptr.copy(), value.indices.copy(), value.data.copy())
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, (list, tuple)):
+        return tuple(_contents(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return {name: _contents(v) for name, v in vars(value).items()}
+    return value
+
+
+def _assert_same_contents(before, after):
+    if isinstance(before, np.ndarray):
+        assert before.dtype == after.dtype and np.array_equal(before, after)
+    elif isinstance(before, dict):
+        assert before.keys() == after.keys()
+        for name in before:
+            _assert_same_contents(before[name], after[name])
+    elif isinstance(before, tuple):
+        assert len(before) == len(after)
+        for a, b in zip(before, after):
+            _assert_same_contents(a, b)
+    else:
+        assert before == after
+
+
+_FAMILIES = [{"name": "portfolio", "p": 30, "n": 8, "seed": 2},
+             {"name": "covariance", "p": 4, "seed": 2},
+             {"name": "logistic", "p": 40, "n": 8, "density": 0.5, "seed": 2},
+             {"name": "dwd", "p": 30, "d": 5, "seed": 2}]
+
+
+# grid cells share one built instance, which is safe only while runs leave
+# the objective and the feasible set as they found them
 @pytest.mark.parametrize("method", sorted(SOLVERS))
 def test_runs_leave_the_objective_untouched(method):
-    specs = [{"name": "portfolio", "p": 30, "n": 8, "seed": 2}]
-    if method != "fwlloo":  # the ball-restricted oracle needs the simplex
-        specs.append({"name": "covariance", "p": 4, "seed": 2})
-    for spec in specs:
+    for spec in _FAMILIES:
+        if method == "fwlloo" and spec["name"] != "portfolio":
+            continue  # the ball-restricted oracle needs the simplex
+        if method == "asfwgsc" and spec["name"] == "dwd":
+            continue  # no vertex representation of the DWD start
         inst = build_problem(spec)
-        obj = inst.objective
-        before = {name: id(value) for name, value in vars(obj).items()}
+        parts = (inst.objective, inst.feasible_set)
+        ids = [{name: id(value) for name, value in vars(part).items()} for part in parts]
+        contents = _contents(parts)
         x0, active = make_start(inst, 5)
         run_method(method, inst, x0, active, SolverConfig(epsilon=1e-12, max_iter=30))
-        assert {name: id(value) for name, value in vars(obj).items()} == before
+        assert [{name: id(value) for name, value in vars(part).items()}
+                for part in parts] == ids
+        _assert_same_contents(contents, _contents(parts))

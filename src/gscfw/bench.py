@@ -411,7 +411,7 @@ def _run_cell(payload, memo: dict):
     return cell_id, method, start_index, trace
 
 
-_worker_memo = None  # the memo of one pool worker process, for the pool's life
+_worker_memo = None  # set by _init_worker in each pool worker, for the pool's life
 
 
 def _init_worker():

@@ -169,6 +169,11 @@ DEFAULT_SIZES = {
 }
 
 
+# Methods that run on some families only: asfwgsc needs the vertex start
+# make_start gives every family but dwd, fwlloo the simplex's ball-restricted
+# oracle.  Other methods run on every family.
+_METHOD_FAMILIES = {"asfwgsc": ("logistic", "portfolio", "covariance"), "fwlloo": ("portfolio",)}
+
 _SPEC_RANGES = (
     (("p", "n", "d", "q"), ">= 1", lambda v: v >= 1),
     (("seed",), ">= 0", lambda v: v >= 0),
@@ -235,8 +240,8 @@ def build_problem(spec: dict) -> ProblemInstance:
 def make_start(instance: ProblemInstance, start_seed: int):
     """Starting point recipe per problem family.
 
-    Returns (x0, active) with active an ActiveSet when a vertex
-    representation is available (needed by the away-step solver).
+    Returns (x0, active) with active the ActiveSet of x0, its vertex ids and
+    weights over the family's polytope, or None for dwd (no vertex start).
     logistic: random l1-ball vertex; portfolio: random simplex vertex;
     dwd: (0, 0, xi) with xi drawn from its block; covariance: a random
     diagonal matrix with diagonal on the scaled simplex.
@@ -250,13 +255,13 @@ def make_start(instance: ProblemInstance, start_seed: int):
         sign = 1 if rng.integers(2) else -1
         vid = (i, sign)
         x0 = feasible.vertex(vid)
-        return x0, ActiveSet.single(vid, x0)
+        return x0, ActiveSet(feasible, {vid: 1.0})
     if family == "portfolio":
         for _ in range(1000):
             i = int(rng.integers(feasible.dimension))
             x0 = feasible.vertex(i)
             if obj.in_domain(x0):
-                return x0, ActiveSet.single(i, x0)
+                return x0, ActiveSet(feasible, {i: 1.0})
         raise ConfigError("no feasible simplex vertex found")
     if family == "dwd":
         ball, _, slack = feasible.blocks
@@ -272,9 +277,7 @@ def make_start(instance: ProblemInstance, start_seed: int):
         p = feasible.p
         diag = rng.dirichlet(np.ones(p)) * feasible.radius
         x0 = np.diag(diag)
-        active = ActiveSet([((i, i, 1), feasible.vertex((i, i, 1)), diag[i] / feasible.radius)
-                            for i in range(p)])
-        return x0, active
+        return x0, ActiveSet(feasible, {(i, i, 1): diag[i] / feasible.radius for i in range(p)})
     raise ConfigError(f"no start recipe for {instance.name!r}")
 
 
@@ -379,7 +382,12 @@ def _parse_config(config: dict):
         if m not in SOLVERS:
             raise ConfigError(f"unknown method {m!r}")
     for spec in config["problems"]:
-        _check_spec(spec)
+        family, _ = _check_spec(spec)
+        for m in methods:
+            allowed = _METHOD_FAMILIES.get(m, (family,))
+            if family not in allowed:
+                raise ConfigError(f"method {m!r} does not run on {family!r} problems "
+                                  f"(only on {', '.join(allowed)})")
     problems = [dict(spec) for spec in config["problems"]]
     return problems, methods, n_starts, base_seed, solver_config, epsilons
 

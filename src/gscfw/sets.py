@@ -61,6 +61,10 @@ class VertexSet(FeasibleSet):
     def lmo_indexed(self, c):
         """Return (vertex_id, vertex); ids are hashable and orderable."""
 
+    @abstractmethod
+    def vertex(self, vid):
+        """The vertex with id ``vid``, as a new array."""
+
     def lmo(self, c):
         return self.lmo_indexed(c)[1]
 

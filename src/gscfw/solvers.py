@@ -11,8 +11,10 @@ single-threaded; several runs may share immutable objectives and sets.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -51,6 +53,13 @@ class SolverConfig:
             raise ValueError("max_iter must be nonnegative")
         if not (self.gamma_u > 1.0 > self.gamma_d > 0.0):
             raise ValueError("need gamma_u > 1 > gamma_d > 0")
+        for name in ("l_init", "mu_init", "sigma_f"):
+            value = getattr(self, name)
+            if value is None and name != "mu_init":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not (math.isfinite(value) and value > 0.0)):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -380,74 +389,65 @@ _PURGE_TOL = 1e-12
 
 
 class ActiveSet:
-    """Iterate as an explicit convex combination of polytope vertices."""
+    """Iterate as an explicit convex combination of polytope vertices: the
+    ``ids`` in entry order, their ``weights``, and row r of ``vertices`` the
+    flattened ``polytope.vertex(ids[r])``, asked for once, when ids[r] enters."""
 
-    def __init__(self, items):
-        # items: iterable of (vertex_id, vertex_point, weight)
-        self.points = {}
-        self.weights = {}
-        for vid, point, w in items:
-            self.points[vid] = np.array(point, dtype=float)
-            self.weights[vid] = self.weights.get(vid, 0.0) + float(w)
+    def __init__(self, polytope: VertexSet, weights: dict):
+        self.polytope = polytope
+        self.ids = list(weights)
+        self.weights = np.fromiter(weights.values(), dtype=float, count=len(self.ids))
+        vertices = np.array([polytope.vertex(vid) for vid in self.ids], dtype=float)
+        self._shape = vertices.shape[1:]
+        self.vertices = vertices.reshape(len(self.ids), math.prod(self._shape))
         self._normalize()
 
-    @classmethod
-    def single(cls, vid, point) -> "ActiveSet":
-        return cls([(vid, point, 1.0)])
-
     def _normalize(self):
-        for vid in [v for v, w in self.weights.items() if w < _PURGE_TOL]:
-            del self.weights[vid]
-            del self.points[vid]
-        total = sum(self.weights.values())
-        if not self.weights or not math.isfinite(total) or total <= 0.0:
+        low = self.weights < _PURGE_TOL  # False for NaN, which then fails the mass check
+        if np.count_nonzero(low):
+            keep = ~low
+            self.ids = list(compress(self.ids, keep))
+            self.weights, self.vertices = self.weights[keep], self.vertices[keep]
+        # a sequential sum in entry order (np.sum would sum pairwise)
+        total = np.add.accumulate(self.weights)[-1] if self.ids else 0.0
+        if not math.isfinite(total) or total <= 0.0:
             raise ValueError("active set lost all mass")
         if abs(total - 1.0) > 1e-15:
-            for vid in self.weights:
-                self.weights[vid] /= total
+            self.weights /= total
 
-    def forward_update(self, vid, point, alpha: float):
+    def forward_update(self, vid, alpha: float):
         """x <- (1 - alpha) x + alpha * vertex."""
-        for w in self.weights:
-            self.weights[w] *= (1.0 - alpha)
-        self.points.setdefault(vid, np.array(point, dtype=float))
-        self.weights[vid] = self.weights.get(vid, 0.0) + alpha
+        self.weights *= 1.0 - alpha
+        if vid in self.ids:
+            self.weights[self.ids.index(vid)] += alpha
+        else:
+            self.ids.append(vid)
+            self.weights = np.append(self.weights, alpha)
+            self.vertices = np.vstack([self.vertices, np.ravel(self.polytope.vertex(vid))])
         self._normalize()
 
     def away_update(self, vid, alpha: float):
         """x <- (1 + alpha) x - alpha * vertex; alpha = weight/(1-weight) drops it."""
-        for w in self.weights:
-            self.weights[w] *= (1.0 + alpha)
-        self.weights[vid] -= alpha
+        self.weights *= 1.0 + alpha
+        self.weights[self.ids.index(vid)] -= alpha
         self._normalize()
 
     def weight(self, vid) -> float:
-        return self.weights.get(vid, 0.0)
+        return self.weights[self.ids.index(vid)] if vid in self.ids else 0.0
 
     def reconstruct(self):
-        out = None
-        for vid, w in self.weights.items():
-            term = w * self.points[vid]
-            out = term if out is None else out + term
-        return out
+        return (self.weights @ self.vertices).reshape(self._shape)
 
     def __len__(self):
-        return len(self.weights)
-
-    def ids(self):
-        return sorted(self.weights)
+        return len(self.ids)
 
 
 def away_vertex(grad, active: ActiveSet):
     """Active vertex most aligned with the gradient (lowest id on ties)."""
-    if len(active) == 0:
-        raise ValueError("active set is empty")
-    best_id, best_val = None, -math.inf
-    for vid in active.ids():
-        val = inner(grad, active.points[vid])
-        if val > best_val:
-            best_id, best_val = vid, val
-    return best_id, active.points[best_id]
+    scores = active.vertices @ np.ravel(grad)
+    best = np.flatnonzero(scores == scores[scores.argmax()])
+    row = min(best, key=active.ids.__getitem__)
+    return active.ids[row], active.vertices[row].reshape(active._shape)
 
 
 def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: SolverConfig) -> RunTrace:
@@ -459,7 +459,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: Solve
     if not isinstance(polytope, VertexSet):
         raise ValueError("away-step solver needs a polytope with vertex ids")
     # the run owns its bookkeeping; never mutate the caller's copy
-    active = ActiveSet([(vid, start.points[vid], w) for vid, w in start.weights.items()])
+    active = ActiveSet(polytope, dict(zip(start.ids, start.weights)))
     point, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
     meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
 
@@ -484,7 +484,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: Solve
             meta["drop_steps"] += 1
         nxt = line.at(dec.alpha)
         if forward:
-            active.forward_update(s_id, s, dec.alpha)
+            active.forward_update(s_id, dec.alpha)
         else:
             active.away_update(uid, dec.alpha)
         drift = l2_norm(active.reconstruct() - nxt.x) / (1.0 + l2_norm(nxt.x))

@@ -362,6 +362,9 @@ class IntervalSet(VertexSet):
             return 0, np.array([self.lo])
         return 1, np.array([self.hi])
 
+    def vertex(self, vid):
+        return np.array([self.hi if vid else self.lo])
+
     def contains(self, x, tol=1e-9):
         val = float(np.asarray(x).ravel()[0])
         return self.lo - tol <= val <= self.hi + tol

@@ -1,0 +1,150 @@
+"""The away-step active set against a dense reference built in the test from
+``polytope.vertex``, on each polytope the library ships."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gscfw import (ActiveSet, L1Ball, SolverConfig, SymmetricL1Ball, UnitSimplex, asfwgsc,
+                   away_vertex, inner)
+from gscfw.bench import build_problem, make_start
+
+
+class CountingVertices:
+    """A polytope that counts the vertices it is asked for."""
+
+    def __init__(self, polytope):
+        self.polytope, self.calls = polytope, []
+
+    def vertex(self, vid):
+        self.calls.append(vid)
+        return self.polytope.vertex(vid)
+
+
+# polytope, start weights, then (kind, id, alpha) updates: forward steps to
+# new and to active ids, away steps, and a drop (alpha = w/(1-w) for the
+# weight w the dense reference holds at that point)
+CASES = {
+    "simplex": (UnitSimplex(5), {3: 0.25, 0: 0.75},
+                [("forward", 4, 0.3), ("forward", 0, 0.2), ("away", 3, 0.1),
+                 ("forward", 1, 0.05), ("drop", 4, None), ("away", 0, 0.2)]),
+    "l1": (L1Ball(4, 2.5), {(2, -1): 1.0},
+           [("forward", (0, 1), 0.4), ("forward", (2, 1), 0.25), ("away", (0, 1), 0.1),
+            ("drop", (2, -1), None), ("forward", (2, -1), 0.5)]),
+    "symmetric-l1": (SymmetricL1Ball(3, 3.0), {(1, 1, 1): 0.5, (0, 2, -1): 0.5},
+                     [("forward", (0, 1, 1), 0.3), ("away", (1, 1, 1), 0.2),
+                      ("forward", (2, 2, -1), 0.1), ("drop", (0, 2, -1), None),
+                      ("forward", (1, 1, 1), 0.6)]),
+}
+
+
+def _reference_step(weights, kind, vid, alpha):
+    """The update on a {vertex_id: weight} dict, one vertex at a time."""
+    if kind == "forward":
+        weights = {v: w * (1.0 - alpha) for v, w in weights.items()}
+        weights[vid] = weights.get(vid, 0.0) + alpha
+    else:
+        weights = {v: w * (1.0 + alpha) for v, w in weights.items()}
+        weights[vid] -= alpha
+    return {v: w for v, w in weights.items() if w >= 1e-12}
+
+
+def _brute_force_away(polytope, weights, grad):
+    scores = {vid: inner(grad, polytope.vertex(vid)) for vid in weights}
+    best = max(scores.values())
+    return min(vid for vid, score in scores.items() if score == best)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_active_set_matches_the_dense_reference(name):
+    polytope, start, updates = CASES[name]
+    counting = CountingVertices(polytope)
+    active = ActiveSet(counting, start)
+    reference = dict(start)
+    rng = np.random.default_rng(3)
+    for kind, vid, alpha in updates:
+        if kind == "drop":
+            mu = reference[vid]
+            alpha = mu / (1.0 - mu)
+        entered = vid not in active.ids
+        counting.calls.clear()
+        if kind == "forward":
+            active.forward_update(vid, alpha)
+        else:
+            active.away_update(vid, alpha)
+        reference = _reference_step(reference, kind, vid, alpha)
+        # the polytope is asked for a vertex only when its id enters
+        assert counting.calls == ([vid] if entered else [])
+        assert sorted(active.ids) == sorted(reference)
+        assert (vid in active.ids) == (kind != "drop")
+        for v in reference:
+            assert active.weight(v) == pytest.approx(reference[v], rel=1e-14, abs=1e-15)
+        assert math.fsum(active.weights) == pytest.approx(1.0, abs=1e-15)
+        dense = sum(w * polytope.vertex(v) for v, w in reference.items())
+        assert active.reconstruct().shape == dense.shape
+        assert np.allclose(active.reconstruct(), dense, rtol=0.0, atol=1e-14)
+        for _ in range(5):
+            grad = rng.standard_normal(np.shape(dense))
+            if grad.ndim == 2:
+                grad = grad + grad.T
+            uid, u = away_vertex(grad, active)
+            assert uid == _brute_force_away(polytope, reference, grad)
+            assert np.array_equal(u, polytope.vertex(uid))
+
+
+@pytest.mark.parametrize("polytope, first, later, grad", [
+    (UnitSimplex(4), 3, 1, np.array([0.0, 2.0, -1.0, 2.0])),
+    (L1Ball(3, 2.0), (2, 1), (0, -1), np.array([-1.0, 0.0, 1.0])),
+    (SymmetricL1Ball(2, 2.0), (1, 1, 1), (0, 1, 1), np.array([[0.0, 1.0], [1.0, 1.0]])),
+], ids=["simplex", "l1", "symmetric-l1"])
+def test_away_vertex_breaks_an_exact_tie_by_the_lowest_id(polytope, first, later, grad):
+    # the lower id enters after the higher one, so entry order would pick wrong
+    assert later < first
+    active = ActiveSet(polytope, {first: 1.0})
+    active.forward_update(later, 0.5)
+    assert active.ids == [first, later]
+    assert inner(grad, polytope.vertex(first)) == inner(grad, polytope.vertex(later))
+    assert away_vertex(grad, active)[0] == later
+
+
+def test_a_weight_below_the_purge_tolerance_removes_its_id():
+    simplex = UnitSimplex(3)
+    assert ActiveSet(simplex, {0: 1.0, 1: 5e-13}).ids == [0]
+    active = ActiveSet(simplex, {0: 0.5, 2: 0.5})
+    active.away_update(2, 1.0 - 1e-13)  # 0.5 (2 - 1e-13) - (1 - 1e-13) = 5e-14
+    assert active.ids == [0]
+    assert active.weight(2) == 0.0
+    assert np.array_equal(active.reconstruct(), simplex.vertex(0))
+    assert active.vertices.shape == (1, 3)
+
+
+@pytest.mark.parametrize("weights", [{}, {0: 0.0}, {0: 1e-13, 1: -1.0}, {0: math.nan}],
+                         ids=["empty", "zero", "below-tolerance", "nan"])
+def test_a_start_without_mass_raises(weights):
+    with pytest.raises(ValueError, match="lost all mass"):
+        ActiveSet(UnitSimplex(2), weights)
+
+
+def test_an_update_that_loses_all_mass_raises():
+    active = ActiveSet(UnitSimplex(2), {0: 0.5, 1: 0.5})
+    with pytest.raises(ValueError, match="lost all mass"):
+        active.forward_update(0, math.nan)
+
+
+@pytest.mark.parametrize("spec", [{"name": "covariance", "p": 5, "seed": 2},
+                                  {"name": "portfolio", "p": 20, "n": 6, "seed": 2},
+                                  {"name": "logistic", "p": 40, "n": 8, "seed": 2}],
+                         ids=lambda spec: spec["name"])
+def test_asfwgsc_leaves_the_callers_start_unchanged(spec):
+    inst = build_problem(spec)
+    _, start = make_start(inst, start_seed=4)
+    ids, weights = list(start.ids), start.weights.copy()
+    vertices, x = start.vertices.copy(), start.reconstruct()
+    trace = asfwgsc(inst.objective, inst.feasible_set, start,
+                    SolverConfig(epsilon=1e-12, max_iter=60))
+    assert any(rec.step_kind != "forward" for rec in trace.iterations)
+    assert start.ids == ids
+    assert np.array_equal(start.weights, weights)
+    assert np.array_equal(start.vertices, vertices)
+    assert np.array_equal(start.reconstruct(), x)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gscfw import SOLVERS
 from gscfw.cli import main
 
 
@@ -113,6 +114,14 @@ def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, dama
     pytest.param({"n_starts": "two"}, id="n_starts"),
     pytest.param({"problems": [{"name": "portfolio", "p": "ten", "n": 5}]}, id="problem-size"),
     pytest.param({"profile_epsilons": "x"}, id="profile_epsilons"),
+    pytest.param({"l_init": "x"}, id="l_init-string"),
+    pytest.param({"mu_init": "x"}, id="mu_init-string"),
+    pytest.param({"sigma_f": -1}, id="sigma_f-negative"),
+    pytest.param({"l_init": -2}, id="l_init-negative"),
+    pytest.param({"mu_init": 0}, id="mu_init-zero"),
+    pytest.param({"mu_init": None}, id="mu_init-null"),
+    pytest.param({"l_init": True}, id="l_init-bool"),
+    pytest.param({"sigma_f": float("inf")}, id="sigma_f-infinite"),
 ])
 def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, setting):
     out_dir = tmp_path / "rec"
@@ -124,6 +133,39 @@ def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, set
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.count("config error:") == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param({"problems": [{"name": "portfolio", "p": 15, "n": 5},
+                               {"name": "dwd", "p": 10, "d": 3}],
+                  "methods": ["fwgsc", "asfwgsc"]}, id="asfwgsc-dwd"),
+    pytest.param({"problems": [{"name": "logistic", "p": 20, "n": 5}],
+                  "methods": ["fwlloo"]}, id="fwlloo-logistic"),
+    pytest.param({"problems": [{"name": "portfolio", "p": 15, "n": 5},
+                               {"name": "covariance", "p": 3}],
+                  "methods": ["fwlloo"]}, id="fwlloo-covariance"),
+])
+def test_cli_run_rejects_a_method_off_its_families_before_any_cell(tmp_path, capsys, grid):
+    # the portfolio cells come first and would run before the failing cell
+    out_dir = tmp_path / "rec"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"max_iter": 5, "out_dir": str(out_dir), **grid}))
+    assert main(["run", str(cfg), "--dry-run"]) == 2
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("does not run on") == 2
+    assert not out_dir.exists()
+
+
+def test_cli_run_accepts_every_method_on_its_families(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "problems": [{"name": "portfolio", "p": 15, "n": 5}, {"name": "logistic"},
+                     {"name": "covariance"}],
+        "methods": sorted(set(SOLVERS) - {"fwlloo"}), "out_dir": str(tmp_path / "rec")}))
+    assert main(["run", str(cfg), "--dry-run"]) == 0
+    cfg.write_text(json.dumps({"problems": [{"name": "portfolio"}], "methods": sorted(SOLVERS),
+                               "l_init": None, "sigma_f": None, "mu_init": 0.5}))
+    assert main(["run", str(cfg), "--dry-run"]) == 0
 
 
 def _spec(**keys):

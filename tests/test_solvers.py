@@ -384,6 +384,16 @@ def test_fwlloo_certificate_holds(portfolio_toy):
     assert trace.final_gap <= 1e-9 or trace.status == "iteration-cap"
 
 
+@pytest.mark.parametrize("name, value", [
+    ("l_init", 0.0), ("l_init", -2.0), ("l_init", "x"), ("l_init", math.inf),
+    ("mu_init", 0.0), ("mu_init", None), ("mu_init", math.nan), ("mu_init", "x"),
+    ("sigma_f", -1.0), ("sigma_f", True),
+])
+def test_solver_config_rejects_a_bad_initial_estimate(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+        SolverConfig(**{name: value})
+
+
 def test_fwlloo_sigma_auto_recipe(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
     from gscfw.solvers import smallest_hessian_eigenvalue
@@ -402,18 +412,18 @@ def test_fwlloo_sigma_auto_recipe(portfolio_toy):
 # ---------------------------------------------------------------------------
 
 def test_away_cap_value():
-    active = ActiveSet([(0, np.array([1.0, 0.0]), 0.25), (1, np.array([0.0, 1.0]), 0.75)])
+    active = ActiveSet(UnitSimplex(2), {0: 0.25, 1: 0.75})
     mu = active.weight(0)
     assert mu / (1.0 - mu) == pytest.approx(1.0 / 3.0)
 
 
 def test_away_vertex_selection():
-    e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    active = ActiveSet([(0, e1, 0.5), (1, e2, 0.5)])
+    e2 = np.array([0.0, 1.0, 0.0])
+    active = ActiveSet(UnitSimplex(3), {0: 0.5, 1: 0.5})
     grad = np.array([1.0, 5.0, 0.0])
     vid, v = away_vertex(grad, active)
     assert vid == 1 and np.array_equal(v, e2)
-    single = ActiveSet([(2, np.array([0.0, 0.0, 1.0]), 1.0)])
+    single = ActiveSet(UnitSimplex(3), {2: 1.0})
     vid, _ = away_vertex(grad, single)
     assert vid == 2
     # adding a constant to the gradient cannot change the argmax on the simplex
@@ -423,19 +433,18 @@ def test_away_vertex_selection():
 
 def test_active_set_updates():
     e = np.eye(3)
-    active = ActiveSet.single(0, e[0])
-    active.forward_update(1, e[1], 0.5)
+    active = ActiveSet(UnitSimplex(3), {0: 1.0})
+    active.forward_update(1, 0.5)
     assert np.allclose(active.reconstruct(), [0.5, 0.5, 0.0])
     active.away_update(0, 1.0)  # weight 0.5 -> 0.5*2 - 1 = 0: drop
-    assert active.ids() == [1]
+    assert active.ids == [1]
     assert np.allclose(active.reconstruct(), e[1])
-    assert sum(active.weights.values()) == pytest.approx(1.0)
+    assert sum(active.weights) == pytest.approx(1.0)
 
 
 def test_asfwgsc_bookkeeping_and_monotonicity(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
-    x0 = feasible.vertex(0)
-    trace = asfwgsc(obj, feasible, ActiveSet.single(0, x0),
+    trace = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
                     SolverConfig(epsilon=1e-10, max_iter=600))
     fs = trace.f_values()
     assert all(fs[i + 1] <= fs[i] + 1e-10 for i in range(len(fs) - 1))
@@ -452,16 +461,15 @@ def test_asfwgsc_requires_vertex_set(portfolio_toy):
     from gscfw import EuclideanBall
     with pytest.raises(ValueError):
         asfwgsc(portfolio_toy.objective, EuclideanBall(10, 1.0),
-                ActiveSet.single(0, np.zeros(10)), SolverConfig())
+                ActiveSet(UnitSimplex(10), {0: 1.0}), SolverConfig())
 
 
 def test_asfwgsc_geometric_decrease(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
-    x0 = feasible.vertex(0)
-    long = asfwgsc(obj, feasible, ActiveSet.single(0, x0),
+    long = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
                    SolverConfig(epsilon=1e-13, max_iter=2000))
     f_star = long.best_f()
-    trace = asfwgsc(obj, feasible, ActiveSet.single(0, x0),
+    trace = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
                     SolverConfig(epsilon=1e-13, max_iter=400))
     hs = [f - f_star for f in trace.f_values()]
     # qualitative linear rate: the error at K is a fraction of the error at K/2
@@ -473,8 +481,8 @@ def test_asfwgsc_geometric_decrease(portfolio_toy):
 def test_asfwgsc_accepts_active_set_start(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
     n = feasible.dimension
-    items = [(i, feasible.vertex(i), 1.0 / n) for i in range(n)]
-    trace = asfwgsc(obj, feasible, ActiveSet(items), SolverConfig(epsilon=1e-8, max_iter=500))
+    start = ActiveSet(feasible, {i: 1.0 / n for i in range(n)})
+    trace = asfwgsc(obj, feasible, start, SolverConfig(epsilon=1e-8, max_iter=500))
     assert trace.status == "gap-converged"
     assert trace.meta["active_set_max_drift"] <= 1e-9
 
@@ -501,7 +509,7 @@ def test_mbtfwgsc_beats_conservative_constant_on_logistic_toy():
     inst = logistic_problem(data, gamma=1.0 / 80, radius=10.0, nu_mode=3)
     obj, feasible = inst.objective, inst.feasible_set
     x0 = feasible.vertex((0, 1))
-    ref = asfwgsc(obj, feasible, ActiveSet.single((0, 1), x0),
+    ref = asfwgsc(obj, feasible, ActiveSet(feasible, {(0, 1): 1.0}),
                   SolverConfig(epsilon=1e-13, max_iter=50000))
     f_star = ref.best_f()
 
@@ -526,14 +534,13 @@ def test_mbtfwgsc_beats_conservative_constant_on_logistic_toy():
 @pytest.mark.parametrize("method", sorted(SOLVERS))
 def test_max_iter_zero_status_is_solver_independent(method):
     inst = ProblemInstance(ShiftedQuadratic([0.5, 0.5]), UnitSimplex(2), name="toy")
-    e = np.eye(2)
-    optimal = ActiveSet([(0, e[0], 0.5), (1, e[1], 0.5)])
+    optimal = ActiveSet(inst.feasible_set, {0: 0.5, 1: 0.5})
     config = SolverConfig(epsilon=1e-6, max_iter=0)
     trace = run_method(method, inst, optimal.reconstruct(), optimal, config)
     assert trace.status == "gap-converged"
     assert len(trace.iterations) == 0
     assert trace.final_gap <= config.epsilon
-    vertex = ActiveSet.single(0, e[0])
+    vertex = ActiveSet(inst.feasible_set, {0: 1.0})
     trace = run_method(method, inst, vertex.reconstruct(), vertex, config)
     assert trace.status == "iteration-cap"
     assert len(trace.iterations) == 0
@@ -549,7 +556,7 @@ def test_elapsed_covers_active_set_bookkeeping(portfolio_toy, monkeypatch):
         return reconstruct(self)
 
     monkeypatch.setattr(ActiveSet, "reconstruct", slow_reconstruct)
-    trace = asfwgsc(obj, feasible, ActiveSet.single(0, feasible.vertex(0)),
+    trace = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
                     SolverConfig(epsilon=1e-10, max_iter=20))
     assert trace.iterations
     assert all(rec.elapsed_seconds >= 0.002 for rec in trace.iterations)

@@ -13,7 +13,6 @@ from .solvers import (SOLVERS, ActiveSet, BacktrackingError, IterationRecord,
 from .problems import (ProblemInstance, SparseDataset, covariance_generator,
                        covariance_problem, dwd_problem, libsvm_parse, logistic_problem,
                        portfolio_generator, portfolio_problem, synthetic_classification)
-from .bench import (ProfilePoint, RunRecord, iteration_ratio, profile_points,
-                    relative_error, run_experiment, success_ratio, time_ratio)
+from .bench import ProfilePoint, RunRecord, profile_points, relative_error, run_experiment
 
 __version__ = "0.1.0"

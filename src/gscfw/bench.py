@@ -40,14 +40,12 @@ class ConfigError(ValueError):
 # Relative error and profile statistics
 # ---------------------------------------------------------------------------
 
-def relative_error(f_value: float, f_star: float) -> float:
-    """(f - f*) / max(|f*|, 1e-12); the absolute-value denominator keeps the
-    statistic meaningful for negative optima.  Rounding-level negativity is
-    clamped to zero."""
-    err = (f_value - f_star) / max(abs(f_star), 1e-12)
-    if -1e-12 <= err < 0.0:
-        return 0.0
-    return err
+def relative_error(f_value, f_star: float):
+    """(f - f*) / max(|f*|, 1e-12), elementwise over f; the absolute-value
+    denominator keeps the statistic meaningful for negative optima.
+    Rounding-level negativity is clamped to zero."""
+    err = (np.asarray(f_value, dtype=float) - f_star) / max(abs(f_star), 1e-12)
+    return np.where((-1e-12 <= err) & (err < 0.0), 0.0, err)[()]
 
 
 @dataclass(frozen=True)
@@ -58,21 +56,13 @@ class RunRecord:
     trace: RunTrace
     f_star_estimate: float
 
-    def errors(self):
-        return [relative_error(f, self.f_star_estimate) for f in self.trace.f_values()]
-
-    def first_hit(self, epsilon: float):
-        """Smallest iteration index k with relative error <= epsilon, or None."""
-        for k, err in enumerate(self.errors()):
-            if err <= epsilon:
-                return k
-        return None
-
-    def time_to_hit(self, epsilon: float):
-        k = self.first_hit(epsilon)
-        if k is None:
-            return None
-        return self.trace.cumulative_seconds()[k]
+    def hits(self, epsilons):
+        """Per epsilon, (k, seconds) of the first iterate k with relative error
+        <= epsilon and the wall time when it was produced, or None."""
+        errors = relative_error(self.trace.f_values(), self.f_star_estimate)
+        seconds = self.trace.cumulative_seconds()
+        firsts = [np.flatnonzero(errors <= eps)[:1] for eps in epsilons]
+        return [(int(k[0]), seconds[k[0]]) if k.size else None for k in firsts]
 
 
 @dataclass(frozen=True)
@@ -84,42 +74,24 @@ class ProfilePoint:
     rho_time: float | None
 
 
-def success_ratio(records, epsilon: float) -> float:
-    """Fraction of (problem, start) runs of one method reaching epsilon."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    hits = sum(1 for r in records if r.first_hit(epsilon) is not None)
-    return hits / len(records)
-
-
-def _ratio_average(records, epsilon: float, score):
-    """Double average of score ratios against the per-instance best method."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    methods = sorted({r.method for r in records})
-    problems = sorted({r.problem for r in records})
-    by_instance = {}
-    for r in records:
-        by_instance.setdefault((r.problem, r.start), {})[r.method] = score(r, epsilon)
-    if not any(v is not None for inst in by_instance.values() for v in inst.values()):
-        raise ValueError("no successful instance anywhere")
-
+def _ratio_average(records, scores):
+    """Per method, the mean over problems of the mean over their (problem,
+    start) instances of its score over the instance's best score.  None
+    scores (not solved) are left out, and so is a method that solved none."""
+    instances = {}
+    for r, score in zip(records, scores):
+        instances.setdefault(r.problem, {}).setdefault(r.start, {})[r.method] = score
     out = {}
-    for method in methods:
+    for method in sorted({r.method for r in records}):
         per_problem = []
-        for problem in problems:
+        for problem in sorted(instances):
             ratios = []
-            for (prob, _start), scores in by_instance.items():
-                if prob != problem or scores.get(method) is None:
-                    continue
-                best = min(v for v in scores.values() if v is not None)
-                own = scores[method]
-                if best <= 0.0:
-                    ratios.append(1.0 if own <= 0.0 else max(own, 1.0))
-                else:
-                    ratios.append(own / best)
+            for inst in instances[problem].values():
+                own = inst.get(method)
+                if own is not None:
+                    best = min(v for v in inst.values() if v is not None)
+                    ratios.append((1.0 if own <= 0.0 else max(own, 1.0)) if best <= 0.0
+                                  else own / best)
             if ratios:
                 per_problem.append(sum(ratios) / len(ratios))
         if per_problem:
@@ -127,33 +99,20 @@ def _ratio_average(records, epsilon: float, score):
     return out
 
 
-def iteration_ratio(records, epsilon: float):
-    """Average iteration ratio per method (1 is best-possible)."""
-    return _ratio_average(records, epsilon, lambda r, eps: r.first_hit(eps))
-
-
-def time_ratio(records, epsilon: float):
-    """Average wall-time ratio per method (excluded from determinism checks)."""
-    return _ratio_average(records, epsilon, lambda r, eps: r.time_to_hit(eps))
-
-
 def profile_points(records, epsilons):
-    """Per-method profile rows over an epsilon grid."""
+    """Per-method profile rows over an epsilon grid: the fraction of a method's
+    runs that reach epsilon, and its average iteration and time ratios."""
     records = list(records)
-    methods = sorted({r.method for r in records})
+    epsilons = sorted(epsilons)
+    table = [r.hits(epsilons) for r in records]  # one row per record, one column per epsilon
     rows = []
-    for eps in sorted(epsilons):
-        try:
-            iters = iteration_ratio(records, eps)
-            times = time_ratio(records, eps)
-        except ValueError:
-            iters, times = {}, {}
-        for method in methods:
-            mine = [r for r in records if r.method == method]
-            rows.append(ProfilePoint(epsilon=eps, method=method,
-                                     rho=success_ratio(mine, eps),
-                                     rho_iter=iters.get(method),
-                                     rho_time=times.get(method)))
+    for eps, hits in zip(epsilons, zip(*table)):
+        iters = _ratio_average(records, [None if h is None else h[0] for h in hits])
+        times = _ratio_average(records, [None if h is None else h[1] for h in hits])
+        for method in sorted({r.method for r in records}):
+            mine = [h is not None for r, h in zip(records, hits) if r.method == method]
+            rows.append(ProfilePoint(eps, method, sum(mine) / len(mine),
+                                     iters.get(method), times.get(method)))
     return rows
 
 

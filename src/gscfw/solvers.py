@@ -47,12 +47,12 @@ class SolverConfig:
     keep_iterates: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if not (self.gamma_u > 1.0 > self.gamma_d > 0.0):
-            raise ValueError("need gamma_u > 1 > gamma_d > 0")
+        if not (math.inf > self.gamma_u > 1.0 > self.gamma_d > 0.0):
+            raise ValueError("need a finite gamma_u > 1 > gamma_d > 0")
         for name in ("l_init", "mu_init", "sigma_f"):
             value = getattr(self, name)
             if value is None and name != "mu_init":

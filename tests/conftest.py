@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, bracketed scalar maximization,
 the paper's reference formulas (the distance d_nu, the two-sided descent
 sandwich, the closed-form value psi(t_star) and its lower bound), the LIBSVM
-writer, and small closed-form objectives.  These stay independent of the
+writer, the per-epsilon scalar profile statistics, and small closed-form
+objectives.  These stay independent of the
 code paths they are used to check."""
 
 import functools
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from gscfw import GscSpec, Objective, SparseDataset, inner, l2_norm, omega
+from gscfw.bench import ProfilePoint
 from gscfw.gsc import nu_branch
 from gscfw.sets import VertexSet
 from gscfw.stepsize import PsiParams, psi
@@ -224,6 +226,108 @@ def psi_lower_bound(params: PsiParams) -> float:
     ratio = (dl / xi) * (4.0 - nu) / (nu - 2.0)
     return gamma_tilde(nu) / dl * min(1.0, ratio)
 
+
+
+# ---------------------------------------------------------------------------
+# Scalar profile statistics: each record is rescored for every statistic and
+# every epsilon.  bench.profile_points must give the same rows.
+# ---------------------------------------------------------------------------
+
+def reference_relative_error(f_value: float, f_star: float) -> float:
+    err = (f_value - f_star) / max(abs(f_star), 1e-12)
+    if -1e-12 <= err < 0.0:
+        return 0.0
+    return err
+
+
+def reference_first_hit(record, epsilon: float):
+    """Smallest iteration index k with relative error <= epsilon, or None."""
+    errors = [reference_relative_error(f, record.f_star_estimate)
+              for f in record.trace.f_values()]
+    for k, err in enumerate(errors):
+        if err <= epsilon:
+            return k
+    return None
+
+
+def reference_time_to_hit(record, epsilon: float):
+    k = reference_first_hit(record, epsilon)
+    if k is None:
+        return None
+    return record.trace.cumulative_seconds()[k]
+
+
+def reference_success_ratio(records, epsilon: float) -> float:
+    """Fraction of (problem, start) runs of one method reaching epsilon."""
+    records = list(records)
+    if not records:
+        raise ValueError("no records")
+    hits = sum(1 for r in records if reference_first_hit(r, epsilon) is not None)
+    return hits / len(records)
+
+
+def _reference_ratio_average(records, epsilon: float, score):
+    """Double average of score ratios against the per-instance best method."""
+    records = list(records)
+    if not records:
+        raise ValueError("no records")
+    methods = sorted({r.method for r in records})
+    problems = sorted({r.problem for r in records})
+    by_instance = {}
+    for r in records:
+        by_instance.setdefault((r.problem, r.start), {})[r.method] = score(r, epsilon)
+    if not any(v is not None for inst in by_instance.values() for v in inst.values()):
+        raise ValueError("no successful instance anywhere")
+
+    out = {}
+    for method in methods:
+        per_problem = []
+        for problem in problems:
+            ratios = []
+            for (prob, _start), scores in by_instance.items():
+                if prob != problem or scores.get(method) is None:
+                    continue
+                best = min(v for v in scores.values() if v is not None)
+                own = scores[method]
+                if best <= 0.0:
+                    ratios.append(1.0 if own <= 0.0 else max(own, 1.0))
+                else:
+                    ratios.append(own / best)
+            if ratios:
+                per_problem.append(sum(ratios) / len(ratios))
+        if per_problem:
+            out[method] = sum(per_problem) / len(per_problem)
+    return out
+
+
+def reference_iteration_ratio(records, epsilon: float):
+    """Average iteration ratio per method (1 is best-possible)."""
+    return _reference_ratio_average(records, epsilon, reference_first_hit)
+
+
+def reference_time_ratio(records, epsilon: float):
+    """Average wall-time ratio per method (excluded from determinism checks)."""
+    return _reference_ratio_average(records, epsilon, reference_time_to_hit)
+
+
+def reference_profile_points(records, epsilons):
+    """Per-method profile rows over an epsilon grid."""
+    records = list(records)
+    methods = sorted({r.method for r in records})
+    rows = []
+    for eps in sorted(epsilons):
+        try:
+            iters = reference_iteration_ratio(records, eps)
+            times = reference_time_ratio(records, eps)
+        except ValueError:
+            iters, times = {}, {}
+        for method in methods:
+            mine = [r for r in records if r.method == method]
+            rows.append(ProfilePoint(epsilon=eps, method=method,
+                                     rho=reference_success_ratio(mine, eps),
+                                     rho_iter=iters.get(method),
+                                     rho_time=times.get(method)))
+    return rows
 
 
 def libsvm_serialize(data: SparseDataset) -> str:

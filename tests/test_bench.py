@@ -5,21 +5,34 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gscfw import bench as gbench
-from gscfw import relative_error, run_experiment, success_ratio
-from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, iteration_ratio,
-                         load_records, make_start, profile_points, record_filename,
-                         run_method, time_ratio, trace_to_lines, write_record)
+from gscfw import relative_error, run_experiment
+from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, load_records,
+                         make_start, profile_points, profile_table, record_filename,
+                         run_method, trace_to_lines, write_record)
 from gscfw.solvers import IterationRecord, RunTrace, SolverConfig
+
+from conftest import reference_profile_points
 
 
 def _fake_trace(f_seq, elapsed=0.001):
+    """A capped run through f_seq; elapsed is one time for every iteration,
+    or a list of times."""
+    if not isinstance(elapsed, list):
+        elapsed = [elapsed] * (len(f_seq) - 1)
     iters = [IterationRecord(k, f, gap=1.0, alpha=0.1, step_kind="forward",
-                             elapsed_seconds=elapsed)
-             for k, f in enumerate(f_seq[:-1])]
+                             elapsed_seconds=s)
+             for k, (f, s) in enumerate(zip(f_seq[:-1], elapsed))]
     return RunTrace(iterations=iters, status="iteration-cap", final_f=f_seq[-1],
                     final_gap=0.5, x=np.zeros(1))
+
+
+def _profile(records, epsilon):
+    """The profile rows at one epsilon, by method."""
+    return {row.method: row for row in profile_points(records, [epsilon])}
 
 
 def test_relative_error():
@@ -28,18 +41,19 @@ def test_relative_error():
     assert relative_error(-1.98, -2.0) == pytest.approx(0.01)
     assert relative_error(1.0 - 1e-13, 1.0) == 0.0  # rounding clamp
     assert relative_error(1.0, 0.0) == pytest.approx(1e12)
+    errors = relative_error([5.0, 101.0, 100.0 - 1e-11, 99.0], 100.0)
+    assert errors.tolist() == [-0.95, 0.01, 0.0, -0.01]
 
 
 def test_success_ratio():
     rec_good = RunRecord("p1", "m", 0, _fake_trace([2.0, 1.0, 1.0001]), 1.0)
     rec_bad = RunRecord("p1", "m", 1, _fake_trace([2.0, 1.5, 1.4]), 1.0)
-    assert success_ratio([rec_good], 1e-3) == 1.0
-    assert success_ratio([rec_good, rec_bad], 1e-3) == 0.5
-    assert success_ratio([rec_good, rec_bad], math.inf) == 1.0
-    assert success_ratio([rec_good, rec_bad, rec_bad, rec_good.__class__(
-        "p2", "m", 0, _fake_trace([2.0, 1.0]), 1.0)], 1e-3) == 0.5
-    with pytest.raises(ValueError):
-        success_ratio([], 1e-3)
+    assert _profile([rec_good], 1e-3)["m"].rho == 1.0
+    assert _profile([rec_good, rec_bad], 1e-3)["m"].rho == 0.5
+    assert _profile([rec_good, rec_bad], math.inf)["m"].rho == 1.0
+    assert _profile([rec_good, rec_bad, rec_bad, rec_good.__class__(
+        "p2", "m", 0, _fake_trace([2.0, 1.0]), 1.0)], 1e-3)["m"].rho == 0.5
+    assert profile_points([], [1e-3]) == []
 
 
 def test_iteration_ratio_two_methods():
@@ -48,18 +62,17 @@ def test_iteration_ratio_two_methods():
     fb = [2.0] * 20 + [1.0]
     records = [RunRecord("p", "a", 0, _fake_trace(fa), 1.0),
                RunRecord("p", "b", 0, _fake_trace(fb), 1.0)]
-    ratios = iteration_ratio(records, 1e-6)
-    assert ratios["a"] == pytest.approx(1.0)
-    assert ratios["b"] == pytest.approx(2.0)
-    times = time_ratio(records, 1e-6)
-    assert times["a"] == pytest.approx(1.0)
-    assert times["b"] == pytest.approx(2.0, rel=1e-6)
+    ratios = _profile(records, 1e-6)
+    assert ratios["a"].rho_iter == pytest.approx(1.0)
+    assert ratios["b"].rho_iter == pytest.approx(2.0)
+    assert ratios["a"].rho_time == pytest.approx(1.0)
+    assert ratios["b"].rho_time == pytest.approx(2.0, rel=1e-6)
 
 
 def test_iteration_ratio_single_method_self_normalizes():
     records = [RunRecord("p", "a", 0, _fake_trace([2.0, 1.0]), 1.0),
                RunRecord("q", "a", 0, _fake_trace([3.0, 1.0, 1.0]), 1.0)]
-    assert iteration_ratio(records, 1e-9)["a"] == pytest.approx(1.0)
+    assert _profile(records, 1e-9)["a"].rho_iter == pytest.approx(1.0)
 
 
 def test_iteration_ratio_averages_over_problems():
@@ -69,18 +82,76 @@ def test_iteration_ratio_averages_over_problems():
         RunRecord("q", "a", 0, _fake_trace([2.0] * 10 + [1.0]), 1.0),
         RunRecord("q", "b", 0, _fake_trace([2.0] * 30 + [1.0]), 1.0),
     ]
-    ratios = iteration_ratio(records, 1e-9)
-    assert ratios["a"] == pytest.approx(1.0)
-    assert ratios["b"] == pytest.approx((1.0 + 3.0) / 2.0)
+    ratios = _profile(records, 1e-9)
+    assert ratios["a"].rho_iter == pytest.approx(1.0)
+    assert ratios["b"].rho_iter == pytest.approx((1.0 + 3.0) / 2.0)
 
 
 def test_iteration_ratio_unsolved_method_absent():
     records = [RunRecord("p", "a", 0, _fake_trace([2.0, 1.0]), 1.0),
                RunRecord("p", "b", 0, _fake_trace([2.0, 2.0]), 1.0)]
-    ratios = iteration_ratio(records, 1e-9)
-    assert "b" not in ratios
-    with pytest.raises(ValueError):
-        iteration_ratio([records[1]], 1e-9)
+    ratios = _profile(records, 1e-9)
+    assert ratios["b"].rho_iter is None and ratios["b"].rho_time is None
+    alone = _profile([records[1]], 1e-9)["b"]
+    assert (alone.rho, alone.rho_iter, alone.rho_time) == (0.0, None, None)
+
+
+# f* per problem (negative, zero, rounding-small and positive), and f values
+# as offsets from it in units of max(|f*|, 1): the -1e-13 offset falls in the
+# rounding clamp, which only a negative epsilon can see; 0 hits every
+# epsilon >= 0 (k = 0 when it comes first).  Three problems, four starts,
+# drawn times and runs of over 8 iterations make the order of the averages
+# and of the time sums show in their rounding.
+_F_STARS = [-2.0, -1e-13, 0.0, 1e-14, 1.0, 3.5]
+_OFFSETS = [-1e-13, 0.0, 1e-13, 1e-9, 1e-6, 1e-3, 0.5, 2.0]
+_ELAPSED = [0.0, 1e-4, 1e-3, 0.1, 0.25, 0.3]
+_EPSILONS = [-1e-13, 0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, math.inf]
+
+
+@st.composite
+def _profile_records(draw):
+    f_stars = {problem: draw(st.sampled_from(_F_STARS)) for problem in "pqr"}
+    keys = draw(st.lists(st.tuples(st.sampled_from("pqr"), st.sampled_from("abc"),
+                                   st.integers(0, 3)), max_size=16))
+    records = []
+    for problem, method, start in keys:
+        f_star = f_stars[problem]
+        offsets = draw(st.lists(st.sampled_from(_OFFSETS), min_size=1, max_size=12))
+        elapsed = draw(st.lists(st.sampled_from(_ELAPSED) | st.floats(1e-6, 1.0),
+                                min_size=len(offsets) - 1, max_size=len(offsets) - 1))
+        f_values = [f_star + off * max(abs(f_star), 1.0) for off in offsets]
+        records.append(RunRecord(problem, method, start, _fake_trace(f_values, elapsed),
+                                 f_star))
+    return records
+
+
+# ties in k and in time, f* < 0 and f* = 0, an unsolved method (c), hits at
+# k = 0 (b on q) and epsilon = inf
+_EXAMPLE = [RunRecord("p", "a", 0, _fake_trace([-1.0, -2.0]), -2.0),
+            RunRecord("p", "b", 0, _fake_trace([-1.0, -2.0 - 2e-13]), -2.0),
+            RunRecord("p", "c", 0, _fake_trace([-1.0, -1.5]), -2.0),
+            RunRecord("q", "a", 0, _fake_trace([1e-3, 1e-9, 0.0], [0.25, 0.0]), 0.0),
+            RunRecord("q", "b", 0, _fake_trace([0.0, 0.5], 1e-4), 0.0),
+            RunRecord("q", "c", 0, _fake_trace([2.0, 1.0], 1e-4), 0.0)]
+
+# iteration ratios 1.1, 1.3, 1.7 on p, 1.5 on q and 1.1 on r (f* = 0 is hit at
+# iteration k), whose means round differently when added up in another order
+_ORDER_EXAMPLE = [RunRecord(problem, method, start, _fake_trace([1.0] * k + [0.0]), 0.0)
+                  for problem, starts in (("p", (11, 13, 17)), ("q", (15,)), ("r", (11,)))
+                  for start, own in enumerate(starts)
+                  for method, k in (("a", own), ("b", 10))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=_profile_records(), epsilons=st.lists(st.sampled_from(_EPSILONS),
+                                                     min_size=1, max_size=5))
+@example(records=_EXAMPLE, epsilons=[math.inf, 1e-3, 1e-12, 0.0])
+@example(records=_ORDER_EXAMPLE, epsilons=[0.0])
+def test_profile_points_match_the_scalar_reference(records, epsilons):
+    rows = profile_points(records, epsilons)
+    reference = reference_profile_points(records, epsilons)
+    assert rows == reference
+    assert list(profile_table(rows)) == list(profile_table(reference))
 
 
 def test_profile_monotone_in_epsilon():

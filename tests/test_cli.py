@@ -59,6 +59,10 @@ def test_cli_run_and_profile(tmp_path, capsys):
     body = out_csv.read_text().splitlines()
     assert body[0] == "epsilon,method,rho,rho_iter,rho_time"
     assert len(body) == 1 + 2 * 2  # two epsilons x two methods
+    # the profile of the reloaded records, on run's default grid, is the one run wrote
+    again = tmp_path / "again.csv"
+    assert main(["profile", str(tmp_path / "rec"), "--out", str(again)]) == 0
+    assert again.read_bytes() == (tmp_path / "rec" / "profiles.csv").read_bytes()
 
 
 def test_cli_run_bad_config_exit_code(tmp_path):
@@ -122,6 +126,8 @@ def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, dama
     pytest.param({"mu_init": None}, id="mu_init-null"),
     pytest.param({"l_init": True}, id="l_init-bool"),
     pytest.param({"sigma_f": float("inf")}, id="sigma_f-infinite"),
+    pytest.param({"gamma_u": float("inf")}, id="gamma_u-infinite"),
+    pytest.param({"epsilon": float("inf")}, id="epsilon-infinite"),
 ])
 def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, setting):
     out_dir = tmp_path / "rec"

@@ -6,11 +6,10 @@ import pytest
 
 from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry,
                    ProblemInstance, SolverConfig, UnitSimplex, analytic_step, asfwgsc,
-                   away_vertex, delta_nu, fw_line_search, fw_standard, fwgsc, fwlloo,
-                   inner, lbtfwgsc, mbtfwgsc, omega, step_l, step_m)
+                   away_vertex, fw_line_search, fw_standard, fwgsc, fwlloo, inner,
+                   lbtfwgsc, mbtfwgsc, step_l, step_m)
 from gscfw.bench import run_method
 from gscfw.sets import SimplexLLOO
-from gscfw import portfolio_generator, portfolio_problem
 
 from conftest import (IntervalSet, NegLogObjective, QuadraticObjective,
                       ShiftedQuadratic)

@@ -25,11 +25,11 @@ def inner(a, b) -> float:
     For matrices this is the Frobenius inner product, which matches tr(AB)
     on symmetric pairs.
     """
-    return float(np.dot(np.ravel(a), np.ravel(b)))
+    return float(np.vdot(a, b))
 
 
 def l2_norm(a) -> float:
-    return float(np.linalg.norm(np.ravel(a)))
+    return math.sqrt(inner(a, a))
 
 
 def nu_branch(nu: float) -> int:

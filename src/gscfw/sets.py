@@ -272,13 +272,14 @@ class SimplexLLOO:
     def __init__(self, n: int):
         self.n = n
         self.rho = math.sqrt(n)
+        self._simplex = UnitSimplex(n)
 
     def query(self, x, r: float, c):
         if not r > 0:
             raise ValueError("radius must be positive")
         x = np.asarray(x, dtype=float)
         c = np.asarray(c, dtype=float)
-        if not UnitSimplex(self.n).contains(x, tol=1e-7):
+        if not self._simplex.contains(x, tol=1e-7):
             raise ValueError("query point is not on the simplex")
         if float(np.ptp(c)) == 0.0:
             return x.copy()
@@ -287,8 +288,7 @@ class SimplexLLOO:
         u = x.copy()
         moved = 0.0
         # Drain mass from the worst coordinates first (ties: lowest index).
-        order = np.lexsort((np.arange(self.n), -c))
-        for idx in order:
+        for idx in np.argsort(-c, kind="stable"):
             if idx == target:
                 continue
             take = min(u[idx], budget - moved)

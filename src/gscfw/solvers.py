@@ -41,7 +41,7 @@ class SolverConfig:
     max_iter: int = 1000
     gamma_u: float = 2.0
     gamma_d: float = 0.9
-    l_init: float | None = None  # None: curvature probe along the first direction
+    l_init: float | None = None  # None: phi''(0)/||v||^2 along the first direction
     mu_init: float = 1.0
     sigma_f: float | None = None  # None: smallest Hessian eigenvalue at x0
     keep_iterates: bool = False
@@ -259,32 +259,16 @@ def step_l(line: Line, gap: float, l_prev: float, config: SolverConfig):
     return _backtrack(line, l_prev, config, trial, "quadratic-model")
 
 
-def _probe_l_init(feasible: FeasibleSet, point: Point) -> float:
-    """|slope(h) - slope(0)| / (h beta^2) on the line toward the first vertex:
-    a finite-difference curvature probe that asks the line, not f from scratch."""
-    line = point.toward(feasible.lmo(point.gradient()))
-    beta2 = inner(line.v, line.v)
-    if beta2 == 0.0:
-        return 1.0
-    h = 1e-6
-    for _ in range(40):
-        if line.in_domain(h):
-            break
-        h *= 0.1
-    else:
-        return 1.0
-    return max(abs(line.slope(h) - line.slope(0.0)) / (h * beta2), 1e-6)
-
-
 def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> RunTrace:
     """Backtracking over the gradient's local Lipschitz modulus."""
     point, meta = _start(obj, feasible, x0, "lbtfwgsc")
-    l_prev = config.l_init if config.l_init is not None else _probe_l_init(feasible, point)
-    meta["l_init"] = l_prev
+    l_prev = meta["l_init"] = config.l_init
 
     def step(k, point, s_id, s, gap):
         nonlocal l_prev
         line = point.toward(s)
+        if l_prev is None:  # phi''(0)/||v||^2 along the first direction
+            l_prev = meta["l_init"] = max(1e-6, line.curvature() / inner(line.v, line.v))
         alpha, l_prev, backtracks = step_l(line, gap, l_prev, config)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=l_prev)

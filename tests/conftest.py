@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, bracketed scalar maximization,
 the paper's reference formulas (the distance d_nu, the two-sided descent
 sandwich, the closed-form value psi(t_star) and its lower bound), the LIBSVM
-writer, the per-epsilon scalar profile statistics, and small closed-form
+writer, the per-epsilon scalar profile statistics, the ravel-based inner
+product and norm, the sort-and-drain simplex LLOO, and small closed-form
 objectives.  These stay independent of the
 code paths they are used to check."""
 
@@ -14,7 +15,7 @@ import pytest
 from gscfw import GscSpec, Objective, SparseDataset, inner, l2_norm, omega
 from gscfw.bench import ProfilePoint
 from gscfw.gsc import nu_branch
-from gscfw.sets import VertexSet
+from gscfw.sets import UnitSimplex, VertexSet
 from gscfw.stepsize import PsiParams, psi
 
 _LN2 = math.log(2.0)
@@ -226,6 +227,46 @@ def psi_lower_bound(params: PsiParams) -> float:
     ratio = (dl / xi) * (4.0 - nu) / (nu - 2.0)
     return gamma_tilde(nu) / dl * min(1.0, ratio)
 
+
+
+# ---------------------------------------------------------------------------
+# Inner product, norm and ball-restricted simplex oracle through ravel + dot,
+# linalg.norm and lexsort: gscfw.inner, gscfw.l2_norm and SimplexLLOO.query
+# must give the same bits.
+# ---------------------------------------------------------------------------
+
+def reference_inner(a, b) -> float:
+    return float(np.dot(np.ravel(a), np.ravel(b)))
+
+
+def reference_l2_norm(a) -> float:
+    return float(np.linalg.norm(np.ravel(a)))
+
+
+def reference_lloo_query(n: int, x, r: float, c):
+    """Drains up to min(1, sqrt(n) r / 2) mass from the coordinates with the
+    largest c (ties: lowest index) into argmin c, one coordinate at a time."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(c, dtype=float)
+    assert UnitSimplex(n).contains(x, tol=1e-7)
+    if float(np.ptp(c)) == 0.0:
+        return x.copy()
+    budget = min(1.0, 0.5 * math.sqrt(n) * r)
+    target = int(np.argmin(c))
+    u = x.copy()
+    moved = 0.0
+    for idx in np.lexsort((np.arange(n), -c)):
+        if idx == target:
+            continue
+        take = min(u[idx], budget - moved)
+        if take <= 0.0:
+            continue
+        u[idx] -= take
+        moved += take
+        if moved >= budget:
+            break
+    u[target] += moved
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gscfw import (GscSpec, delta_nu, gsc_affine_constant, gsc_finite_sum_constant,
-                   gsc_sum_constant, omega, portfolio_generator, portfolio_problem)
+                   gsc_sum_constant, inner, l2_norm, omega, portfolio_generator,
+                   portfolio_problem)
 from gscfw.gsc import nu_branch
 
 from conftest import (QuadraticObjective, d_nu, descent_bounds, fd_gradient_check,
-                      fd_hess_vec_check, omega_slope_at_zero)
+                      fd_hess_vec_check, omega_slope_at_zero, reference_inner,
+                      reference_l2_norm)
+
+
+# ---------------------------------------------------------------------------
+# inner product and norm
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), size=st.integers(0, 300), square=st.booleans(),
+       transpose=st.booleans(), scale_exp=st.floats(-150.0, 150.0))
+def test_inner_and_norm_match_the_ravel_formulas_bit_for_bit(seed, size, square, transpose,
+                                                             scale_exp):
+    # vectors of any length, and p x p matrices, C-ordered or transposed views
+    rng = np.random.default_rng(seed)
+    shape = (size % 25,) * 2 if square else (size,)
+    a = rng.standard_normal(shape) * 10.0 ** scale_exp
+    b = rng.standard_normal(shape)
+    if transpose:
+        a, b = a.T, b.T
+    assert np.float64(inner(a, b)).tobytes() == np.float64(reference_inner(a, b)).tobytes()
+    assert np.float64(l2_norm(a)).tobytes() == np.float64(reference_l2_norm(a)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,8 @@ def test_products_with_the_design_per_iteration(method):
     k = len(trace.iterations)
     assert k == 40
     # B x0 once and one B^T product per gradient (k steps and the final
-    # gap); every line, lbtfwgsc's curvature probe included, runs toward an
-    # l1-ball vertex and reads its direction from one column of B
+    # gap); every line runs toward an l1-ball vertex and reads its direction
+    # from one column of B
     assert counter[0] <= 1 + (k + 1)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from gscfw import (EuclideanBall, IntervalBlock, L1Ball, Line, NonnegativeBall,
@@ -13,7 +15,7 @@ from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfo
 from gscfw.bench import make_start
 from gscfw.solvers import SolverConfig, fwgsc
 
-from conftest import NegLogObjective
+from conftest import NegLogObjective, reference_lloo_query
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,24 @@ def test_lloo_contract():
             y = rng.dirichlet(np.ones(n))
             y = x + (y - x) * min(1.0, rng.uniform() * r / max(np.linalg.norm(y - x), 1e-12))
             assert float(c @ u) <= float(c @ y) + 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12), r_exp=st.floats(-4.0, 1.0),
+       levels=st.integers(1, 4), sparse=st.booleans())
+def test_lloo_query_matches_the_sort_and_drain_reference_bit_for_bit(seed, n, r_exp, levels,
+                                                                    sparse):
+    # few distinct costs, so ties are common, and -0.0 next to 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.dirichlet(np.ones(n))
+    if sparse:
+        x[rng.random(n) < 0.5] = 0.0
+        x = x / x.sum() if x.sum() > 0.0 else UnitSimplex(n).vertex(int(rng.integers(n)))
+    c = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0])[:levels + 1], size=n)
+    r = 10.0 ** r_exp
+    lloo = SimplexLLOO(n)
+    for _ in range(2):  # the simplex built once serves every query
+        assert lloo.query(x, r, c).tobytes() == reference_lloo_query(n, x, r, c).tobytes()
 
 
 # ---------------------------------------------------------------------------

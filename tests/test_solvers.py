@@ -8,11 +8,11 @@ from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry
                    ProblemInstance, SolverConfig, UnitSimplex, analytic_step, asfwgsc,
                    away_vertex, fw_line_search, fw_standard, fwgsc, fwlloo, inner,
                    lbtfwgsc, mbtfwgsc, step_l, step_m)
-from gscfw.bench import run_method
+from gscfw.bench import build_problem, make_start, run_method
 from gscfw.sets import SimplexLLOO
 
 from conftest import (IntervalSet, NegLogObjective, QuadraticObjective,
-                      ShiftedQuadratic)
+                      ShiftedQuadratic, reference_inner)
 
 
 def _simplex_log_barrier():
@@ -274,6 +274,58 @@ def test_lbtfwgsc_estimate_bound_on_known_curvature():
     for rec in trace2.iterations:
         assert rec.estimate <= max(config2.l_init, config2.gamma_u * 100.0) + 1e-12
     assert abs(trace2.x[0] - 1.0) < 1e-6  # minimizer of -ln on [0.1, 1]
+
+
+_L_INIT_CASES = {
+    "logistic": {"name": "logistic", "p": 40, "n": 8, "seed": 3},
+    "portfolio": {"name": "portfolio", "p": 30, "n": 12, "seed": 9},
+    "dwd": {"name": "dwd", "p": 20, "d": 4, "seed": 7},
+    "covariance": {"name": "covariance", "p": 4, "seed": 11},
+}
+
+
+def _l_init_case(case):
+    if case == "neg-log":  # the generic Point and Line of the Objective base class
+        x0 = np.random.default_rng(5).dirichlet(np.ones(4))
+        return ProblemInstance(NegLogObjective(4), UnitSimplex(4), name="neg-log"), x0, None
+    inst = build_problem(_L_INIT_CASES[case])
+    return (inst, *make_start(inst, 17))
+
+
+@pytest.mark.parametrize("case", [*_L_INIT_CASES, "neg-log"])
+def test_lbtfwgsc_l_init_is_the_curvature_along_the_first_direction(case):
+    inst, x0, active = _l_init_case(case)
+    obj = inst.objective
+    trace = run_method("lbtfwgsc", inst, x0, active, SolverConfig(epsilon=1e-12, max_iter=3))
+    assert len(trace.iterations) == 3
+    x0 = np.asarray(x0, dtype=float)
+    v = np.asarray(inst.feasible_set.lmo(obj.gradient(x0)), dtype=float) - x0
+    expected = max(1e-6, reference_inner(obj.hess_vec(x0, v), v) / reference_inner(v, v))
+    assert trace.meta["l_init"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_lbtfwgsc_uses_a_given_l_init_unchanged():
+    inst, x0, active = _l_init_case("portfolio")
+    config = SolverConfig(epsilon=1e-12, max_iter=3, l_init=0.37)
+    trace = run_method("lbtfwgsc", inst, x0, active, config)
+    assert trace.meta["l_init"] == 0.37
+    first = trace.iterations[0]
+    assert first.estimate == config.gamma_d * 0.37 * config.gamma_u ** first.backtrack_count
+
+
+@pytest.mark.parametrize("case", ["portfolio", "neg-log"])
+def test_lbtfwgsc_at_max_iter_zero_leaves_l_init_unset(case):
+    inst, x0, active = _l_init_case(case)
+    trace = run_method("lbtfwgsc", inst, x0, active, SolverConfig(max_iter=0))
+    assert trace.status == "iteration-cap"
+    assert trace.meta["l_init"] is None
+
+
+def test_lbtfwgsc_from_an_optimal_start_leaves_l_init_unset():
+    trace = lbtfwgsc(ShiftedQuadratic([0.0, 1.0]), UnitSimplex(2), np.array([0.0, 1.0]),
+                     SolverConfig())
+    assert trace.status == "gap-converged" and not trace.iterations
+    assert trace.meta["l_init"] is None
 
 
 def test_step_l_exhaustion_raises():

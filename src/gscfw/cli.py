@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bench
 from .bench import ConfigError
 from .sets import OracleViolation
-from .solvers import SOLVERS, BacktrackingError, SolverConfig
+from .solvers import SOLVERS, BacktrackingError
 
 
 def _build_parser():
@@ -84,8 +84,10 @@ def _cmd_trace(args) -> int:
         spec["n"] = args.n
     if args.problem == "logistic":
         spec["nu_mode"] = args.nu_mode
+    # a one-cell grid: the settings and their exit codes are those of ``run``
+    *_, config, _ = bench._parse_config({"problems": [spec], "methods": [args.method],
+                                         "epsilon": args.epsilon, "max_iter": args.max_iter})
     instance = bench.build_problem(spec)
-    config = SolverConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     x0, active = bench.make_start(instance, args.seed)
     trace = bench.run_method(args.method, instance, x0, active, config)
     lines = bench.trace_to_lines(bench._cell_id(spec), args.method, 0, trace)

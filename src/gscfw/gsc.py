@@ -212,9 +212,9 @@ class Point:
         """phi(t) = f(x + t v)."""
         return Line(self, v)
 
-    def toward(self, s, away=False) -> "Line":
-        """The line toward vertex s, v = s - x, or away from it, v = x - s."""
-        return self.restrict(self.x - s if away else s - self.x)
+    def toward(self, s) -> "Line":
+        """The line toward s, v = s - x; a step away from s is a negative t."""
+        return self.restrict(s - self.x)
 
 
 def pull_back(t_raw: float) -> float:

@@ -296,11 +296,11 @@ class MarginPoint(Point):
     def restrict(self, v) -> "MarginLine":
         return MarginLine(self, v, self.obj.b @ v)
 
-    def toward(self, s, away=False) -> "MarginLine":
+    def toward(self, s) -> "MarginLine":
         cols = self.obj.columns
         nonzero = np.flatnonzero(s) if cols is not None else ()
         if len(nonzero) != 1:
-            return super().toward(s, away)
+            return super().toward(s)
         i = nonzero[0]
         if sp.issparse(cols):
             lo, hi = cols.indptr[i], cols.indptr[i + 1]
@@ -309,8 +309,7 @@ class MarginPoint(Point):
             rows, column = slice(None), cols[:, i]
         dz = -self.z  # B(s - x) = s_i B[:, i] - z
         dz[rows] += s[i] * column
-        v = s - self.x
-        return MarginLine(self, -v, -dz) if away else MarginLine(self, v, dz)
+        return MarginLine(self, s - self.x, dz)
 
 
 # Margins z + t dz this close to 0, relative to max |z| + |t| max |dz|, may be

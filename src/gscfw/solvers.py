@@ -18,9 +18,9 @@ from itertools import compress
 
 import numpy as np
 
-from .gsc import GscSpec, Line, LocalGeometry, Objective, Point, delta_nu, inner, l2_norm
+from .gsc import GscSpec, Line, LocalGeometry, Objective, Point, inner, l2_norm
 from .sets import FeasibleSet, VertexSet, gap as fw_gap, max_feasible_step
-from .stepsize import PsiParams, analytic_step, t_star
+from .stepsize import analytic_step, t_star  # t_star unused: perfbench/tracer.py rebinds it
 
 _STALL_LIMIT = 50  # consecutive zero steps before giving up
 _LINE_SEARCH_TOL = 1e-10  # bracket width at which the exact line search stops
@@ -49,8 +49,9 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
         if not (math.inf > self.gamma_u > 1.0 > self.gamma_d > 0.0):
             raise ValueError("need a finite gamma_u > 1 > gamma_d > 0")
         for name in ("l_init", "mu_init", "sigma_f"):
@@ -347,16 +348,13 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
             r_0 = meta["r_0"] = math.sqrt(2.0 * gap0 / sigma)
         r_k = r_0 * math.sqrt(c_k)
         f_x = point.value()
-        v = lloo.query(point.x, r_k, point.gradient()) - point.x
-        beta = l2_norm(v)
-        if beta == 0.0:
+        line = point.toward(lloo.query(point.x, r_k, point.gradient()))
+        # the merit is half the certificate, so xi = 2 e^2 / (gap0 c_k)
+        geom = LocalGeometry.from_direction(line, 0.5 * gap0 * c_k)
+        if geom.beta == 0.0:
             return point, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
                                           certificate=gap0 * c_k, radius=r_k)
-        line = point.restrict(v)
-        e2 = max(line.curvature(), 0.0)
-        params = PsiParams(delta=obj.spec.m * delta_nu(obj.spec, beta, math.sqrt(e2)),
-                           xi=2.0 * e2 / (gap0 * c_k), nu=obj.spec.nu)
-        alpha = min(1.0, t_star(params))
+        alpha = analytic_step(obj.spec, geom, cap=1.0).alpha
         rec = IterationRecord(k, f_x, gap, alpha, "forward", estimate=c_k,
                               certificate=gap0 * c_k, radius=r_k)
         c_k *= math.exp(-0.5 * alpha)
@@ -455,7 +453,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: Solve
         if not forward and active.weight(uid) >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
             meta["forced_forward_steps"] += 1
-        line = point.toward(s) if forward else point.toward(u, away=True)
+        line = point.toward(s if forward else u)  # away: a negative step toward u
         if forward:
             t_bar, kind, g_mod = 1.0, "forward", gap
         else:
@@ -466,7 +464,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: Solve
         if kind == "away" and dec.alpha >= t_bar:
             kind = "drop"
             meta["drop_steps"] += 1
-        nxt = line.at(dec.alpha)
+        nxt = line.at(dec.alpha if forward else -dec.alpha)
         if forward:
             active.forward_update(s_id, dec.alpha)
         else:

@@ -2,8 +2,8 @@
 the paper's reference formulas (the distance d_nu, the two-sided descent
 sandwich, the closed-form value psi(t_star) and its lower bound), the LIBSVM
 writer, the per-epsilon scalar profile statistics, the ravel-based inner
-product and norm, the sort-and-drain simplex LLOO, and small closed-form
-objectives.  These stay independent of the
+product and norm, the sort-and-drain simplex LLOO, the line away from a
+vertex, and small closed-form objectives.  These stay independent of the
 code paths they are used to check."""
 
 import functools
@@ -11,10 +11,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gscfw import GscSpec, Objective, SparseDataset, inner, l2_norm, omega
 from gscfw.bench import ProfilePoint
 from gscfw.gsc import nu_branch
+from gscfw.problems import MarginLine
 from gscfw.sets import UnitSimplex, VertexSet
 from gscfw.stepsize import PsiParams, psi
 
@@ -270,6 +272,29 @@ def reference_lloo_query(n: int, x, r: float, c):
 
 
 # ---------------------------------------------------------------------------
+# The line away from a vertex s, v = x - s, as a second mode of Point.toward
+# built it: margin families that store B by columns negate the one-column
+# dz = s_i B[:, i] - z, every other point restricts f to x - s.  An away step
+# is a negative step along toward(s) and must reach the same x and margins.
+# ---------------------------------------------------------------------------
+
+def reference_away_line(point, s):
+    cols = getattr(point.obj, "columns", None)
+    nonzero = np.flatnonzero(s) if cols is not None else ()
+    if len(nonzero) != 1:
+        return point.restrict(point.x - s)
+    i = nonzero[0]
+    if scipy.sparse.issparse(cols):
+        lo, hi = cols.indptr[i], cols.indptr[i + 1]
+        rows, column = cols.indices[lo:hi], cols.data[lo:hi]
+    else:
+        rows, column = slice(None), cols[:, i]
+    dz = -point.z
+    dz[rows] += s[i] * column
+    return MarginLine(point, -(s - point.x), -dz)
+
+
+# ---------------------------------------------------------------------------
 # Scalar profile statistics: each record is rescored for every statistic and
 # every epsilon.  bench.profile_points must give the same rows.
 # ---------------------------------------------------------------------------
@@ -437,6 +462,29 @@ class QuadraticObjective(Objective):
 
     def hess_vec(self, x, v):
         return self.curvature * np.asarray(v, dtype=float)
+
+    def in_domain(self, x):
+        return True
+
+
+class LinearObjective(Objective):
+    """f(x) = <c, x>: zero curvature along every direction."""
+
+    name = "linear"
+
+    def __init__(self, c, m=1.0, nu=3.0):
+        self.c = np.asarray(c, dtype=float)
+        self.dimension = self.c.size
+        self.spec = GscSpec(m, nu)
+
+    def value(self, x):
+        return float(self.c @ x)
+
+    def gradient(self, x):
+        return self.c.copy()
+
+    def hess_vec(self, x, v):
+        return np.zeros_like(self.c)
 
     def in_domain(self, x):
         return True

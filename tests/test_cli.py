@@ -24,6 +24,17 @@ def test_cli_trace_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--epsilon", "-1"), ("--epsilon", "nan"),
+                                         ("--epsilon", "inf"), ("--max-iter", "-1")])
+def test_cli_trace_bad_solver_setting_is_a_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.jsonl"
+    code = main(["trace", "--problem", "portfolio", "--method", "fwgsc", "--p", "15",
+                 "--n", "5", flag, value, "--out", str(out)])
+    assert code == 2
+    assert "config error: bad solver settings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_problem_keys(tmp_path):
     # dwd has no n: the record would be labelled dwd-n5 for a d = 30 problem
     out = tmp_path / "x.jsonl"

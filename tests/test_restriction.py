@@ -18,7 +18,7 @@ from gscfw import (SOLVERS, L1Ball, Line, Point, SolverConfig, SymmetricL1Ball, 
                    portfolio_problem, synthetic_classification)
 from gscfw.bench import build_problem, make_start, run_method
 
-from conftest import NegLogObjective
+from conftest import NegLogObjective, reference_away_line
 
 TOL = 1e-10
 BISECTION_RESOLUTION = 2.0 ** -29  # 30 halvings of [0, 1], then the 1e-7 shrink
@@ -155,6 +155,28 @@ def _vertex(family, rng, obj, x):
     return SymmetricL1Ball(p, 3.0).vertex((i, j, int(rng.choice([-1, 1]))))
 
 
+def _rounding_close(actual, expected):
+    return actual == expected or (
+        abs(actual - expected) <= 64.0 * np.finfo(float).eps * max(1.0, abs(expected)))
+
+
+def _check_away_steps(line, old, steps, interior):
+    """An away step is a negative step along ``line`` = toward(s): at -t it
+    reaches the x, the margins and f(x) the old away line ``old`` reaches at
+    t.  At the ``interior`` steps the value along the line agrees within
+    rounding and the slope flips its sign."""
+    for t in steps:
+        nxt, ref = line.at(-t), old.at(t)
+        assert np.array_equal(nxt.x, ref.x)
+        if hasattr(ref, "z"):
+            assert np.array_equal(nxt.z, ref.z)
+        assert line.in_domain(-t) == old.in_domain(t)
+        assert nxt.value() == ref.value()
+    for t in interior:
+        assert _rounding_close(line.value(-t), old.value(t))
+        assert _rounding_close(-line.slope(-t), old.slope(t))
+
+
 @pytest.mark.parametrize("family", ["logistic", "portfolio"])
 @pytest.mark.parametrize("away", [False, True])
 @settings(max_examples=40, deadline=None)
@@ -163,27 +185,32 @@ def test_vertex_line_from_one_column_matches_the_product(family, away, seed, fra
     rng = np.random.default_rng(seed)
     obj, x, _ = FAMILIES[family](rng, seed % 1000)
     s = _vertex(family, rng, obj, x)
-    line = obj.at(x).toward(s, away=away)
-    ref = obj.at(x).restrict(x - s if away else s - x)
-    assert np.array_equal(line.v, ref.v)
+    point = obj.at(x)
+    line = point.toward(s)
+    # away from s: the product line through x - s, met at negative t
+    sign = -1.0 if away else 1.0
+    ref = point.restrict(x - s if away else s - x)
+    assert np.array_equal(sign * line.v, ref.v)
     # dz = s_i B[:, i] - z against B v: a few units of rounding of |B| (|s| + |x|)
     eps = np.finfo(float).eps
     floor = np.abs(obj.b) @ (np.abs(s) + np.abs(x))
-    assert np.all(np.abs(line.dz - ref.dz) <= 4.0 * eps * floor)
+    assert np.all(np.abs(sign * line.dz - ref.dz) <= 4.0 * eps * floor)
 
-    def close(actual, expected):
-        return abs(actual - expected) <= 64.0 * eps * max(1.0, abs(expected))
-
-    assert close(line.curvature(), ref.curvature())
-    assert close(line.max_step(), ref.max_step())
-    for t in (0.0, frac * line.max_step(), line.max_step()):
-        assert close(line.value(t), ref.value(t)) and close(line.slope(t), ref.slope(t))
-        assert np.array_equal(line.at(t).x, ref.at(t).x)
+    assert _rounding_close(line.curvature(), ref.curvature())
+    if not away:
+        assert _rounding_close(line.max_step(), ref.max_step())
+    steps = (0.0, frac * ref.max_step(), ref.max_step())
+    for t in steps:
+        assert _rounding_close(line.value(sign * t), ref.value(t))
+        assert _rounding_close(sign * line.slope(sign * t), ref.slope(t))
+        assert np.array_equal(line.at(sign * t).x, ref.at(t).x)
+    if away:
+        _check_away_steps(line, reference_away_line(point, s), steps, steps)
     # in_domain agrees away from the boundary t_b, where either may round across
     t_bound = ref.max_step() / (1.0 - 1e-7)
     for t in np.linspace(0.0, 2.0, 41):
         if abs(t - t_bound) > 1e-6 * t_bound:
-            assert line.in_domain(t) == ref.in_domain(t)
+            assert line.in_domain(sign * t) == ref.in_domain(t)
 
 
 @pytest.mark.parametrize("family", ["dwd", "covariance"])
@@ -195,8 +222,19 @@ def test_vertex_line_without_column_storage_is_the_restriction(family, away):
         one_hot = np.zeros_like(x)
         one_hot.flat[int(rng.integers(x.size))] = 1.0
         for s in (_vertex(family, rng, obj, x), one_hot):
-            line = obj.at(x).toward(s, away=away)
-            ref = obj.at(x).restrict(x - s if away else s - x)
+            point = obj.at(x)
+            line = point.toward(s)
+            if away:
+                old = reference_away_line(point, s)
+                t_max = old.max_step()
+                assert np.array_equal(-line.v, old.v)
+                assert line.curvature() == old.curvature()
+                # at t_max, 1e-7 inside the boundary, the log-det value along
+                # the line amplifies the rounding of W's eigenvalues
+                _check_away_steps(line, old, (0.0, 0.5 * t_max, t_max, 2.0),
+                                  (0.0, 0.5 * t_max))
+                continue
+            ref = point.restrict(s - x)
             assert np.array_equal(line.v, ref.v)
             t_max = ref.max_step()
             assert line.max_step() == t_max and line.curvature() == ref.curvature()

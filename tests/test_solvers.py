@@ -11,7 +11,7 @@ from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry
 from gscfw.bench import build_problem, make_start, run_method
 from gscfw.sets import SimplexLLOO
 
-from conftest import (IntervalSet, NegLogObjective, QuadraticObjective,
+from conftest import (IntervalSet, LinearObjective, NegLogObjective, QuadraticObjective,
                       ShiftedQuadratic, reference_inner)
 
 
@@ -435,6 +435,18 @@ def test_fwlloo_certificate_holds(portfolio_toy):
     assert trace.final_gap <= 1e-9 or trace.status == "iteration-cap"
 
 
+@pytest.mark.parametrize("nu", [2.5, 3.0])
+def test_fwlloo_takes_the_full_step_along_a_zero_curvature_direction(nu):
+    # psi(t) = t when e = 0, so the step is the cap, as in fwgsc and asfwgsc
+    obj = LinearObjective([3.0, 1.0, 2.0, 0.5], nu=nu)
+    feasible = UnitSimplex(4)
+    trace = fwlloo(obj, feasible, SimplexLLOO(4), feasible.vertex(0),
+                   SolverConfig(epsilon=1e-9, max_iter=50, sigma_f=1.0))
+    assert trace.status == "gap-converged"
+    assert trace.iterations and all(rec.alpha == 1.0 for rec in trace.iterations)
+    assert trace.final_f == pytest.approx(0.5, abs=1e-9)
+
+
 @pytest.mark.parametrize("name, value", [
     ("l_init", 0.0), ("l_init", -2.0), ("l_init", "x"), ("l_init", math.inf),
     ("mu_init", 0.0), ("mu_init", None), ("mu_init", math.nan), ("mu_init", "x"),
@@ -443,6 +455,17 @@ def test_fwlloo_certificate_holds(portfolio_toy):
 def test_solver_config_rejects_a_bad_initial_estimate(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
         SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [3.0, 2.5, math.nan, True, False, "3", -1])
+def test_solver_config_rejects_a_max_iter_that_is_not_a_count(value):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
+        SolverConfig(max_iter=value)
+
+
+def test_solver_config_accepts_integer_max_iter_types():
+    for value in (0, 7, np.int64(7)):
+        assert SolverConfig(max_iter=value).max_iter == value
 
 
 def test_fwlloo_sigma_auto_recipe(portfolio_toy):

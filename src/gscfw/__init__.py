@@ -6,7 +6,7 @@ from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, delta_nu,
 from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
                    OracleViolation, ProductSet, SimplexLLOO, SymmetricL1Ball,
                    UnitSimplex, VertexSet, gap, max_feasible_step)
-from .stepsize import PsiParams, StepDecision, analytic_step, psi, t_star
+from .stepsize import analytic_step, psi, t_star
 from .solvers import (SOLVERS, ActiveSet, BacktrackingError, IterationRecord,
                       RunTrace, SolverConfig, asfwgsc, away_vertex, fw_line_search,
                       fw_standard, fwgsc, fwlloo, lbtfwgsc, mbtfwgsc, step_l, step_m)

@@ -10,6 +10,7 @@ reruns are bit-identical apart from wall-time fields.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -272,6 +273,24 @@ _ROW_SCHEMA = (
     ("predicted_decrease", "predicted", float, True),
     ("certificate", "certificate", float, True), ("radius", "radius", float, True),
 )
+_HEADER_TYPES = {"problem": str, "method": str, "start": int, "status": str, "final_f": float,
+                 "final_gap": float, "f_star_estimate": float, "n_iterations": int}
+# null is written only for a record field that may be None, and for an unknown f*
+_NULLABLE = {f.name for f in fields(IterationRecord) if f.default is None} | {"f_star_estimate"}
+# the field types of a row as written; a row typed otherwise goes through _typed
+_ROW_TYPES = set(itertools.product(*[(cast, type(None)) if name in _NULLABLE else (cast,)
+                                     for name, _, cast, _ in _ROW_SCHEMA]))
+
+
+def _typed(source: dict, key: str, cast, nullable: bool):
+    """``source[key]`` as the writer's cast leaves it; a missing key, null where
+    the writer never writes it, or another JSON type is a ValueError."""
+    value = source.get(key)
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real if cast is float else cast):
+        raise ValueError(f"{key} must be {cast.__name__}, got {value!r}")
+    return cast(value)
 
 
 def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
@@ -320,6 +339,8 @@ def _parse_config(config: dict):
     unknown = sorted(set(config) - set(_GRID_KEYS) - set(_SOLVER_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
+    if not isinstance(config.get("out_dir", ""), str):
+        raise ConfigError(f"out_dir must be a string, got {config['out_dir']!r}")
     try:
         solver_config = SolverConfig(**{k: _integer(config[k]) if k == "max_iter" else config[k]
                                         for k in _SOLVER_FIELDS if k in config})
@@ -471,22 +492,25 @@ def load_records(directory) -> list:
         try:
             first, *rest = path.read_text().splitlines()
             header = json.loads(first)
+            header = {key: _typed(header, key, cast, key in _NULLABLE)
+                      for key, cast in _HEADER_TYPES.items()}
             iterations = []
             for line in rest:
                 row = json.loads(line)
-                iterations.append(IterationRecord(
-                    **{name: row[key] for name, key, _, _ in _ROW_SCHEMA if key in row}))
+                values = {name: row.get(key) for name, key, _, _ in _ROW_SCHEMA}
+                if tuple(map(type, values.values())) not in _ROW_TYPES:
+                    values = {name: _typed(row, key, cast, name in _NULLABLE)
+                              for name, key, cast, _ in _ROW_SCHEMA}
+                iterations.append(IterationRecord(**values))
             if len(iterations) != header["n_iterations"]:
                 raise ValueError(f"{len(iterations)} rows, header says {header['n_iterations']}")
             trace = RunTrace(iterations=iterations, status=header["status"],
                              final_f=header["final_f"], final_gap=header["final_gap"],
                              x=np.empty(0), meta={"problem": header["problem"],
                                                   "solver": header["method"]})
-            f_star = header.get("f_star_estimate")
-            if f_star is None:
-                f_star = trace.best_f()
-            out.append(RunRecord(header["problem"], header["method"], header["start"],
-                                 trace, f_star))
+            f_star = header["f_star_estimate"]
+            out.append(RunRecord(header["problem"], header["method"], header["start"], trace,
+                                 trace.best_f() if f_star is None else f_star))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{path} is not a complete record file: {exc!r}") from exc
     return out

@@ -218,10 +218,9 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     def step(k, point, s_id, s, gap):
         line = point.toward(s)
         geom = LocalGeometry.from_direction(line, gap)
-        dec = analytic_step(obj.spec, geom, cap=1.0)
-        return line.at(dec.alpha), IterationRecord(
-            k, point.value(), gap, dec.alpha, "forward",
-            predicted_decrease=dec.predicted_decrease)
+        alpha, predicted = analytic_step(obj.spec, geom, cap=1.0)
+        return line.at(alpha), IterationRecord(
+            k, point.value(), gap, alpha, "forward", predicted_decrease=predicted)
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -285,8 +284,8 @@ def step_m(line: Line, gap: float, mu_prev: float, config: SolverConfig):
     nu = line.point.obj.spec.nu
 
     def trial(mt):
-        dec = analytic_step(GscSpec(mt, nu), geom, cap=1.0)
-        return dec.alpha, f_x - dec.predicted_decrease
+        alpha, predicted = analytic_step(GscSpec(mt, nu), geom, cap=1.0)
+        return alpha, f_x - predicted
 
     return _backtrack(line, mu_prev, config, trial, "GSC-constant")
 
@@ -354,7 +353,7 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
         if geom.beta == 0.0:
             return point, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
                                           certificate=gap0 * c_k, radius=r_k)
-        alpha = analytic_step(obj.spec, geom, cap=1.0).alpha
+        alpha, _ = analytic_step(obj.spec, geom, cap=1.0)
         rec = IterationRecord(k, f_x, gap, alpha, "forward", estimate=c_k,
                               certificate=gap0 * c_k, radius=r_k)
         c_k *= math.exp(-0.5 * alpha)
@@ -460,19 +459,19 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: Solve
             mu_u = active.weight(uid)
             t_bar, kind, g_mod = mu_u / (1.0 - mu_u), "away", away_gap
         geom = LocalGeometry.from_direction(line, g_mod)
-        dec = analytic_step(obj.spec, geom, cap=t_bar)
-        if kind == "away" and dec.alpha >= t_bar:
+        alpha, predicted = analytic_step(obj.spec, geom, cap=t_bar)
+        if kind == "away" and alpha >= t_bar:
             kind = "drop"
             meta["drop_steps"] += 1
-        nxt = line.at(dec.alpha if forward else -dec.alpha)
+        nxt = line.at(alpha if forward else -alpha)
         if forward:
-            active.forward_update(s_id, dec.alpha)
+            active.forward_update(s_id, alpha)
         else:
-            active.away_update(uid, dec.alpha)
+            active.away_update(uid, alpha)
         drift = l2_norm(active.reconstruct() - nxt.x) / (1.0 + l2_norm(nxt.x))
         meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
-        return nxt, IterationRecord(k, point.value(), g_mod, dec.alpha, kind,
-                                    predicted_decrease=dec.predicted_decrease)
+        return nxt, IterationRecord(k, point.value(), g_mod, alpha, kind,
+                                    predicted_decrease=predicted)
 
     trace = _frank_wolfe(polytope, point, config, meta, step)
     meta["active_set_size"] = len(active)

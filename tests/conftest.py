@@ -18,7 +18,7 @@ from gscfw.bench import ProfilePoint
 from gscfw.gsc import nu_branch
 from gscfw.problems import MarginLine
 from gscfw.sets import UnitSimplex, VertexSet
-from gscfw.stepsize import PsiParams, psi
+from gscfw.stepsize import psi
 
 _LN2 = math.log(2.0)
 
@@ -43,46 +43,46 @@ def golden_section_max(fn, lo, hi, iters=200):
     return 0.5 * (a + b)
 
 
-def _psi_slope(params: PsiParams, t):
+def _psi_slope(delta, xi, nu, t):
     """Branch-wise derivative of psi, derived independently of the closed-form
     maximizer (which inverts this expression analytically)."""
-    dl, xi, nu = params.delta, params.xi, params.nu
-    if dl == 0.0:
+    if delta == 0.0:
         return 1.0 - xi * t  # psi = t - xi t^2 / 2
-    if params.branch == 2:
+    branch = nu_branch(nu)
+    if branch == 2:
         try:
-            return 1.0 - (xi / dl) * math.expm1(t * dl)
+            return 1.0 - (xi / delta) * math.expm1(t * delta)
         except OverflowError:
             return -math.inf
-    if params.branch == 3:
-        return 1.0 + (xi / dl) * (1.0 - 1.0 / (1.0 - t * dl))
+    if branch == 3:
+        return 1.0 + (xi / delta) * (1.0 - 1.0 / (1.0 - t * delta))
     coef = (nu - 2.0) / (4.0 - nu)
     power = -(4.0 - nu) / (nu - 2.0)
     try:
-        grown = math.exp(power * math.log1p(-t * dl))
+        grown = math.exp(power * math.log1p(-t * delta))
     except OverflowError:
         return -math.inf
-    return 1.0 + (xi / dl) * coef * (1.0 - grown)
+    return 1.0 + (xi / delta) * coef * (1.0 - grown)
 
 
-def numeric_psi_max(params: PsiParams):
+def numeric_psi_max(delta, xi, nu):
     """Independent bracketed maximizer of psi (never uses the closed forms).
 
     Golden section localizes the peak; value comparisons bottom out at the
     sqrt(eps) noise floor, so a sign bisection on the independently coded
     derivative refines the answer to full float accuracy.
     """
-    if params.branch == 2 or params.delta == 0.0:
-        hi = 50.0 / params.xi if params.xi > 0 else 1e6
+    if nu_branch(nu) == 2 or delta == 0.0:
+        hi = 50.0 / xi if xi > 0 else 1e6
     else:
-        hi = 0.999999 / params.delta
-    rough = golden_section_max(lambda t: psi(params, t), 0.0, hi)
+        hi = 0.999999 / delta
+    rough = golden_section_max(lambda t: psi(delta, xi, nu, t), 0.0, hi)
     lo, up = 0.0, hi
-    if _psi_slope(params, up) > 0.0:
+    if _psi_slope(delta, xi, nu, up) > 0.0:
         return up
     for _ in range(200):
         mid = 0.5 * (lo + up)
-        if _psi_slope(params, mid) > 0.0:
+        if _psi_slope(delta, xi, nu, mid) > 0.0:
             lo = mid
         else:
             up = mid
@@ -158,20 +158,19 @@ def _alternating_series(u: float, ratio) -> float:
 
 
 
-def psi_at_tstar(params: PsiParams) -> float:
+def psi_at_tstar(delta, xi, nu) -> float:
     """Closed-form optimal value psi(t_star).
 
     Small delta/xi ratios cancel catastrophically in the raw closed forms;
     below a branch-scaled threshold the value is summed as a power series
     in the ratio instead.
     """
-    dl, xi = params.delta, params.xi
     if xi == 0.0:
         raise ValueError("psi is unbounded when xi = 0")
-    if dl == 0.0:
+    if delta == 0.0:
         return 1.0 / (2.0 * xi)
-    branch = params.branch
-    u = dl / xi
+    branch = nu_branch(nu)
+    u = delta / xi
     if branch == 2:
         # (1/delta) * ((1 + xi/delta) log(1 + delta/xi) - 1)
         if u < 0.5:
@@ -179,7 +178,7 @@ def psi_at_tstar(params: PsiParams) -> float:
             g = _alternating_series(u, lambda k: 0.5 if k == 0 else -k / (k + 2.0))
         else:
             g = (1.0 + 1.0 / u) * math.log1p(u) - 1.0
-        return g / dl
+        return g / delta
     if branch == 3:
         # (1/delta) * (1 - (xi/delta) log(1 + delta/xi))
         if u < 0.5:
@@ -187,8 +186,7 @@ def psi_at_tstar(params: PsiParams) -> float:
             g = _alternating_series(u, lambda k: 0.5 if k == 0 else -(k + 1.0) / (k + 2.0))
         else:
             g = 1.0 - math.log1p(u) / u
-        return g / dl
-    nu = params.nu
+        return g / delta
     big_b = (4.0 - nu) / (nu - 2.0)
     theta = 2.0 * (3.0 - nu) / (4.0 - nu)  # in (0, 1)
     x = big_b * u
@@ -199,7 +197,7 @@ def psi_at_tstar(params: PsiParams) -> float:
     else:
         # 1 - ((1+x)^theta - 1) / (theta x)
         g = 1.0 - math.expm1(theta * math.log1p(x)) / (theta * x)
-    return g / dl
+    return g / delta
 
 
 
@@ -215,19 +213,17 @@ def gamma_tilde(nu: float) -> float:
 
 
 
-def psi_lower_bound(params: PsiParams) -> float:
+def psi_lower_bound(delta, xi, nu) -> float:
     """Branch-wise lower bound on psi(t_star); tight at delta = xi."""
-    dl, xi = params.delta, params.xi
-    if not (dl > 0.0 and xi > 0.0):
+    if not (delta > 0.0 and xi > 0.0):
         raise ValueError("lower bound requires delta > 0 and xi > 0")
-    branch = params.branch
+    branch = nu_branch(nu)
     if branch == 2:
-        return (2.0 * _LN2 - 1.0) / dl * min(1.0, dl / xi)
+        return (2.0 * _LN2 - 1.0) / delta * min(1.0, delta / xi)
     if branch == 3:
-        return (1.0 - _LN2) / dl * min(1.0, dl / xi)
-    nu = params.nu
-    ratio = (dl / xi) * (4.0 - nu) / (nu - 2.0)
-    return gamma_tilde(nu) / dl * min(1.0, ratio)
+        return (1.0 - _LN2) / delta * min(1.0, delta / xi)
+    ratio = (delta / xi) * (4.0 - nu) / (nu - 2.0)
+    return gamma_tilde(nu) / delta * min(1.0, ratio)
 
 
 

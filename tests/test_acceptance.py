@@ -18,7 +18,7 @@ from gscfw import (SolverConfig, UnitSimplex, asfwgsc, fw_standard, fwgsc, fwllo
 from gscfw.bench import build_problem, make_start, relative_error
 from gscfw.problems import MarginLine
 from gscfw.sets import SimplexLLOO
-from gscfw.stepsize import PsiParams, psi, t_star
+from gscfw.stepsize import psi, t_star
 
 from conftest import (IntervalSet, NegLogObjective, ShiftedQuadratic, descent_bounds,
                       numeric_psi_max, psi_at_tstar, psi_lower_bound)
@@ -82,13 +82,12 @@ def test_criterion_1_stepsize_oracle_equivalence():
         nu = float(rng.uniform(2.0, 3.0))
         if rng.random() < 0.2:
             nu = float(rng.choice([2.0, 3.0]))
-        params = PsiParams(delta, xi, nu)
-        ts = t_star(params)
-        numeric = numeric_psi_max(params)
+        ts = t_star(delta, xi, nu)
+        numeric = numeric_psi_max(delta, xi, nu)
         assert abs(numeric - ts) <= 1e-8 * (1.0 + ts)
-        closed = psi_at_tstar(params)
-        assert abs(psi(params, ts) - closed) <= 1e-10 * abs(closed)
-        assert psi_lower_bound(params) <= closed * (1.0 + 1e-9)
+        closed = psi_at_tstar(delta, xi, nu)
+        assert abs(psi(delta, xi, nu, ts) - closed) <= 1e-10 * abs(closed)
+        assert psi_lower_bound(delta, xi, nu) <= closed * (1.0 + 1e-9)
     assert time.monotonic() - t_start < 10.0
     _ok(1, "closed-form maximizer, optimal value, and lower bound verified on "
            "10^4 random parameter triples")

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gscfw import bench as gbench
+from gscfw import solvers as gsolvers
 from gscfw import relative_error, run_experiment
 from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, load_records,
                          make_start, profile_points, profile_table, record_filename,
@@ -439,3 +442,33 @@ def test_portfolio_smoke_grid_fits_budget(tmp_path):
     records = run_experiment(config)
     assert time.monotonic() - t0 < 300.0
     assert len(records) == 12
+
+
+def test_benchmark_tracer_binds_library_names_and_restores_them(monkeypatch):
+    # the benchmark's tracer rebinds module globals and oracle methods by
+    # name, so a rename or deletion of one of them breaks every traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    owners = (gsolvers, gbench, gsolvers.ActiveSet)
+    saved = [dict(vars(owner)) for owner in owners]
+    original_step = gsolvers.analytic_step
+    patcher = tracer.Patcher()
+    try:
+        tracer.install_layers(tracer.Tracer(), patcher)
+        assert gsolvers.analytic_step.__wrapped__ is original_step
+    finally:
+        patcher.restore()
+    for owner, names in zip(owners, saved):
+        assert vars(owner).keys() == names.keys()
+        assert all(vars(owner)[name] is value for name, value in names.items())
+
+    for spec in ({"name": "logistic", "p": 20, "n": 5}, {"name": "portfolio", "p": 15, "n": 5},
+                 {"name": "dwd", "p": 10, "d": 3}, {"name": "covariance", "p": 3}):
+        spans = tracer.Tracer()
+        inst = tracer.instrument_instance(spans, build_problem(spec))
+        x0, _ = make_start(inst, start_seed=1)
+        inst.objective.value(x0)
+        inst.feasible_set.lmo(inst.objective.gradient(x0))
+        summary = spans.summary()
+        assert summary["problems.value"]["calls"] == 1, spec["name"]
+        assert summary["sets.lmo"]["calls"] == 1, spec["name"]

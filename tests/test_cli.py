@@ -108,12 +108,26 @@ def _without_status(text):
     return "\n".join([json.dumps(header)] + rest) + "\n"
 
 
+def _with_field(line_index, key, value):
+    """Damage that sets one field of one line (0 is the header) of a record
+    that carries an f* estimate, as grid records do."""
+    def damage(text):
+        lines = [json.loads(line) for line in text.splitlines()]
+        lines[0]["f_star_estimate"] = -1.0
+        lines[line_index][key] = value
+        return "".join(json.dumps(obj) + "\n" for obj in lines)
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda text: "", id="empty"),
     pytest.param(lambda text: text[:-20], id="truncated-line"),
     pytest.param(_without_status, id="header-without-status"),
     pytest.param(lambda text: "".join(text.splitlines(keepends=True)[:-3]),
                  id="rows-cut-at-line-boundary"),
+    pytest.param(_with_field(2, "elapsed", "x"), id="row-elapsed-string"),
+    pytest.param(_with_field(0, "final_f", "x"), id="header-final_f-string"),
+    pytest.param(_with_field(2, "f", None), id="row-f-null"),
 ])
 def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, damage):
     path = _record_file(tmp_path)
@@ -139,6 +153,9 @@ def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, dama
     pytest.param({"sigma_f": float("inf")}, id="sigma_f-infinite"),
     pytest.param({"gamma_u": float("inf")}, id="gamma_u-infinite"),
     pytest.param({"epsilon": float("inf")}, id="epsilon-infinite"),
+    pytest.param({"out_dir": 5}, id="out_dir-number"),
+    pytest.param({"out_dir": None}, id="out_dir-null"),
+    pytest.param({"out_dir": ["a"]}, id="out_dir-list"),
 ])
 def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, setting):
     out_dir = tmp_path / "rec"

@@ -17,9 +17,12 @@ from gscfw.bench import build_problem, make_start, run_method
 GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "golden_traces.json").read_text())
 
 # Relative tolerance absorbs last-bit differences between BLAS builds; the
-# absolute floor covers quantities that are pure rounding (active-set drift).
+# absolute floor covers quantities that are pure rounding.
 REL_TOL = 1e-12
 ABS_TOL = 1e-14
+# The active-set drift is rounding that varies between hosts, so the fixture
+# does not store it and the away-step cells bound it instead.
+DRIFT_BOUND = 1e-14
 
 
 def _assert_same(actual, expected, where):
@@ -41,7 +44,10 @@ def test_trace_matches_golden(cell):
     assert trace.status == cell["status"]
     _assert_same(trace.final_f, cell["final_f"], "final_f")
     _assert_same(trace.final_gap, cell["final_gap"], "final_gap")
-    assert set(trace.meta) == set(cell["meta"])
+    meta = dict(trace.meta)
+    if cell["method"] == "asfwgsc":
+        assert 0.0 <= meta.pop("active_set_max_drift") <= DRIFT_BOUND
+    assert set(meta) == set(cell["meta"])
     for key, expected in cell["meta"].items():
         _assert_same(trace.meta[key], expected, f"meta[{key}]")
     records = cell["records"]

@@ -144,9 +144,9 @@ def test_fwgsc_dikin_step_safety(portfolio_toy):
             break
         v = s - x
         geom = LocalGeometry.from_direction(obj.at(x).restrict(v), gp)
-        dec = analytic_step(obj.spec, geom, cap=1.0)
-        assert dec.alpha * obj.spec.m * geom.delta < 1.0
-        x = x + dec.alpha * v
+        alpha, _ = analytic_step(obj.spec, geom, cap=1.0)
+        assert alpha * obj.spec.m * geom.delta < 1.0
+        x = x + alpha * v
         assert obj.in_domain(x)
 
 
@@ -372,8 +372,8 @@ def test_step_m_smaller_constant_gives_larger_step(portfolio_toy):
     gp = fw_gap(g, x, feasible.lmo(g))
     v = feasible.lmo(g) - x
     geom = LocalGeometry.from_direction(obj.at(x).restrict(v), gp)
-    a_small = analytic_step(GscSpec(0.5, 3.0), geom, cap=1.0).alpha
-    a_big = analytic_step(GscSpec(2.0, 3.0), geom, cap=1.0).alpha
+    a_small = analytic_step(GscSpec(0.5, 3.0), geom, cap=1.0)[0]
+    a_big = analytic_step(GscSpec(2.0, 3.0), geom, cap=1.0)[0]
     assert a_small >= a_big
 
 

@@ -10,7 +10,6 @@ reruns are bit-identical apart from wall-time fields.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -273,13 +272,11 @@ _ROW_SCHEMA = (
     ("predicted_decrease", "predicted", float, True),
     ("certificate", "certificate", float, True), ("radius", "radius", float, True),
 )
+# header key -> the cast on writing and reading
 _HEADER_TYPES = {"problem": str, "method": str, "start": int, "status": str, "final_f": float,
                  "final_gap": float, "f_star_estimate": float, "n_iterations": int}
 # null is written only for a record field that may be None, and for an unknown f*
 _NULLABLE = {f.name for f in fields(IterationRecord) if f.default is None} | {"f_star_estimate"}
-# the field types of a row as written; a row typed otherwise goes through _typed
-_ROW_TYPES = set(itertools.product(*[(cast, type(None)) if name in _NULLABLE else (cast,)
-                                     for name, _, cast, _ in _ROW_SCHEMA]))
 
 
 def _typed(source: dict, key: str, cast, nullable: bool):
@@ -288,7 +285,7 @@ def _typed(source: dict, key: str, cast, nullable: bool):
     value = source.get(key)
     if value is None and nullable:
         return None
-    if isinstance(value, bool) or not isinstance(value, numbers.Real if cast is float else cast):
+    if isinstance(value, bool) or not isinstance(value, (int, float) if cast is float else cast):
         raise ValueError(f"{key} must be {cast.__name__}, got {value!r}")
     return cast(value)
 
@@ -296,14 +293,12 @@ def _typed(source: dict, key: str, cast, nullable: bool):
 def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
                    f_star_estimate=None):
     """Line-delimited record: one header object, then one object per iteration."""
-    header = {
-        "type": "header", "problem": problem, "method": method, "start": start,
-        "status": trace.status, "final_f": float(trace.final_f),
-        "final_gap": float(trace.final_gap),
-        "f_star_estimate": None if f_star_estimate is None else float(f_star_estimate),
-        "n_iterations": len(trace.iterations),
-    }
-    lines = [json.dumps(header, sort_keys=True)]
+    values = {"problem": problem, "method": method, "start": start, "status": trace.status,
+              "final_f": trace.final_f, "final_gap": trace.final_gap,
+              "f_star_estimate": f_star_estimate, "n_iterations": len(trace.iterations)}
+    header = {key: None if values[key] is None else cast(values[key])
+              for key, cast in _HEADER_TYPES.items()}
+    lines = [json.dumps({"type": "header", **header}, sort_keys=True)]
     for rec in trace.iterations:
         row = {}
         for name, key, cast, omit_none in _ROW_SCHEMA:
@@ -497,11 +492,9 @@ def load_records(directory) -> list:
             iterations = []
             for line in rest:
                 row = json.loads(line)
-                values = {name: row.get(key) for name, key, _, _ in _ROW_SCHEMA}
-                if tuple(map(type, values.values())) not in _ROW_TYPES:
-                    values = {name: _typed(row, key, cast, name in _NULLABLE)
-                              for name, key, cast, _ in _ROW_SCHEMA}
-                iterations.append(IterationRecord(**values))
+                iterations.append(IterationRecord(**{
+                    name: _typed(row, key, cast, name in _NULLABLE)
+                    for name, key, cast, _ in _ROW_SCHEMA}))
             if len(iterations) != header["n_iterations"]:
                 raise ValueError(f"{len(iterations)} rows, header says {header['n_iterations']}")
             trace = RunTrace(iterations=iterations, status=header["status"],

@@ -3,7 +3,8 @@ performance profiles.
 
 A grid run executes (problem x method x start) cells, estimates each
 problem's optimal value as the best value any method attained, writes one
-line-delimited record file per run, and a CSV profile summary.  Fixed-seed
+record file per run (a header line, then a line of per-iteration columns),
+and a CSV profile summary.  Fixed-seed
 reruns are bit-identical apart from wall-time fields.
 """
 
@@ -17,6 +18,8 @@ import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -262,51 +265,55 @@ def run_method(method: str, instance: ProblemInstance, x0, active, config: Solve
 # Record serialization
 # ---------------------------------------------------------------------------
 
-# IterationRecord field -> row key, the cast on writing, and whether the key
-# is left out (rather than written as null) when the field is None.
+RECORD_SCHEMA = 2  # the record layout's version, written in every header
+# IterationRecord field, in field order -> column key and the cast on writing
 _ROW_SCHEMA = (
-    ("k", "k", int, False), ("f_value", "f", float, False), ("gap", "gap", float, False),
-    ("alpha", "alpha", float, False), ("step_kind", "kind", str, False),
-    ("backtrack_count", "backtracks", int, False), ("estimate", "estimate", float, False),
-    ("elapsed_seconds", "elapsed", float, False),
-    ("predicted_decrease", "predicted", float, True),
-    ("certificate", "certificate", float, True), ("radius", "radius", float, True),
+    ("k", "k", int), ("f_value", "f", float), ("gap", "gap", float), ("alpha", "alpha", float),
+    ("step_kind", "kind", str), ("backtrack_count", "backtracks", int),
+    ("estimate", "estimate", float), ("elapsed_seconds", "elapsed", float),
+    ("predicted_decrease", "predicted", float), ("certificate", "certificate", float),
+    ("radius", "radius", float),
 )
 # header key -> the cast on writing and reading
-_HEADER_TYPES = {"problem": str, "method": str, "start": int, "status": str, "final_f": float,
-                 "final_gap": float, "f_star_estimate": float, "n_iterations": int}
-# null is written only for a record field that may be None, and for an unknown f*
+_HEADER_TYPES = {"schema": int, "problem": str, "method": str, "start": int, "status": str,
+                 "final_f": float, "final_gap": float, "f_star_estimate": float,
+                 "n_iterations": int}
+# null is read back only for a record field that may be None, and for an unknown f*
 _NULLABLE = {f.name for f in fields(IterationRecord) if f.default is None} | {"f_star_estimate"}
 
 
-def _typed(source: dict, key: str, cast, nullable: bool):
-    """``source[key]`` as the writer's cast leaves it; a missing key, null where
-    the writer never writes it, or another JSON type is a ValueError."""
-    value = source.get(key)
-    if value is None and nullable:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float) if cast is float else cast):
-        raise ValueError(f"{key} must be {cast.__name__}, got {value!r}")
-    return cast(value)
+def _typed(key: str, values, cast, nullable: bool, n: int) -> list:
+    """``values``, a list of ``n`` values as the writer's cast leaves them,
+    checked in one pass: another length, null for a field that is never
+    None, or another JSON type (a bool too) is a ValueError.  Ints read as
+    floats are cast."""
+    if not isinstance(values, list) or len(values) != n:
+        got = f"{len(values)}" if isinstance(values, list) else f"{values!r:.60}"
+        raise ValueError(f"{key} must be a list of {n} values, got {got}")
+    allowed = ({cast, int} if cast is float else {cast}) | ({type(None)} if nullable else set())
+    found = set(map(type, values))
+    if not found <= allowed:
+        bad = next(v for v in values if type(v) not in allowed)
+        raise ValueError(f"{key} must be {cast.__name__}, got {bad!r}")
+    if cast is float and int in found:
+        return [v if v is None else cast(v) for v in values]
+    return values
 
 
 def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
                    f_star_estimate=None):
-    """Line-delimited record: one header object, then one object per iteration."""
-    values = {"problem": problem, "method": method, "start": start, "status": trace.status,
-              "final_f": trace.final_f, "final_gap": trace.final_gap,
+    """Two-line record: the header object, then one object mapping each row
+    key to its column of ``n_iterations`` values (null where a field is None)."""
+    values = {"schema": RECORD_SCHEMA, "problem": problem, "method": method, "start": start,
+              "status": trace.status, "final_f": trace.final_f, "final_gap": trace.final_gap,
               "f_star_estimate": f_star_estimate, "n_iterations": len(trace.iterations)}
     header = {key: None if values[key] is None else cast(values[key])
               for key, cast in _HEADER_TYPES.items()}
-    lines = [json.dumps({"type": "header", **header}, sort_keys=True)]
-    for rec in trace.iterations:
-        row = {}
-        for name, key, cast, omit_none in _ROW_SCHEMA:
-            value = getattr(rec, name)
-            if value is not None or not omit_none:
-                row[key] = None if value is None else cast(value)
-        lines.append(json.dumps(row, sort_keys=True))
-    return lines
+    columns = {key: [None if v is None else cast(v)
+                     for v in map(attrgetter(name), trace.iterations)]
+               for name, key, cast in _ROW_SCHEMA}
+    return [json.dumps({"type": "header", **header}, sort_keys=True),
+            json.dumps(columns, sort_keys=True)]
 
 
 def write_record(path: Path, lines):
@@ -481,22 +488,21 @@ def write_profile_csv(path: Path, rows):
 
 def load_records(directory) -> list:
     """Read record files back into RunRecords (for the profile subcommand).
-    An empty, truncated or incomplete file is a ConfigError naming it."""
+    An empty, truncated, incomplete or other-schema file is a ConfigError naming it."""
     out = []
     for path in sorted(Path(directory).glob("*.jsonl")):
         try:
             first, *rest = path.read_text().splitlines()
             header = json.loads(first)
-            header = {key: _typed(header, key, cast, key in _NULLABLE)
+            header = {key: _typed(key, [header.get(key)], cast, key in _NULLABLE, 1)[0]
                       for key, cast in _HEADER_TYPES.items()}
-            iterations = []
-            for line in rest:
-                row = json.loads(line)
-                iterations.append(IterationRecord(**{
-                    name: _typed(row, key, cast, name in _NULLABLE)
-                    for name, key, cast, _ in _ROW_SCHEMA}))
-            if len(iterations) != header["n_iterations"]:
-                raise ValueError(f"{len(iterations)} rows, header says {header['n_iterations']}")
+            if header["schema"] != RECORD_SCHEMA or len(rest) != 1:
+                raise ValueError(f"schema {header['schema']} in {len(rest) + 1} lines, "
+                                 f"expected schema {RECORD_SCHEMA} in 2")
+            columns = json.loads(rest[0])
+            iterations = list(starmap(IterationRecord, zip(*(
+                _typed(key, columns.get(key), cast, name in _NULLABLE, header["n_iterations"])
+                for name, key, cast in _ROW_SCHEMA))))
             trace = RunTrace(iterations=iterations, status=header["status"],
                              final_f=header["final_f"], final_gap=header["final_gap"],
                              x=np.empty(0), meta={"problem": header["problem"],

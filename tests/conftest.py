@@ -1,13 +1,16 @@
 """Shared test oracles: finite differences, bracketed scalar maximization,
 the paper's reference formulas (the distance d_nu, the two-sided descent
 sandwich, the closed-form value psi(t_star) and its lower bound), the LIBSVM
-writer, the per-epsilon scalar profile statistics, the ravel-based inner
-product and norm, the sort-and-drain simplex LLOO, the line away from a
-vertex, and small closed-form objectives.  These stay independent of the
-code paths they are used to check."""
+writer, record files without their wall times, the per-epsilon scalar
+profile statistics, the ravel-based inner product and norm, the
+sort-and-drain simplex LLOO, the line away from a vertex, and small
+closed-form objectives.  These stay independent of the code paths they are
+used to check."""
 
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,6 +291,17 @@ def reference_away_line(point, s):
     dz = -point.z
     dz[rows] += s[i] * column
     return MarginLine(point, -(s - point.x), -dz)
+
+
+def records_without_times(directory):
+    """Each record file under ``directory``, by name: its header and every
+    column but ``elapsed``, the one field that differs between reruns."""
+    out = {}
+    for path in sorted(Path(directory).glob("*.jsonl")):
+        header, columns = (json.loads(line) for line in path.read_text().splitlines())
+        del columns["elapsed"]
+        out[path.name] = (header, columns)
+    return out
 
 
 # ---------------------------------------------------------------------------

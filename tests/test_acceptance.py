@@ -21,7 +21,7 @@ from gscfw.sets import SimplexLLOO
 from gscfw.stepsize import psi, t_star
 
 from conftest import (IntervalSet, NegLogObjective, ShiftedQuadratic, descent_bounds,
-                      numeric_psi_max, psi_at_tstar, psi_lower_bound)
+                      numeric_psi_max, psi_at_tstar, psi_lower_bound, records_without_times)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -379,17 +379,6 @@ def test_criterion_9_harness_integrity(tmp_path):
 
     run_experiment(dict(config, out_dir=str(tmp_path / "b")))
 
-    def stripped(directory):
-        out = {}
-        for path in sorted(Path(directory).glob("*.jsonl")):
-            rows = []
-            for line in path.read_text().splitlines():
-                row = json.loads(line)
-                row.pop("elapsed", None)
-                rows.append(row)
-            out[path.name] = rows
-        return out
-
-    assert stripped(tmp_path / "a") == stripped(tmp_path / "b")
+    assert records_without_times(tmp_path / "a") == records_without_times(tmp_path / "b")
     _ok(9, "profile invariants hold on a 3-method x 2-problem x 2-start grid "
            "and fixed-seed reruns are bit-identical modulo wall time")

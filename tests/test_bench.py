@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import multiprocessing
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, load_r
                          run_method, trace_to_lines, write_record)
 from gscfw.solvers import IterationRecord, RunTrace, SolverConfig
 
-from conftest import reference_profile_points
+from conftest import records_without_times, reference_profile_points
 
 
 def _fake_trace(f_seq, elapsed=0.001):
@@ -231,6 +232,74 @@ def test_records_round_trip_covers_every_optional_field(tmp_path):
     assert set_fields == {f.name for f in dataclasses.fields(IterationRecord)}
 
 
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                   math.inf, -math.inf, math.nan)
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_ints = st.integers() | st.integers(min_value=2**53 + 1, max_value=2**80)
+_STEP_KINDS = ("forward", "away", "drop", "zero")
+_iteration_records = st.builds(
+    IterationRecord, k=_ints, f_value=_floats, gap=_floats, alpha=_floats,
+    step_kind=st.sampled_from(_STEP_KINDS), backtrack_count=_ints,
+    estimate=st.none() | _floats, elapsed_seconds=_floats,
+    predicted_decrease=st.none() | _floats, certificate=st.none() | _floats,
+    radius=st.none() | _floats)
+# every special float, every step kind, and None and a value in each nullable field
+_SPECIAL_ITERATIONS = [
+    IterationRecord(2**53 + k + 1, f, gap=-f, alpha=f, step_kind=kind, backtrack_count=-k,
+                    estimate=None if k % 2 else f, elapsed_seconds=f,
+                    predicted_decrease=f if k % 2 else None, certificate=None if k % 2 else f,
+                    radius=f if k % 2 else None)
+    for k, (f, kind) in enumerate(zip(_SPECIAL_FLOATS, _STEP_KINDS * 2))]
+
+
+def _same(a, b):
+    """Equal and of one type; floats by their bits, and nan by isnan."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return math.isnan(a) and math.isnan(b) or struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def test_records_read_integral_numbers_in_float_fields_as_floats(tmp_path):
+    header, columns = map(json.loads, trace_to_lines("p", "m", 0, _fake_trace([3.0, 2.0, 1.0]),
+                                                     f_star_estimate=1.0))
+    header["final_f"], columns["f"], columns["radius"] = 1, [3, 2.5], [None, 4]
+    (tmp_path / "cell.jsonl").write_text(json.dumps(header) + "\n" + json.dumps(columns) + "\n")
+    (loaded,) = load_records(tmp_path)
+    got = [(rec.f_value, rec.radius) for rec in loaded.trace.iterations] + [loaded.trace.final_f]
+    assert got == [(3.0, None), (2.5, 4.0), 1.0]
+    assert [type(rec.f_value) for rec in loaded.trace.iterations] == [float, float]
+    assert type(loaded.trace.iterations[1].radius) is type(loaded.trace.final_f) is float
+
+
+@settings(max_examples=100, deadline=None)
+@given(iterations=st.lists(_iteration_records, max_size=5), texts=st.tuples(st.text(), st.text(),
+       st.text()), start=_ints, finals=st.tuples(_floats, _floats), f_star=st.none() | _floats)
+@example(iterations=_SPECIAL_ITERATIONS, texts=("portfolio", "fwgsc", "iteration-cap"),
+         start=2**60, finals=(-0.0, 5e-324), f_star=None)
+@example(iterations=[], texts=("p", "m", "gap-converged"), start=0, finals=(math.nan, math.inf),
+         f_star=-1.5)
+def test_records_round_trip_bit_for_bit(tmp_path_factory, iterations, texts, start, finals,
+                                        f_star):
+    problem, method, status = texts
+    trace = RunTrace(iterations=iterations, status=status, final_f=finals[0],
+                     final_gap=finals[1], x=np.zeros(1))
+    directory = tmp_path_factory.mktemp("rec")
+    write_record(directory / "cell.jsonl",
+                 trace_to_lines(problem, method, start, trace, f_star_estimate=f_star))
+    (loaded,) = load_records(directory)
+    assert len(loaded.trace.iterations) == len(iterations)
+    for got, want in zip(loaded.trace.iterations, iterations):
+        for field in dataclasses.fields(IterationRecord):
+            assert _same(getattr(got, field.name), getattr(want, field.name)), field.name
+    header = (problem, method, start, status, finals[0], finals[1],
+              trace.best_f() if f_star is None else f_star)
+    assert all(map(_same, (loaded.problem, loaded.method, loaded.start, loaded.trace.status,
+                           loaded.trace.final_f, loaded.trace.final_gap,
+                           loaded.f_star_estimate), header))
+
+
 _GRID = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"]}
 
 
@@ -319,26 +388,13 @@ def test_run_experiment_smoke(tmp_path):
         assert len(twin.trace.iterations) == len(rec.trace.iterations)
 
 
-def _strip_times(path):
-    rows = []
-    for line in path.read_text().splitlines():
-        row = json.loads(line)
-        row.pop("elapsed", None)
-        rows.append(row)
-    return rows
-
-
 def test_run_experiment_deterministic_modulo_time(tmp_path):
     config = _smoke_config(tmp_path / "a")
     run_experiment(config)
     config2 = dict(config, out_dir=str(tmp_path / "b"))
     run_experiment(config2)
 
-    files_a = sorted((tmp_path / "a").glob("*.jsonl"))
-    files_b = sorted((tmp_path / "b").glob("*.jsonl"))
-    assert [f.name for f in files_a] == [f.name for f in files_b]
-    for fa, fb in zip(files_a, files_b):
-        assert _strip_times(fa) == _strip_times(fb)
+    assert records_without_times(tmp_path / "a") == records_without_times(tmp_path / "b")
 
 
 def test_cell_id_is_built_from_the_cast_spec(tmp_path):
@@ -350,8 +406,7 @@ def test_cell_id_is_built_from_the_cast_spec(tmp_path):
         config = {"problems": [spec], "methods": ["fwgsc", "asfwgsc"], "n_starts": 3,
                   "epsilon": 1e-10, "max_iter": 40, "out_dir": str(tmp_path / label)}
         run_experiment(config)
-        runs[label] = {f.name: _strip_times(f)
-                       for f in sorted((tmp_path / label).glob("*.jsonl"))}
+        runs[label] = records_without_times(tmp_path / label)
     assert sorted(runs["int"]) == sorted(
         f"portfolio-n5-p15-seed3__{method}__s{start}.jsonl"
         for method in ("fwgsc", "asfwgsc") for start in range(3))
@@ -420,11 +475,8 @@ def test_run_experiment_worker_pool_matches_serial(tmp_path, monkeypatch):
     if multiprocessing.get_start_method() == "fork":
         assert len(builds()) >= 2
 
-    serial = sorted((tmp_path / "serial").glob("*.jsonl"))
-    pooled = sorted((tmp_path / "pooled").glob("*.jsonl"))
-    assert [f.name for f in serial] == [f.name for f in pooled]
-    for fa, fb in zip(serial, pooled):
-        assert _strip_times(fa) == _strip_times(fb)
+    assert (records_without_times(tmp_path / "serial")
+            == records_without_times(tmp_path / "pooled"))
 
 
 def test_portfolio_smoke_grid_fits_budget(tmp_path):

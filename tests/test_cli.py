@@ -1,4 +1,5 @@
 import json
+from operator import setitem
 
 import pytest
 
@@ -12,10 +13,10 @@ def test_cli_trace_writes_record(tmp_path):
                  "--p", "20", "--n", "6", "--max-iter", "50",
                  "--epsilon", "1e-8", "--seed", "4", "--out", str(out)])
     assert code == 0
-    lines = out.read_text().splitlines()
-    header = json.loads(lines[0])
-    assert header["method"] == "fwgsc"
-    assert header["n_iterations"] == len(lines) - 1
+    header, columns = (json.loads(line) for line in out.read_text().splitlines())
+    assert (header["method"], header["schema"]) == ("fwgsc", 2)
+    assert header["n_iterations"] > 0
+    assert {len(column) for column in columns.values()} == {header["n_iterations"]}
 
 
 def test_cli_trace_config_error_exit_code(tmp_path):
@@ -97,37 +98,50 @@ def _record_file(tmp_path):
     assert main(["trace", "--problem", "portfolio", "--method", "fwgsc", "--p", "20",
                  "--n", "6", "--seed", "2", "--max-iter", "20",
                  "--out", str(rec / "cell.jsonl")]) == 0
-    assert len((rec / "cell.jsonl").read_text().splitlines()) == 21  # header, 20 rows
+    header, columns = (json.loads(line) for line in (rec / "cell.jsonl").read_text().splitlines())
+    assert header["n_iterations"] == 20 and len(columns["k"]) == 20
     return rec / "cell.jsonl"
 
 
-def _without_status(text):
-    first, *rest = text.splitlines()
-    header = json.loads(first)
-    del header["status"]
-    return "\n".join([json.dumps(header)] + rest) + "\n"
-
-
-def _with_field(line_index, key, value):
-    """Damage that sets one field of one line (0 is the header) of a record
-    that carries an f* estimate, as grid records do."""
+def _damaged(change):
+    """Damage that calls ``change(header, columns)`` on a record given the f*
+    estimate that grid records carry, and writes both lines back."""
     def damage(text):
-        lines = [json.loads(line) for line in text.splitlines()]
-        lines[0]["f_star_estimate"] = -1.0
-        lines[line_index][key] = value
-        return "".join(json.dumps(obj) + "\n" for obj in lines)
+        header, columns = (json.loads(line) for line in text.splitlines())
+        header["f_star_estimate"] = -1.0
+        change(header, columns)
+        return json.dumps(header) + "\n" + json.dumps(columns) + "\n"
     return damage
+
+
+# a two-row fwgsc record in the one-object-per-row layout that schema 2 replaced
+_PER_ROW_RECORD = """\
+{"f_star_estimate": -1.0, "final_f": -0.9, "final_gap": 0.01, "method": "fwgsc", \
+"n_iterations": 2, "problem": "portfolio-n6-p20-seed2", "start": 0, \
+"status": "iteration-cap", "type": "header"}
+{"alpha": 0.5, "backtracks": 0, "elapsed": 0.001, "estimate": null, "f": -0.5, "gap": 0.4, \
+"k": 0, "kind": "forward", "predicted": 0.1}
+{"alpha": 0.25, "backtracks": 0, "elapsed": 0.001, "estimate": null, "f": -0.8, "gap": 0.1, \
+"k": 1, "kind": "forward", "predicted": 0.05}
+"""
 
 
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda text: "", id="empty"),
     pytest.param(lambda text: text[:-20], id="truncated-line"),
-    pytest.param(_without_status, id="header-without-status"),
-    pytest.param(lambda text: "".join(text.splitlines(keepends=True)[:-3]),
-                 id="rows-cut-at-line-boundary"),
-    pytest.param(_with_field(2, "elapsed", "x"), id="row-elapsed-string"),
-    pytest.param(_with_field(0, "final_f", "x"), id="header-final_f-string"),
-    pytest.param(_with_field(2, "f", None), id="row-f-null"),
+    pytest.param(_damaged(lambda h, c: h.pop("status")), id="header-without-status"),
+    pytest.param(_damaged(lambda h, c: c["f"].pop()), id="column-one-short"),
+    pytest.param(_damaged(lambda h, c: c["gap"].append(0.5)), id="column-one-long"),
+    pytest.param(_damaged(lambda h, c: c.pop("kind")), id="missing-column"),
+    pytest.param(_damaged(lambda h, c: setitem(c["elapsed"], 2, "x")), id="row-elapsed-string"),
+    pytest.param(_damaged(lambda h, c: setitem(h, "final_f", "x")), id="header-final_f-string"),
+    pytest.param(_damaged(lambda h, c: setitem(c["f"], 2, None)), id="row-f-null"),
+    pytest.param(_damaged(lambda h, c: setitem(c["backtracks"], 2, True)),
+                 id="row-backtracks-true"),
+    pytest.param(lambda text: text + text.splitlines()[1] + "\n", id="third-line"),
+    pytest.param(_damaged(lambda h, c: h.pop("schema")), id="header-without-schema"),
+    pytest.param(_damaged(lambda h, c: setitem(h, "schema", 1)), id="header-schema-1"),
+    pytest.param(lambda text: _PER_ROW_RECORD, id="per-row-record"),
 ])
 def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, damage):
     path = _record_file(tmp_path)

@@ -18,15 +18,18 @@ Run from the repository root, naming the fixtures to write:
     python3 scripts/make_reference_fixtures.py portfolio-reference
 
 ``golden --diff`` writes nothing: it reruns the golden cells and prints, per
-cell, whether status and length match the committed fixture and the largest
-relative difference of each field.  With no fixture named, with ``--help``
-or with an unknown name it writes nothing either.
+cell, whether status, length and steps (the step kinds and backtrack counts)
+match the committed fixture and the largest relative difference of each
+field.  It exits 1 when any cell's status, length or steps differ, so it
+gates a change that may move traces only in their floats.  With no fixture
+named, with ``--help`` or with an unknown name it writes nothing either.
 """
 
 import argparse
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 from gscfw import (IterationRecord, SolverConfig, asfwgsc, portfolio_generator,
@@ -52,6 +55,8 @@ GOLDEN_GRID = [
 ]
 GOLDEN_FIELDS = [f.name for f in dataclasses.fields(IterationRecord)
                  if f.name != "elapsed_seconds"]
+# the columns that say what a run did, beside its status and length
+GOLDEN_STEPS = ("step_kind", "backtrack_count")
 
 
 def write_portfolio_reference():
@@ -116,10 +121,13 @@ def _rel_diff(actual, expected) -> float:
     return abs(actual - expected) / max(abs(expected), 1e-300)
 
 
-def diff_golden_traces():
-    """Rerun every golden cell and compare it with the committed fixture."""
+def diff_golden_traces() -> bool:
+    """Rerun every golden cell and compare it with the committed fixture;
+    True when every cell keeps its status, length and steps."""
     committed = json.loads((FIXTURES / "golden_traces.json").read_text())["cells"]
-    print("cell                       status length  largest relative difference per field")
+    print("cell                       status length  steps  "
+          "largest relative difference per field")
+    kept = True
     for old in committed:
         new = golden_cell(old["problem"], old["method"])
         fields = {name: max((_rel_diff(a, b) for a, b in
@@ -129,10 +137,14 @@ def diff_golden_traces():
         fields.update({f"meta.{key}": _rel_diff(new["meta"].get(key), old["meta"].get(key))
                        for key in sorted(old["meta"].keys() | new["meta"].keys())})
         moved = ", ".join(f"{name} {d:.1e}" for name, d in fields.items() if d) or "identical"
-        length = len(new["records"]["k"]) == len(old["records"]["k"])
+        same = (new["status"] == old["status"],
+                len(new["records"]["k"]) == len(old["records"]["k"]),
+                all(new["records"][name] == old["records"][name] for name in GOLDEN_STEPS))
+        kept = kept and all(same)
+        status, length, steps = ("same" if s else "DIFF" for s in same)
         print(f"{old['problem']['name'] + ' ' + old['method']:<26} "
-              f"{'same' if new['status'] == old['status'] else 'DIFF':<6} "
-              f"{'same' if length else 'DIFF':<7} {moved}")
+              f"{status:<6} {length:<7} {steps:<6} {moved}")
+    return kept
 
 
 WRITERS = {"golden": write_golden_traces, "portfolio-reference": write_portfolio_reference}
@@ -150,12 +162,11 @@ def main(argv=None):
     if args.diff:
         if set(args.fixtures) != {"golden"}:
             parser.error("--diff compares the golden fixture only")
-        diff_golden_traces()
-        return
+        return 0 if diff_golden_traces() else 1
     FIXTURES.mkdir(parents=True, exist_ok=True)
     for name in dict.fromkeys(args.fixtures):
         WRITERS[name]()
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -437,9 +437,11 @@ class CovarianceObjective(Objective):
     """-log det(X) + tr(S X) over symmetric positive definite X.
 
     ``at(X)`` keeps the Cholesky factor X = L L^T and, once a gradient or a
-    line asks for it, L^{-1}.  Along a line X + tV, W = L^{-1} V L^{-T}
-    gives the curvature ||W||_F^2, and the eigenvalues lam of W give
-    f(X + tV) = f(X) - sum log(1 + t lam) + t tr(SV) and the domain boundary.
+    line asks for it, L^{-1}.  Along a line X + tV the eigenvalues lam of
+    W = L^{-1} V L^{-T} give f(X + tV) = f(X) - sum log(1 + t lam) + t tr(SV),
+    the curvature sum lam^2 and the domain boundary.  Toward a vertex s of
+    the symmetric l1 ball, W = L^{-1} s L^{-T} - I is rank two minus I, so
+    its spectrum comes in closed form from one or two columns of L^{-1}.
     """
 
     name = "covariance"
@@ -448,9 +450,11 @@ class CovarianceObjective(Objective):
         s = np.asarray(sigma_hat, dtype=float)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("expected a square matrix")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("sigma_hat must be finite")
         if float(np.max(np.abs(s - s.T))) > 1e-10 * max(1.0, float(np.max(np.abs(s)))):
             raise ValueError("sigma_hat must be symmetric")
-        self.sigma = (s + s.T) / 2.0
+        self.sigma = 0.5 * s + 0.5 * s.T  # (s + s^T)/2 would overflow near the largest float
         self.p = s.shape[0]
         self.dimension = self.p * self.p
         self.spec = GscSpec(2.0, 3.0)
@@ -458,14 +462,15 @@ class CovarianceObjective(Objective):
     def _factor(self, x):
         """Lower Cholesky factor of sym(x), or None outside the domain."""
         x = np.asarray(x, dtype=float)
-        scale = float(np.max(np.abs(x)))
-        # raw potrf reports success on a NaN or infinite diagonal
-        if not math.isfinite(scale):
-            return None
-        if float(np.max(np.abs(x - x.T))) > 1e-8 * max(1.0, scale):
-            return None
-        low, info = dpotrf((x + x.T) / 2.0, lower=1, clean=1, overwrite_a=1)
-        return low if info == 0 else None
+        if not (x == x.T).all():  # an exactly symmetric x is sym(x); NaN is not
+            scale = float(np.max(np.abs(x)))
+            if not math.isfinite(scale) or float(np.max(np.abs(x - x.T))) > 1e-8 * max(1.0, scale):
+                return None
+            x = 0.5 * x + 0.5 * x.T  # (x + x^T)/2 overflows near the largest float
+        low, info = dpotrf(x, lower=1, clean=1)
+        # raw potrf reports success on a NaN or infinite diagonal, and a
+        # non-finite entry of x reaches the diagonal of its factor
+        return low if info == 0 and math.isfinite(float(low.trace())) else None
 
     def at(self, x) -> "LogdetPoint":
         return LogdetPoint(self, x)
@@ -520,7 +525,28 @@ class LogdetPoint(Point):
         return self._g
 
     def restrict(self, v) -> "LogdetLine":
-        return LogdetLine(self, v)
+        inv = self.inverse_factor()
+        w = inv @ v @ inv.T
+        return LogdetLine(self, v, np.linalg.eigvalsh((w + w.T) / 2.0).tolist(), 0)
+
+    def toward(self, s) -> "LogdetLine":
+        # a symmetric l1-ball vertex: a at (i, i), or b at (i, j) and (j, i)
+        p, nonzero = self.obj.p, np.flatnonzero(s)
+        if not 0 < len(nonzero) <= 2:
+            return super().toward(s)
+        (i, j), (k, m) = divmod(int(nonzero[0]), p), divmod(int(nonzero[-1]), p)
+        if (i, j) != (m, k) or s[i, j] != s[j, i]:
+            return super().toward(s)
+        # with c_i = L^{-1} e_i, L^{-1} s L^{-T} is a c_i c_i^T or
+        # b (c_i c_j^T + c_j c_i^T), and L^{-1} X L^{-T} = I
+        inv, b = self.inverse_factor(), float(s[i, j])
+        ci, cj = inv[:, i], inv[:, j]
+        if i == j:
+            lam = [b * float(ci @ ci) - 1.0]
+        else:
+            cross, norms = float(ci @ cj), math.sqrt(float(ci @ ci) * float(cj @ cj))
+            lam = [b * (cross - norms) - 1.0, b * (cross + norms) - 1.0]
+        return LogdetLine(self, s - self.x, lam, p - len(lam))
 
 
 # Below this distance of 1 + t lam_min from 0, rounding can decide whether X + tV
@@ -529,42 +555,42 @@ _LOGDET_EDGE = 1e-6
 
 
 class LogdetLine(Line):
-    """f along X + tV through the eigenvalues of W = L^{-1} V L^{-T}."""
+    """f along X + tV from the spectrum of W = L^{-1} V L^{-T}: the
+    eigenvalues ``lam`` other than -1 and the multiplicity ``ones`` of -1.
+    A line toward a vertex has one or two of them in ``lam`` and the rest
+    -1; any other direction lists all of W's eigenvalues with ``ones`` = 0.
+    Each question is then a sum over ``lam`` plus ``ones`` equal terms.
+    """
 
-    __slots__ = ("w", "trace_sv", "_lam")
+    __slots__ = ("lam", "ones", "trace_sv", "_low", "_high")
 
-    def __init__(self, point: LogdetPoint, v):
+    def __init__(self, point: LogdetPoint, v, lam, ones):
         super().__init__(point, v)
-        inv = point.inverse_factor()
-        w = inv @ v @ inv.T
-        self.w = (w + w.T) / 2.0
+        self.lam, self.ones = lam, ones
         self.trace_sv = inner(point.obj.sigma, v)
-        self._lam = None
-
-    def _eig(self):
-        if self._lam is None:
-            self._lam = np.linalg.eigvalsh(self.w)
-        return self._lam
+        spectrum = lam + [-1.0] if ones else lam
+        self._low, self._high = min(spectrum), max(spectrum)
 
     def _edge(self, t) -> float:
         """min_i 1 + t lam_i; X + tV is positive definite iff it is > 0."""
-        lam = self._eig()  # ascending
-        return 1.0 + t * float(lam[0] if t >= 0.0 else lam[-1])
+        return 1.0 + t * (self._low if t >= 0.0 else self._high)
 
     def value(self, t) -> float:
         if self._edge(t) <= 0.0:
             return math.inf
-        return (self.point.value() - float(np.sum(np.log1p(t * self._eig())))
-                + t * self.trace_sv)
+        logs = sum(math.log1p(t * lam) for lam in self.lam)
+        if self.ones:
+            logs += self.ones * math.log1p(-t)
+        return self.point.value() - logs + t * self.trace_sv
 
     def slope(self, t) -> float:
         if self._edge(t) <= 0.0:
             raise ValueError("slope undefined outside the domain")
-        lam = self._eig()
-        return self.trace_sv - float(np.sum(lam / (1.0 + t * lam)))
+        out = self.trace_sv - sum(lam / (1.0 + t * lam) for lam in self.lam)
+        return out + self.ones / (1.0 - t) if self.ones else out
 
     def curvature(self) -> float:
-        return float(np.sum(self.w * self.w))
+        return sum(lam * lam for lam in self.lam) + self.ones
 
     def in_domain(self, t) -> bool:
         edge = self._edge(t)
@@ -572,10 +598,9 @@ class LogdetLine(Line):
 
     def max_step(self) -> float:
         # X + tV > 0 iff t * lam_max(-W) < 1
-        lam_min = float(self._eig()[0])
-        if lam_min >= 0.0:
+        if self._low >= 0.0:
             return 1.0
-        return pull_back(1.0 / -lam_min)
+        return pull_back(1.0 / -self._low)
 
 
 def covariance_problem(sigma_hat, radius: float | None = None) -> ProblemInstance:

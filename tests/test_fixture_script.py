@@ -1,7 +1,9 @@
 """The fixture script writes only the fixtures it is asked for by name, and
-nothing when it only compares."""
+nothing when it only compares; its comparison fails a run whose traces
+differ in more than their floats."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -50,4 +52,48 @@ def test_golden_diff_reports_every_cell_and_writes_nothing():
     rows = out.stdout.splitlines()[1:]
     assert len(rows) == len(cells)
     for row, cell in zip(rows, cells):
-        assert row.split()[:4] == [cell["problem"]["name"], cell["method"], "same", "same"]
+        assert row.split()[:5] == [cell["problem"]["name"], cell["method"], "same", "same",
+                                   "same"]
+
+
+def _first(name, change):
+    """Apply ``change`` to the first value of record column ``name``."""
+    def doctor(cell):
+        column = cell["records"][name]
+        column[0] = change(column[0])
+    return doctor
+
+
+# each change, and the column of the report that flags it (None: none does)
+DOCTORED = {
+    "unchanged": (lambda cell: None, None),
+    "status": (lambda cell: cell.update(status="stalled"), "status"),
+    "length": (lambda cell: [column.pop() for column in cell["records"].values()], "length"),
+    "step_kind": (_first("step_kind", lambda kind: "away"), "steps"),
+    "backtrack_count": (_first("backtrack_count", lambda count: count + 1), "steps"),
+    # floats may move: the comparison reports them and passes
+    "f_value": (_first("f_value", lambda f: f * (1.0 + 1e-9)), None),
+}
+
+
+@pytest.mark.parametrize("change", sorted(DOCTORED))
+def test_golden_diff_fails_on_changed_behaviour(change, tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_reference_fixtures", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fixture = json.loads(FIXTURES[0].read_text())
+    cell = next(c for c in fixture["cells"]
+                if c["problem"]["name"] == "covariance" and c["method"] == "mbtfwgsc")
+    doctor, flagged = DOCTORED[change]
+    doctor(cell)
+    fixture["cells"] = [cell]
+    (tmp_path / "golden_traces.json").write_text(json.dumps(fixture))
+    monkeypatch.setattr(script, "FIXTURES", tmp_path)
+    assert script.main(["golden", "--diff"]) == (0 if flagged is None else 1)
+    header, row = (line.split() for line in capsys.readouterr().out.splitlines())
+    report = dict(zip(header[1:4], row[2:5]))
+    assert list(report) == ["status", "length", "steps"]
+    if flagged is None:
+        assert set(report.values()) == {"same"}
+    else:
+        assert report[flagged] == "DIFF"

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.special import expit
 from hypothesis import given, settings
@@ -443,6 +444,68 @@ def test_covariance_sandwich():
 def test_covariance_rejects_asymmetric_target():
     with pytest.raises(ValueError):
         covariance_problem(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_covariance_rejects_non_finite_target(bad, where):
+    # NaN passes a tolerance test for symmetry, and then f(I) is NaN
+    sigma = np.eye(2)
+    sigma[where] = sigma[where[::-1]] = bad
+    with pytest.raises(ValueError, match="sigma_hat"):
+        covariance_problem(sigma)
+    with pytest.raises(ValueError, match="sigma_hat"):
+        covariance_problem(np.array([[bad]]))
+
+
+def test_covariance_near_the_largest_float_is_finite():
+    # (X + X^T)/2 overflows there: f was -inf at [[1e308]] and NaN below,
+    # and a target [[1e308]] became [[inf]]
+    assert covariance_problem(np.array([[1e308]])).objective.value(np.eye(1)) == 1e308
+    obj = covariance_problem(np.array([[1.0]])).objective
+    x = np.array([[1e308]])
+    assert obj.in_domain(x)
+    assert obj.value(x) == 1e308 - math.log(1e308)
+    assert np.all(np.isfinite(obj.gradient(x)))
+    # within the symmetry tolerance but not exactly symmetric
+    obj = covariance_problem(np.diag([1.0, 0.5])).objective
+    x = np.array([[1e308, 1e-300], [0.0, 1e308]])
+    assert obj.in_domain(x)
+    value = obj.value(x)
+    assert math.isfinite(value) and value == pytest.approx(1.5e308, rel=1e-12)
+    assert np.all(np.isfinite(obj.gradient(x)))
+
+
+def _tolerance_factor(x):
+    """The Cholesky factor of sym(x) by the tolerance test alone, as
+    ``CovarianceObjective._factor`` decided before its exact-symmetry test."""
+    scale = float(np.max(np.abs(x)))
+    if not math.isfinite(scale) or float(np.max(np.abs(x - x.T))) > 1e-8 * max(1.0, scale):
+        return None
+    low, info = scipy.linalg.lapack.dpotrf((x + x.T) / 2.0, lower=1, clean=1)
+    return low if info == 0 else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**31 - 1),
+       skew=st.sampled_from([0.0, 1e-13, 1e-9, 1e-7]), shift=st.floats(-1.0, 1.0),
+       bad=st.sampled_from([None, math.nan, math.inf, -math.inf]),
+       symmetric_bad=st.booleans())
+def test_covariance_factor_decides_as_the_tolerance_test(p, seed, skew, shift, bad,
+                                                         symmetric_bad):
+    # the exact-symmetry shortcut changes no decision and no factor
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, p))
+    x = a @ a.T / p + shift * np.eye(p) + skew * rng.standard_normal((p, p))
+    if bad is not None:
+        i, j = (int(k) for k in rng.integers(p, size=2))
+        x[i, j] = bad
+        if symmetric_bad:
+            x[j, i] = bad
+    obj = covariance_problem(np.eye(p)).objective
+    low, ref = obj._factor(x), _tolerance_factor(x)
+    assert (low is None) == (ref is None)
+    assert low is None or np.array_equal(low, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,39 @@ def test_vertex_line_from_one_column_matches_the_product(family, away, seed, fra
             assert line.in_domain(sign * t) == ref.in_domain(t)
 
 
+def _assert_spectrum_close(line, ref, sign, steps):
+    """The log-det line ``line`` against the dense line ``ref`` through the
+    same point along sign * line.v, at ``line``'s sign * t for t in ``steps``.
+    Each eigenvalue of W carries rounding of about n eps ||W||, from eigvalsh
+    and from the product L^{-1} V L^{-T} that the closed form skips; value,
+    slope, curvature and max_step scale it by their derivatives in lam, and
+    add rounding of their own."""
+    eps = np.finfo(float).eps
+    lam = np.asarray(ref.lam)
+    delta = 8.0 * lam.size * eps * max(1.0, float(np.max(np.abs(lam))))
+
+    def close(actual, expected, bound):
+        assert abs(actual - expected) <= bound + 64.0 * eps * max(1.0, abs(expected)), \
+            (actual, expected)
+
+    close(line.curvature(), ref.curvature(), 2.0 * float(np.sum(np.abs(lam))) * delta)
+    if sign > 0.0:
+        close(line.max_step(), ref.max_step(), ref.max_step() ** 2 * delta)
+    for t in steps:
+        edge = float(np.min(1.0 + t * lam))
+        if edge <= 0.0:
+            assert line.value(sign * t) == ref.value(t) == math.inf
+            continue
+        close(line.value(sign * t), ref.value(t), lam.size * abs(t) * delta / edge)
+        close(sign * line.slope(sign * t), ref.slope(t), lam.size * delta / edge ** 2)
+
+
 @pytest.mark.parametrize("family", ["dwd", "covariance"])
 @pytest.mark.parametrize("away", [False, True])
 def test_vertex_line_without_column_storage_is_the_restriction(family, away):
+    # a log-det line toward a vertex takes W's spectrum in closed form: its
+    # scalars agree with the dense line's within rounding, its points exactly
+    spectral = family == "covariance"
     rng = np.random.default_rng(7)
     for seed in range(5):
         obj, x, _ = FAMILIES[family](rng, seed)
@@ -228,22 +258,100 @@ def test_vertex_line_without_column_storage_is_the_restriction(family, away):
                 old = reference_away_line(point, s)
                 t_max = old.max_step()
                 assert np.array_equal(-line.v, old.v)
+                steps = (0.0, 0.5 * t_max, t_max, 2.0)
+                if spectral:
+                    _assert_spectrum_close(line, old, -1.0, steps)
+                    _check_away_steps(line, old, steps, ())
+                    continue
                 assert line.curvature() == old.curvature()
                 # at t_max, 1e-7 inside the boundary, the log-det value along
                 # the line amplifies the rounding of W's eigenvalues
-                _check_away_steps(line, old, (0.0, 0.5 * t_max, t_max, 2.0),
-                                  (0.0, 0.5 * t_max))
+                _check_away_steps(line, old, steps, (0.0, 0.5 * t_max))
                 continue
             ref = point.restrict(s - x)
             assert np.array_equal(line.v, ref.v)
             t_max = ref.max_step()
-            assert line.max_step() == t_max and line.curvature() == ref.curvature()
-            for t in (0.0, 0.5 * t_max, t_max, 2.0):
+            steps = (0.0, 0.5 * t_max, t_max, 2.0)
+            if spectral:
+                _assert_spectrum_close(line, ref, 1.0, steps)
+            else:
+                assert line.max_step() == t_max and line.curvature() == ref.curvature()
+            for t in steps:
                 assert line.in_domain(t) == ref.in_domain(t)
-                assert line.value(t) == ref.value(t)
-                if ref.in_domain(t):
-                    assert line.slope(t) == ref.slope(t)
+                if not spectral:
+                    assert line.value(t) == ref.value(t)
+                    if ref.in_domain(t):
+                        assert line.slope(t) == ref.slope(t)
                 assert np.array_equal(line.at(t).x, ref.at(t).x)
+
+
+def _covariance_vertex(data, p):
+    """A covariance objective with a well-conditioned point x and a vertex of
+    its l1 ball: diagonal or off-diagonal, of either sign."""
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    obj = covariance_problem(covariance_generator(p, seed=seed % 1000)).objective
+    a = rng.standard_normal((p, p))
+    x = a @ a.T / p + rng.uniform(0.05, 1.0) * np.eye(p)
+    i = data.draw(st.integers(0, p - 1))
+    j = i if p == 1 or data.draw(st.booleans()) else data.draw(
+        st.integers(0, p - 1).filter(lambda k: k != i))
+    vid = (min(i, j), max(i, j), data.draw(st.sampled_from([-1, 1])))
+    return obj, x, SymmetricL1Ball(p, data.draw(st.floats(0.1, 10.0))).vertex(vid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 8), frac=st.floats(0.0, 1.0), data=st.data())
+def test_vertex_line_spectrum_matches_the_dense_line(p, frac, data):
+    obj, x, s = _covariance_vertex(data, p)
+    point = obj.at(x)
+    line, ref = point.toward(s), point.restrict(s - x)
+    assert line.ones == p - len(line.lam) and len(line.lam) == np.count_nonzero(s)
+    assert np.array_equal(line.v, ref.v)
+    lam = np.asarray(ref.lam)
+    # forward (sign +1) and away (sign -1), up to the boundary at 1 + t lam = 0
+    for sign in (1.0, -1.0):
+        shrinking = sign * lam < 0.0
+        reach = float(np.min(1.0 / -(sign * lam[shrinking]))) if shrinking.any() else math.inf
+        edge_step = min(1.0, reach) * (1.0 - 1e-7)
+        steps = (0.0, frac * edge_step, edge_step, 2.0)
+        _assert_spectrum_close(line, point.restrict(sign * (s - x)), sign, steps)
+        for t in steps:
+            assert np.array_equal(line.at(sign * t).x, ref.at(sign * t).x)
+        # in_domain agrees away from the boundary, where either may round across
+        for t in np.linspace(0.0, 2.0, 41):
+            if abs(t - reach) > 1e-6 * reach:
+                assert line.in_domain(sign * t) == ref.in_domain(sign * t)
+
+
+def test_vertex_line_asks_no_eigensolver(monkeypatch):
+    p = 6
+    obj = covariance_problem(covariance_generator(p, seed=3)).objective
+    ball = SymmetricL1Ball(p, 3.0)
+    point = obj.at(covariance_generator(p, seed=4) + np.eye(p))
+    point.gradient()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for vid in ((0, 0, 1), (5, 5, -1), (1, 4, 1), (0, 5, -1)):
+        line = point.toward(ball.vertex(vid))
+        assert line.ones == p - (1 if vid[0] == vid[1] else 2)
+        t = 0.5 * line.max_step()
+        line.value(t), line.slope(t), line.curvature(), line.in_domain(t), line.at(t).value()
+        line.value(-t), line.slope(-t), line.in_domain(-2.0)
+    # anything that is not a single diagonal entry or an equal symmetric pair
+    # is a general direction: its line comes from eigvalsh(W)
+    zero, lone = np.zeros((p, p)), np.zeros((p, p))
+    lone[1, 3] = 1.0
+    unequal, two_diagonal, three = lone.copy(), np.zeros((p, p)), ball.vertex((1, 3, 1))
+    unequal[3, 1] = 0.5
+    two_diagonal[0, 0] = two_diagonal[2, 2] = 1.0
+    three[2, 2] = 1.0
+    for s in (zero, lone, unequal, two_diagonal, three):
+        with pytest.raises(AssertionError, match="eigvalsh"):
+            point.toward(s)
 
 
 def test_covariance_rejects_non_finite_and_asymmetric_points():

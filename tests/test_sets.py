@@ -89,6 +89,34 @@ def test_sym_l1_lmo():
         SymmetricL1Ball(2, 1.0).lmo(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**31 - 1),
+       skew=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9]),
+       bad=st.sampled_from([None, np.nan, np.inf]), symmetric_bad=st.booleans())
+def test_sym_l1_lmo_decides_as_the_tolerance_test(p, seed, skew, bad, symmetric_bad):
+    # the exact-symmetry shortcut and the scale read from the chosen entry
+    # change no decision: reject beyond 1e-10 max(1, max |c|), else the vertex
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((p, p))
+    c = (raw + raw.T) / 2.0 + skew * rng.standard_normal((p, p))
+    if bad is not None:
+        i, j = (int(k) for k in rng.integers(p, size=2))
+        c[i, j] = bad
+        if symmetric_bad:
+            c[j, i] = bad
+    ball = SymmetricL1Ball(p, 2.0)
+    with np.errstate(invalid="ignore"):  # inf - inf where c is not symmetric
+        rejects = float(np.max(np.abs(c - c.T))) > 1e-10 * max(1.0, float(np.max(np.abs(c))))
+        if rejects:
+            with pytest.raises(ValueError, match="not symmetric"):
+                ball.lmo_indexed(c)
+            return
+        vid, s = ball.lmo_indexed(c)
+    i, j = divmod(int(np.argmax(np.abs(c))), p)
+    assert vid == (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
+    assert np.array_equal(s, ball.vertex(vid))
+
+
 def test_sym_l1_lmo_against_vertex_enumeration():
     # brute force over all signed entry vertices at p = 4
     rng = np.random.default_rng(1)

@@ -5,7 +5,7 @@
   (500,000 vs the 50,000 cap used in acceptance) pushed to a 1e-13 gap.
 * ``golden_traces.json``: seeded cells over the four problem families and
   every solver that applies to each, run at a gap no cell reaches before its
-  cap (or its stall, or its linear-rate convergence).  Every iteration record
+  cap (or its linear-rate convergence).  Every iteration record
   except its wall time is stored, with the status, final value, final gap and
   run metadata (all but the active-set drift, which is pure rounding and
   varies between hosts); ``tests/test_golden_traces.py`` replays the cells

@@ -206,10 +206,12 @@ class PowerLoss(MarginKernel):
         self.m = (q + 2.0) / (q * (q + 1.0)) ** (1.0 / (q + 2.0))
 
     def phi(self, z):
-        return z ** -self.q
+        with np.errstate(over="ignore"):  # +inf at small margins is f's value there
+            return z ** -self.q
 
     def d1(self, z):
-        return -self.q * z ** (-self.q - 1.0)
+        with np.errstate(over="ignore"):  # a non-finite gradient, not a warning
+            return -self.q * z ** (-self.q - 1.0)
 
     def d2(self, z, u):
         q = self.q

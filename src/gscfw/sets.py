@@ -147,9 +147,10 @@ class SymmetricL1Ball(VertexSet):
             raise ValueError(f"expected a square {self.p} x {self.p} matrix")
         mag = np.abs(c)
         i, j = divmod(int(np.argmax(mag)), self.p)  # mag[i, j] is max |c|, NaN included
-        if not (c == c.T).all() and (float(np.max(np.abs(c - c.T)))
-                                     > 1e-10 * max(1.0, float(mag[i, j]))):
-            raise ValueError("gradient matrix is not symmetric")
+        if not (c == c.T).all():
+            with np.errstate(invalid="ignore"):  # inf - inf in c - c.T: NaN, never a rejection
+                if float(np.max(np.abs(c - c.T))) > 1e-10 * max(1.0, float(mag[i, j])):
+                    raise ValueError("gradient matrix is not symmetric")
         vid = (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
         return vid, self.vertex(vid)
 

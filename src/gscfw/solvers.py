@@ -22,7 +22,6 @@ from .gsc import GscSpec, Line, LocalGeometry, Objective, Point, inner, l2_norm
 from .sets import FeasibleSet, VertexSet, gap as fw_gap, max_feasible_step
 from .stepsize import analytic_step, t_star  # t_star unused: perfbench/tracer.py rebinds it
 
-_STALL_LIMIT = 50  # consecutive zero steps before giving up
 _LINE_SEARCH_TOL = 1e-10  # bracket width at which the exact line search stops
 _BACKTRACK_LIMIT = 100  # doublings; beyond this the model is being misused
 # Trial estimates shrink by gamma_d after every accepted step; without a floor
@@ -81,7 +80,7 @@ class IterationRecord:
 @dataclass
 class RunTrace:
     iterations: list
-    status: str  # gap-converged | iteration-cap | stalled
+    status: str  # gap-converged | iteration-cap
     final_f: float
     final_gap: float
     x: np.ndarray
@@ -105,13 +104,15 @@ class RunTrace:
 
 def _start(obj: Objective, feasible: FeasibleSet, x0, solver: str):
     """The evaluation cache at a validated float copy of the start, and the
-    run's metadata."""
+    run's metadata.  f is +inf outside dom f, so one finite f(x0) admits the
+    start; a start outside dom f, or one where f overflows, is a ValueError."""
     x = np.array(x0, dtype=float)
     if not feasible.contains(x, tol=1e-7):
         raise ValueError("initial point is not feasible")
-    if not obj.in_domain(x):
-        raise ValueError("initial point is outside the domain")
-    return obj.at(x), {"solver": solver, "problem": getattr(obj, "name", "objective")}
+    point = obj.at(x)
+    if not math.isfinite(point.value()):
+        raise ValueError(f"initial point has f = {point.value()}: outside dom f or overflowing")
+    return point, {"solver": solver, "problem": obj.name}
 
 
 def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta: dict,
@@ -123,15 +124,15 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
     carries the solver's own state; ``s_id`` is the vertex id on polytopes
     and None elsewhere.  A step moves along the restriction of f to its
     direction, so the new point comes from ``Line.at`` with whatever the
-    line already knows there (margins, f).  The gap test runs before the cap
-    test, so the final gap is always the one measured at the final iterate,
-    and a record's wall time spans its whole iteration, step bookkeeping
-    included.
+    line already knows there (margins, f).  The run ends at the gap test or
+    at the cap, and the gap test runs first, so the final gap is the one at
+    the final iterate.  A zero step is one more iteration, and a record's
+    wall time spans its whole iteration, step bookkeeping included.
     """
     indexed = isinstance(feasible, VertexSet)
     records = []
     iterates = [point.x.copy()] if config.keep_iterates else None
-    status, zero_streak = "iteration-cap", 0
+    status = "iteration-cap"
     for k in range(config.max_iter + 1):
         t0 = time.perf_counter()
         g = point.gradient()
@@ -140,9 +141,6 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
         if gp <= config.epsilon:
             status = "gap-converged"
             break
-        if zero_streak >= _STALL_LIMIT:
-            status = "stalled"
-            break
         if k == config.max_iter:
             break
         point, rec = step(k, point, s_id, s, gp)
@@ -150,7 +148,6 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
         records.append(rec)
         if iterates is not None:
             iterates.append(np.array(point.x, copy=True))
-        zero_streak = zero_streak + 1 if rec.step_kind == "zero" else 0
     return RunTrace(iterations=records, status=status, final_f=point.value(), final_gap=gp,
                     x=point.x, meta=meta, iterates=iterates)
 

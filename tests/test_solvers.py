@@ -54,18 +54,32 @@ def test_fw_standard_immediate_exit():
     assert trace.final_gap <= 1e-6
 
 
-def test_fw_standard_stalls_rather_than_looping():
-    # start that keeps every oblivious candidate outside the domain for a while
-    class Barrier(NegLogObjective):
-        pass
+def test_fw_standard_zero_steps_run_to_the_cap():
+    # dom f is |x - 1/2| < 1e-3 and the oracle's vertex 0 is 1/2 away, so
+    # every candidate 2/(k+2) up to k ~ 1000 leaves it: the run waits
+    class Narrow(ShiftedQuadratic):
+        def value(self, x):
+            return super().value(x) if self.in_domain(x) else math.inf
 
-    obj = Barrier(2)
-    feasible = UnitSimplex(2)
-    trace = fw_standard(obj, feasible, np.array([1e-9, 1.0 - 1e-9]),
-                        SolverConfig(epsilon=1e-12, max_iter=10000))
-    assert trace.status in ("stalled", "gap-converged", "iteration-cap")
-    if trace.status == "stalled":
-        assert all(rec.step_kind == "zero" for rec in trace.iterations[-50:])
+        def in_domain(self, x):
+            return bool(abs(x[0] - 0.5) < 1e-3)
+
+    trace = fw_standard(Narrow([0.25]), IntervalSet(0.0, 1.0), np.array([0.5]),
+                        SolverConfig(epsilon=1e-6, max_iter=60))
+    assert trace.status == "iteration-cap" and len(trace.iterations) == 60
+    assert all(rec.step_kind == "zero" and rec.alpha == 0.0 for rec in trace.iterations)
+    assert np.array_equal(trace.x, [0.5]) and trace.final_gap == 0.125
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc",
+                                    "mbtfwgsc"])
+def test_start_where_f_overflows_is_rejected(method):
+    # q = 1e4 overflows z^-q at the start's slack margins: f(x0) = +inf
+    inst = build_problem({"name": "dwd", "p": 40, "d": 6, "q": 1e4, "seed": 3})
+    x0, _ = make_start(inst, 5)
+    with pytest.raises(ValueError, match="initial point has f = inf"):
+        SOLVERS[method](inst.objective, inst.feasible_set, x0, SolverConfig(max_iter=5))
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,9 @@ def delta_nu(spec: GscSpec, beta: float, e: float) -> float:
 class Objective(ABC):
     """Evaluation contract for a GSC objective.
 
-    Hessian access is matrix-vector product only; no factorization of the
-    Hessian is ever required by the solvers.  Implementations must be
+    The solvers ask for Hessian-vector products only, except that fwlloo
+    without a sigma_f takes the smallest eigenvalue of ``hessian(x0)``; no
+    factorization of the Hessian is ever required.  Implementations must be
     immutable after construction so that concurrent read-only evaluation
     from several solver instances is safe.
 
@@ -171,6 +172,12 @@ class Objective(ABC):
     @abstractmethod
     def in_domain(self, x) -> bool:
         ...
+
+    def hessian(self, x):
+        """The n x n Hessian at x, by default column by column from hess_vec."""
+        n, shape = np.size(x), np.shape(x)
+        return np.column_stack([np.ravel(self.hess_vec(x, np.eye(1, n, i).reshape(shape)))
+                                for i in range(n)])
 
     def max_step(self, x, v):
         """Exact sup{t in (0,1] : x + t v in dom f} when cheaply available.

@@ -263,6 +263,12 @@ class MarginObjective(Objective):
         u = self.kernel.d2(self.kernel.prepare(self.b @ x), self.b @ v)
         return (self.bt @ u) / self.count + self.gamma * v
 
+    def hessian(self, x):
+        # B^T diag(phi''(Bx)) B / count + gamma I; a sparse B stays sparse up to the result
+        b, d2 = self.b, self.kernel.d2(self.kernel.prepare(self.b @ x), 1.0 / self.count)
+        h = self.bt @ (sp.diags(d2) @ b if sp.issparse(b) else d2[:, None] * b)
+        return (h.toarray() if sp.issparse(h) else h) + self.gamma * np.eye(self.dimension)
+
     def in_domain(self, x) -> bool:
         return not self.kernel.positive or bool(np.all(self.b @ x > 0.0))
 

@@ -94,7 +94,7 @@ class UnitSimplex(VertexSet):
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol * max(1.0, self.dimension ** 0.5))
+        return bool((x >= -tol).all() and abs(float(x.sum()) - 1.0) <= tol * max(1.0, self.dimension ** 0.5))
 
 
 class L1Ball(VertexSet):
@@ -188,6 +188,8 @@ class EuclideanBall(FeasibleSet):
             out = np.zeros(self.dimension)
             out[0] = self.radius
             return out
+        if not math.isfinite(norm) and not np.all(np.isfinite(c)):  # else 0 * inf below
+            raise ValueError(f"non-finite gradient (norm {norm})")
         return -self.radius / norm * c
 
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -224,6 +226,8 @@ class NonnegativeBall(FeasibleSet):
         norm = l2_norm(d)
         if norm == 0.0:
             return np.zeros(self.dimension)
+        if not math.isfinite(norm) and not np.all(np.isfinite(d)):  # else 0 * inf below
+            raise ValueError(f"non-finite gradient (norm {norm})")
         return self.radius / norm * d
 
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -269,6 +273,7 @@ class SimplexLLOO:
     one-sided transported mass does not exceed min(1, sqrt(n) r / 2); every
     point of B(x, r) on the simplex moves at most that much mass, so
     <c, y> >= <c, u> on the whole intersection, while ||x - u||_2 <= sqrt(n) r.
+    Only the coordinates holding mass are drained, in one accumulate.
     """
 
     def __init__(self, n: int):
@@ -283,23 +288,31 @@ class SimplexLLOO:
         c = np.asarray(c, dtype=float)
         if not self._simplex.contains(x, tol=1e-7):
             raise ValueError("query point is not on the simplex")
-        if float(np.ptp(c)) == 0.0:
+        if float(c.max() - c.min()) == 0.0:  # np.ptp(c), NaN included
             return x.copy()
         budget = min(1.0, 0.5 * self.rho * r)
-        target = int(np.argmin(c))
+        target = int(c.argmin())
         u = x.copy()
-        moved = 0.0
-        # Drain mass from the worst coordinates first (ties: lowest index).
-        for idx in np.argsort(-c, kind="stable"):
-            if idx == target:
-                continue
-            take = min(u[idx], budget - moved)
-            if take <= 0.0:
-                continue
-            u[idx] -= take
-            moved += take
+        # drained[j] is the mass moved before the j-th coordinate holding mass,
+        # worst c first (ties: lowest index).  From the first with more mass
+        # than the budget left on (the next one, if one fills it exactly), drain
+        # one at a time, as moved + (budget - moved) may round below the budget.
+        held = x > 0.0
+        held[target] = False
+        order = held.nonzero()[0]
+        order = order[np.argsort(-c[order], kind="stable")]
+        mass = x[order]
+        drained = np.add.accumulate(np.concatenate(([0.0], mass)))
+        binding = (mass > budget - drained[:-1]).nonzero()[0]
+        k = binding[0] if binding.size else mass.size
+        u[order[:k]] = 0.0
+        moved = float(drained[k])
+        for idx in order[k:]:
             if moved >= budget:
                 break
+            take = min(u[idx], budget - moved)
+            u[idx] -= take
+            moved += take
         u[target] += moved
         return u
 

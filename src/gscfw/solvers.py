@@ -307,14 +307,7 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 # ---------------------------------------------------------------------------
 
 def smallest_hessian_eigenvalue(obj: Objective, x) -> float:
-    """Assembles the Hessian column by column through hess_vec."""
-    n = np.asarray(x).size
-    h = np.empty((n, n))
-    basis = np.zeros(n)
-    for i in range(n):
-        basis[i] = 1.0
-        h[:, i] = np.ravel(obj.hess_vec(x, basis.reshape(np.shape(x))))
-        basis[i] = 0.0
+    h = obj.hessian(x)
     return float(np.linalg.eigvalsh((h + h.T) / 2.0)[0])
 
 

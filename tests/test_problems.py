@@ -15,10 +15,11 @@ from gscfw import (SparseDataset, covariance_generator, covariance_problem, dwd_
                    gsc_affine_constant, gsc_finite_sum_constant, gsc_sum_constant,
                    libsvm_parse, logistic_problem, portfolio_generator, portfolio_problem,
                    synthetic_classification)
+from gscfw.gsc import Objective
 from gscfw.problems import LogisticLoss
-from gscfw.solvers import SolverConfig, fw_line_search
+from gscfw.solvers import SolverConfig, fw_line_search, smallest_hessian_eigenvalue
 
-from conftest import (descent_bounds, fd_gradient_check, fd_hess_vec_check,
+from conftest import (NegLogObjective, descent_bounds, fd_gradient_check, fd_hess_vec_check,
                       golden_section_max, libsvm_serialize)
 
 
@@ -305,6 +306,42 @@ def test_margin_constant_equals_the_per_row_calculus():
     order3 = logistic_problem(data, gamma=0.05, radius=10.0, nu_mode=3).objective
     assert order3.spec.m == gsc_finite_sum_constant(
         [(1.0, r) for r in data.row_norms()], 2.0, 0.05)
+
+
+def test_margin_hessian_is_the_column_assembly(portfolio_toy):
+    # Objective.hessian, the default, assembles it column by column from hess_vec
+    data = synthetic_classification(30, 8, density=0.4, seed=2)
+    rng = np.random.default_rng(4)
+    dwd = dwd_problem(data, q=2.0)
+    d, p = _dwd_sizes(dwd)
+    cases = [
+        (logistic_problem(data, gamma=0.05, radius=10.0), 0.3 * rng.standard_normal(8)),
+        (portfolio_toy, rng.dirichlet(np.ones(portfolio_toy.objective.dimension))),
+        (dwd, np.concatenate([0.1 * rng.standard_normal(d), [0.2], 1.0 + rng.uniform(size=p)])),
+    ]
+    assert cases[0][0].objective.b.format == "csc" and cases[0][0].objective.gamma > 0.0
+    assert isinstance(cases[1][0].objective.b, np.ndarray)
+    assert sp.issparse(cases[2][0].objective.b) and cases[2][0].objective.c is not None
+    for inst, x in cases:
+        h, ref = inst.objective.hessian(x), Objective.hessian(inst.objective, x)
+        assert isinstance(h, np.ndarray) and h.shape == ref.shape == (x.size, x.size)
+        assert np.linalg.norm(h - ref) <= 1e-13 * np.linalg.norm(ref), inst.name
+
+
+def test_the_default_hessian_is_the_column_assembly():
+    obj = NegLogObjective(4)
+    x = np.array([0.1, 0.2, 0.3, 0.4])
+    assert type(obj).hessian is Objective.hessian
+    assert np.array_equal(obj.hessian(x), np.diag(1.0 / (x * x)))
+
+
+def test_smallest_hessian_eigenvalue_matches_the_column_path(portfolio_toy):
+    obj = portfolio_toy.objective
+    x = np.full(obj.dimension, 1.0 / obj.dimension)
+    ref = Objective.hessian(obj, x)
+    expected = float(np.linalg.eigvalsh((ref + ref.T) / 2.0)[0])
+    assert smallest_hessian_eigenvalue(obj, x) == pytest.approx(expected, rel=1e-11)
+
 
 def test_dwd_single_sample_gradient_fd():
     data = SparseDataset(sp.csr_matrix(np.array([[2.0]])), [1.0])

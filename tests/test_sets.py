@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -154,6 +154,20 @@ def test_product_lmo_blocks():
 
     with pytest.raises(ValueError):
         ProductSet([interval, ball]).lmo(np.zeros(4))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_ball_lmos_reject_a_non_finite_entry_without_a_warning(bad):
+    # the scale r / ||c|| is 0 at an infinite norm, and 0 * inf warns
+    c = np.array([1.0, bad, -2.0])
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        EuclideanBall(3, 1.0).lmo(c)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        NonnegativeBall(3, 1.0).lmo(np.array([1.0, -abs(bad), -2.0]))
+    # +inf in c is a zero of max(-c, 0): the nonnegative ball's answer is finite
+    assert np.allclose(NonnegativeBall(3, 1.0).lmo(np.array([math.inf, -3.0, -4.0])),
+                       [0.0, 0.6, 0.8])
 
 
 def test_nonneg_ball_lmo_against_sampling():
@@ -336,22 +350,60 @@ def test_lloo_contract():
             assert float(c @ u) <= float(c @ y) + 1e-8
 
 
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 12), r_exp=st.floats(-4.0, 1.0),
-       levels=st.integers(1, 4), sparse=st.booleans())
-def test_lloo_query_matches_the_sort_and_drain_reference_bit_for_bit(seed, n, r_exp, levels,
-                                                                    sparse):
-    # few distinct costs, so ties are common, and -0.0 next to 0.0
-    rng = np.random.default_rng(seed)
-    x = rng.dirichlet(np.ones(n))
-    if sparse:
-        x[rng.random(n) < 0.5] = 0.0
-        x = x / x.sum() if x.sum() > 0.0 else UnitSimplex(n).vertex(int(rng.integers(n)))
+@st.composite
+def lloo_queries(draw):
+    """(x, r, c) with n up to 120: few distinct costs, so ties are common, and
+    -0.0 next to 0.0; x dense or sparse, with or without mass on argmin c,
+    and with entries down to -1e-8, inside the query's 1e-7 tolerance; r from
+    1e-4 to 10, or sized so that the budget binds inside the support."""
+    n = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    levels = draw(st.integers(1, 4))
     c = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0])[:levels + 1], size=n)
-    r = 10.0 ** r_exp
+    target = int(np.argmin(c))
+    x = rng.dirichlet(np.ones(n))
+    empty = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    empty[target] = draw(st.booleans())
+    x[empty] = 0.0
+    if x.sum() == 0.0:
+        x[int(rng.integers(n))] = 1.0
+    x /= x.sum()
+    if draw(st.booleans()):
+        below = (x == 0.0) & (rng.random(n) < 0.5)
+        x[below] = -1e-8 * rng.random(int(below.sum()))
+        x[int(np.argmax(x))] -= float(np.sum(x[below]))
+    outside = float(np.sum(x[x > 0.0])) - max(float(x[target]), 0.0)
+    if draw(st.booleans()) or outside == 0.0:
+        r = 10.0 ** draw(st.floats(-4.0, 1.0))
+    else:  # the budget min(1, sqrt(n) r / 2) is a fraction of the mass to drain
+        r = 2.0 * draw(st.floats(0.01, 0.99)) * outside / math.sqrt(n)
+    return x, r, c
+
+
+# After the first coordinate 0.1 has moved, the second binds and takes
+# 0.459 - 0.1, but 0.1 + (0.459 - 0.1) rounds below the budget 0.459 (n = 4,
+# so the budget is r): the drain goes on into the third coordinate.
+_ROUNDING_QUERY = (np.array([0.1, 0.4, 0.2, 0.3]), 0.459, np.array([3.0, 2.0, 1.0, 0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=lloo_queries())
+@example(query=_ROUNDING_QUERY)
+@example(query=(np.full(4, 0.25), 0.25, np.array([3.0, 2.0, 1.0, 0.0])))  # fills it exactly
+def test_lloo_query_matches_the_sort_and_drain_reference_bit_for_bit(query):
+    x, r, c = query
+    n = x.size
+    assert UnitSimplex(n).contains(x, tol=1e-7)
     lloo = SimplexLLOO(n)
     for _ in range(2):  # the simplex built once serves every query
         assert lloo.query(x, r, c).tobytes() == reference_lloo_query(n, x, r, c).tobytes()
+
+
+def test_the_pinned_lloo_query_drains_past_the_binding_coordinate():
+    x, r, c = _ROUNDING_QUERY
+    assert 0.1 + (r - 0.1) < r
+    u = reference_lloo_query(x.size, x, r, c)
+    assert u[0] == 0.0 and 0.0 < u[2] < x[2]
 
 
 # ---------------------------------------------------------------------------

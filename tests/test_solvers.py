@@ -12,7 +12,7 @@ from gscfw.bench import build_problem, make_start, run_method
 from gscfw.sets import SimplexLLOO
 
 from conftest import (IntervalSet, LinearObjective, NegLogObjective, QuadraticObjective,
-                      ShiftedQuadratic, reference_inner)
+                      ShiftedQuadratic, reference_inner, reference_lloo_query)
 
 
 def _simplex_log_barrier():
@@ -80,6 +80,17 @@ def test_start_where_f_overflows_is_rejected(method):
     x0, _ = make_start(inst, 5)
     with pytest.raises(ValueError, match="initial point has f = inf"):
         SOLVERS[method](inst.objective, inst.feasible_set, x0, SolverConfig(max_iter=5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_gradient_that_overflows_to_inf_mid_run_ends_in_a_typed_error():
+    # at q = 100 the start is finite, but z^(-q-1) overflows at a late
+    # iterate; the ball oracles raise before 0 * inf can warn
+    inst = build_problem({"name": "dwd", "p": 40, "d": 6, "q": 100, "seed": 3})
+    x0, _ = make_start(inst, 5)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        fw_standard(inst.objective, inst.feasible_set, x0,
+                    SolverConfig(epsilon=1e-6, max_iter=1000))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +491,26 @@ def test_solver_config_rejects_a_max_iter_that_is_not_a_count(value):
 def test_solver_config_accepts_integer_max_iter_types():
     for value in (0, 7, np.int64(7)):
         assert SolverConfig(max_iter=value).max_iter == value
+
+
+@pytest.mark.parametrize("sigma_f", [None, 10.0])
+def test_fwlloo_trace_is_that_of_the_sort_and_drain_oracle(portfolio_toy, sigma_f):
+    # sigma_f = 10 keeps the budget min(1, sqrt(n) r_k / 2) below 1 from the
+    # first iteration, so the budget can bind inside the drained mass
+    obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
+    n = feasible.dimension
+    config = SolverConfig(epsilon=1e-9, max_iter=200, sigma_f=sigma_f)
+    reference = SimplexLLOO(n)
+    reference.query = lambda x, r, c: reference_lloo_query(n, x, r, c)
+    traces = [fwlloo(obj, feasible, lloo, feasible.vertex(0), config)
+              for lloo in (SimplexLLOO(n), reference)]
+    if sigma_f is not None:
+        assert all(0.5 * math.sqrt(n) * rec.radius < 1.0 for rec in traces[0].iterations)
+    # repr tells every float apart bit for bit, -0.0 from 0.0 too
+    fast, slow = (repr(([{**vars(rec), "elapsed_seconds": None} for rec in t.iterations],
+                        t.status, t.final_f, t.final_gap, t.meta, t.x.tobytes()))
+                  for t in traces)
+    assert len(traces[0].iterations) > 50 and fast == slow
 
 
 def test_fwlloo_sigma_auto_recipe(portfolio_toy):

@@ -14,9 +14,7 @@ import csv
 import json
 import math
 import numbers
-import os
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import starmap
 from operator import attrgetter
@@ -31,7 +29,6 @@ from .sets import SimplexLLOO, UnitSimplex
 from .solvers import (SOLVERS, ActiveSet, IterationRecord, RunTrace, SolverConfig, asfwgsc,
                       fwlloo)
 
-WORKER_ENV = "GSCFW_WORKERS"
 make_simplex_lloo = SimplexLLOO  # a name the benchmark's tracer rebinds to wrap queries
 
 
@@ -330,6 +327,7 @@ def record_filename(problem: str, method: str, start: int) -> str:
 
 _SOLVER_FIELDS = tuple(f.name for f in fields(SolverConfig) if f.name != "keep_iterates")
 _GRID_KEYS = ("problems", "methods", "n_starts", "seed", "profile_epsilons", "out_dir")
+DEFAULT_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # the profile grid when a config names none
 
 
 def _parse_config(config: dict):
@@ -348,7 +346,7 @@ def _parse_config(config: dict):
                                         for k in _SOLVER_FIELDS if k in config})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
-    epsilons = config.get("profile_epsilons", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    epsilons = config.get("profile_epsilons", list(DEFAULT_EPSILONS))
     if not isinstance(epsilons, list):
         raise ConfigError("profile_epsilons must be a list of numbers")
     try:
@@ -360,9 +358,12 @@ def _parse_config(config: dict):
     if n_starts < 1 or base_seed < 0:
         raise ConfigError(f"need n_starts >= 1 and seed >= 0, got {n_starts} and {base_seed}")
     methods = list(config["methods"])
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in SOLVERS:
             raise ConfigError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"method {m!r} is named twice")
+    problems = {}  # cell id -> spec; two specs with one id would write one set of files
     for spec in config["problems"]:
         family, _ = _check_spec(spec)
         for m in methods:
@@ -370,7 +371,10 @@ def _parse_config(config: dict):
             if family not in allowed:
                 raise ConfigError(f"method {m!r} does not run on {family!r} problems "
                                   f"(only on {', '.join(allowed)})")
-    problems = [dict(spec) for spec in config["problems"]]
+        cell_id = _cell_id(spec)
+        if cell_id in problems:
+            raise ConfigError(f"problem {cell_id!r} is named twice")
+        problems[cell_id] = dict(spec)
     return problems, methods, n_starts, base_seed, solver_config, epsilons
 
 
@@ -382,55 +386,13 @@ def _cell_id(problem_spec: dict) -> str:
     return "-".join([name] + tags) if tags else name
 
 
-def _run_cell(payload, memo: dict):
-    """Run one (problem, method, start) cell.  ``memo`` maps the cell id of
-    the last built instance to it; cells arrive spec-major, so each problem is
-    built once per run (once per pool worker) and one instance is alive at a
-    time.  Runs leave instances unchanged, so cells can share one."""
-    problem_spec, method, start_index, base_seed, config = payload
-    cell_id = _cell_id(problem_spec)
-    if cell_id not in memo:
-        memo.clear()  # release the previous instance before building the next
-        memo[cell_id] = build_problem(problem_spec)
-    instance = memo[cell_id]
-    cell_tag = zlib.crc32(cell_id.encode())  # stable across processes
-    start_seed = int(np.random.SeedSequence(
-        [base_seed, cell_tag, start_index]).generate_state(1)[0])
-    x0, active = make_start(instance, start_seed)
-    trace = run_method(method, instance, x0, active, config)
-    return cell_id, method, start_index, trace
-
-
-_worker_memo = None  # set by _init_worker in each pool worker, for the pool's life
-
-
-def _init_worker():
-    global _worker_memo
-    _worker_memo = {}
-
-
-def _run_pooled_cell(payload):
-    return _run_cell(payload, _worker_memo)
-
-
-def _worker_count() -> int:
-    """GSCFW_WORKERS as an integer >= 1 (default 1); anything else is a ConfigError."""
-    text = os.environ.get(WORKER_ENV, "1")
-    try:
-        workers = _integer(float(text))
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"{WORKER_ENV} must be an integer >= 1, got {text!r}")
-    return workers
-
-
 def run_experiment(config, out_dir=None, dry_run: bool = False):
     """Execute a (problem x method x start) grid and write record files.
 
-    Returns the list of RunRecords (empty for a dry run).  Worker count is
-    taken from the GSCFW_WORKERS environment variable (default 1); a value
-    that is not an integer >= 1 is a ConfigError, raised before any cell runs.
+    Cells run one after another, spec-major: each problem is built once,
+    shared by its (method, start) cells, which leave it unchanged, and
+    released before the next is built.  Returns the list of RunRecords in
+    that order (empty for a dry run).
     """
     if isinstance(config, (str, Path)):
         try:
@@ -438,28 +400,29 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
     problems, methods, n_starts, base_seed, solver_config, epsilons = _parse_config(config)
-    workers = _worker_count()
     out_dir = Path(out_dir if out_dir is not None else config.get("out_dir", "records"))
 
-    cells = [(spec, method, start, base_seed, solver_config)
-             for spec in problems for method in methods for start in range(n_starts)]
     if dry_run:
-        for spec, method, start, _, _ in cells:
-            print(f"{_cell_id(spec)} x {method} x start{start}")
+        for cell_id in problems:
+            for method in methods:
+                for start in range(n_starts):
+                    print(f"{cell_id} x {method} x start{start}")
         return []
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-            results = list(pool.map(_run_pooled_cell, cells))
-    else:
-        memo = {}
-        results = [_run_cell(c, memo) for c in cells]
-
-    # f*_j: best value attained on problem j by any method from any start
-    f_star = {}
-    for problem, _method, _start, trace in results:
-        best = trace.best_f()
-        f_star[problem] = min(f_star.get(problem, math.inf), best)
+    results = []
+    f_star = {}  # f*_j: best value attained on problem j by any method from any start
+    for cell_id, spec in problems.items():
+        instance = build_problem(spec)
+        cell_tag = zlib.crc32(cell_id.encode())  # stable across processes
+        for method in methods:
+            for start in range(n_starts):
+                start_seed = int(np.random.SeedSequence(
+                    [base_seed, cell_tag, start]).generate_state(1)[0])
+                x0, active = make_start(instance, start_seed)
+                trace = run_method(method, instance, x0, active, solver_config)
+                results.append((cell_id, method, start, trace))
+                f_star[cell_id] = min(f_star.get(cell_id, math.inf), trace.best_f())
+        del instance, x0, active  # release this problem before the next is built
 
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []

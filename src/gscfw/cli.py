@@ -34,7 +34,7 @@ def _build_parser():
 
     p_prof = sub.add_parser("profile", help="profile statistics from record files")
     p_prof.add_argument("records", help="directory of .jsonl record files")
-    p_prof.add_argument("--epsilons", default="1e-2,1e-3,1e-4,1e-5,1e-6",
+    p_prof.add_argument("--epsilons", default=",".join(map(str, bench.DEFAULT_EPSILONS)),
                         help="comma-separated relative-error grid")
     p_prof.add_argument("--out", default=None, help="CSV output path (default stdout)")
 

@@ -173,6 +173,17 @@ class SymmetricL1Ball(VertexSet):
         return float(np.sum(np.abs(x))) <= self.radius * (1.0 + tol) + tol
 
 
+def _scaled(d):
+    """d and ||d||_2, both divided by max |d| if d is finite but its squared norm overflows."""
+    norm = l2_norm(d)
+    if not math.isfinite(norm):
+        if not np.all(np.isfinite(d)):  # else 0 * inf in r / norm * d
+            raise ValueError(f"non-finite gradient (norm {norm})")
+        d = d / np.max(np.abs(d))
+        norm = l2_norm(d)
+    return d, norm
+
+
 class EuclideanBall(FeasibleSet):
     """{||x||_2 <= r}; the oracle returns the boundary point -r c/||c||."""
 
@@ -182,14 +193,11 @@ class EuclideanBall(FeasibleSet):
         self.diameter = 2.0 * self.radius
 
     def lmo(self, c):
-        c = np.asarray(c, dtype=float)
-        norm = l2_norm(c)
+        c, norm = _scaled(np.asarray(c, dtype=float))
         if norm == 0.0:
             out = np.zeros(self.dimension)
             out[0] = self.radius
             return out
-        if not math.isfinite(norm) and not np.all(np.isfinite(c)):  # else 0 * inf below
-            raise ValueError(f"non-finite gradient (norm {norm})")
         return -self.radius / norm * c
 
     def contains(self, x, tol: float = 1e-9) -> bool:
@@ -222,12 +230,9 @@ class NonnegativeBall(FeasibleSet):
 
     def lmo(self, c):
         c = np.asarray(c, dtype=float)
-        d = np.maximum(-c, 0.0)
-        norm = l2_norm(d)
+        d, norm = _scaled(np.maximum(-c, 0.0))
         if norm == 0.0:
             return np.zeros(self.dimension)
-        if not math.isfinite(norm) and not np.all(np.isfinite(d)):  # else 0 * inf below
-            raise ValueError(f"non-finite gradient (norm {norm})")
         return self.radius / norm * d
 
     def contains(self, x, tol: float = 1e-9) -> bool:

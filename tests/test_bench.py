@@ -2,7 +2,6 @@ import dataclasses
 import importlib
 import json
 import math
-import multiprocessing
 import struct
 from pathlib import Path
 
@@ -437,46 +436,79 @@ def test_run_experiment_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         run_experiment(bad)
+    # a problem or method named twice would write its records over the first's
+    for problems, methods, named in (
+            ([{"name": "portfolio", "p": 15}] * 2, ["fwgsc"], "problem 'portfolio-p15'"),
+            ([{"name": "portfolio", "p": 15}, {"name": "portfolio", "p": 15.0}], ["fwgsc"],
+             "problem 'portfolio-p15'"),
+            ([{"name": "portfolio"}], ["fwgsc", "asfwgsc", "fwgsc"], "method 'fwgsc'")):
+        for dry_run in (True, False):
+            with pytest.raises(ConfigError, match=f"{named} is named twice"):
+                run_experiment({"problems": problems, "methods": methods,
+                                "out_dir": str(tmp_path / "twice")}, dry_run=dry_run)
+    assert not (tmp_path / "twice").exists()
 
 
-def _count_builds(monkeypatch, log):
-    """Rebind ``bench.build_problem`` to log the cell id of each build to a
-    file, so builds in forked pool workers count too; return a reader."""
-    build = gbench.build_problem
+def _count_builds(monkeypatch):
+    """Rebind ``bench.build_problem`` to append the cell id of each build to
+    the returned list."""
+    builds, build = [], gbench.build_problem
 
     def counted(spec):
-        with open(log, "a") as fh:
-            fh.write(_cell_id(spec) + "\n")
+        builds.append(_cell_id(spec))
         return build(spec)
 
     monkeypatch.setattr(gbench, "build_problem", counted)
-    return lambda: log.read_text().splitlines() if log.exists() else []
+    return builds
 
 
 def test_each_problem_is_built_once_per_run(tmp_path, monkeypatch):
-    builds = _count_builds(monkeypatch, tmp_path / "builds.log")
+    builds = _count_builds(monkeypatch)
     config = _smoke_config(tmp_path / "a")  # 2 problems x 3 methods x 2 starts
     assert len(run_experiment(config)) == 12
-    assert builds() == ["portfolio-n8-p25-seed3", "covariance-p4-seed4"]
-    # the memo lives for one call: a second run pays its own builds
+    assert builds == ["portfolio-n8-p25-seed3", "covariance-p4-seed4"]
+    # nothing is kept between calls: a second run pays its own builds
     run_experiment(dict(config, out_dir=str(tmp_path / "b")))
-    assert builds() == ["portfolio-n8-p25-seed3", "covariance-p4-seed4"] * 2
+    assert builds == ["portfolio-n8-p25-seed3", "covariance-p4-seed4"] * 2
 
 
-def test_run_experiment_worker_pool_matches_serial(tmp_path, monkeypatch):
-    config = _smoke_config(tmp_path / "serial")
-    run_experiment(config)
-    builds = _count_builds(monkeypatch, tmp_path / "builds.log")
-    monkeypatch.setenv("GSCFW_WORKERS", "2")
-    run_experiment(dict(config, out_dir=str(tmp_path / "pooled")))
-    # each worker builds each problem at most once; forked workers inherit
-    # the counting build_problem, other start methods import the plain one
-    assert len(builds()) <= 2 * 2
-    if multiprocessing.get_start_method() == "fork":
-        assert len(builds()) >= 2
+def test_cells_run_spec_major_in_the_order_of_their_records(tmp_path, monkeypatch):
+    # the benchmark times build_problem, make_start and run_method through
+    # these module names and pairs its n-th run_method call with record n
+    build, start, run = gbench.build_problem, gbench.make_start, gbench.run_method
+    calls = []
+    built = {}  # id of a built instance -> its cell id
 
-    assert (records_without_times(tmp_path / "serial")
-            == records_without_times(tmp_path / "pooled"))
+    def logged_build(spec):
+        instance = build(spec)
+        built[id(instance)] = _cell_id(spec)
+        calls.append(("build", built[id(instance)]))
+        return instance
+
+    def logged_start(instance, start_seed):
+        calls.append(("start", built[id(instance)]))
+        return start(instance, start_seed)
+
+    def logged_run(method, instance, x0, active, config):
+        calls.append(("run", built[id(instance)], method))
+        return run(method, instance, x0, active, config)
+
+    monkeypatch.setattr(gbench, "build_problem", logged_build)
+    monkeypatch.setattr(gbench, "make_start", logged_start)
+    monkeypatch.setattr(gbench, "run_method", logged_run)
+    config = dict(_smoke_config(tmp_path / "rec"), max_iter=20)
+    records = run_experiment(config)
+
+    problems, methods, starts = (("portfolio-n8-p25-seed3", "covariance-p4-seed4"),
+                                 config["methods"], range(config["n_starts"]))
+    assert [(r.problem, r.method, r.start) for r in records] == [
+        (problem, method, s) for problem in problems for method in methods for s in starts]
+    expected = []
+    for problem in problems:
+        expected.append(("build", problem))
+        for method in methods:
+            expected += [("start", problem), ("run", problem, method)] * len(starts)
+    assert calls == expected
 
 
 def test_portfolio_smoke_grid_fits_budget(tmp_path):

@@ -3,7 +3,7 @@ from operator import setitem
 
 import pytest
 
-from gscfw import SOLVERS
+from gscfw import SOLVERS, bench
 from gscfw.cli import main
 
 
@@ -75,6 +75,20 @@ def test_cli_run_and_profile(tmp_path, capsys):
     again = tmp_path / "again.csv"
     assert main(["profile", str(tmp_path / "rec"), "--out", str(again)]) == 0
     assert again.read_bytes() == (tmp_path / "rec" / "profiles.csv").read_bytes()
+
+
+def test_run_and_profile_read_one_default_epsilon_grid(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "DEFAULT_EPSILONS", (1e-1, 1e-3))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"problems": [{"name": "portfolio", "p": 15, "n": 5}],
+                               "methods": ["fwgsc"], "max_iter": 20,
+                               "out_dir": str(tmp_path / "rec")}))
+    assert main(["run", str(cfg)]) == 0
+    written = (tmp_path / "rec" / "profiles.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in written[1:]] == ["0.001", "0.1"]
+    again = tmp_path / "again.csv"
+    assert main(["profile", str(tmp_path / "rec"), "--out", str(again)]) == 0
+    assert again.read_text().splitlines() == written
 
 
 def test_cli_run_bad_config_exit_code(tmp_path):
@@ -170,6 +184,12 @@ def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, dama
     pytest.param({"out_dir": 5}, id="out_dir-number"),
     pytest.param({"out_dir": None}, id="out_dir-null"),
     pytest.param({"out_dir": ["a"]}, id="out_dir-list"),
+    pytest.param({"problems": [{"name": "portfolio", "p": 15, "n": 5}] * 2},
+                 id="problem-twice"),
+    pytest.param({"problems": [{"name": "portfolio", "p": 15, "n": 5},
+                               {"name": "portfolio", "p": 15.0, "n": 5}]},
+                 id="problem-twice-as-float"),
+    pytest.param({"methods": ["fwgsc", "fw-standard", "fwgsc"]}, id="method-twice"),
 ])
 def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, setting):
     out_dir = tmp_path / "rec"
@@ -244,20 +264,6 @@ def test_cli_run_rejects_non_integer_settings_before_any_cell(tmp_path, capsys, 
     assert main(["run", str(cfg), "--dry-run"]) == 2
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.count("config error:") == 2
-    assert not out_dir.exists()
-
-
-@pytest.mark.parametrize("workers", ["two", "2.5", "0", "-3"])
-def test_cli_run_rejects_a_bad_worker_count_before_any_cell(tmp_path, capsys, monkeypatch,
-                                                            workers):
-    out_dir = tmp_path / "rec"
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"problems": [{"name": "portfolio", "p": 15, "n": 5}],
-                               "methods": ["fwgsc"], "max_iter": 5, "out_dir": str(out_dir)}))
-    monkeypatch.setenv("GSCFW_WORKERS", workers)
-    assert main(["run", str(cfg), "--dry-run"]) == 2
-    assert main(["run", str(cfg)]) == 2
-    assert capsys.readouterr().err.count("GSCFW_WORKERS must be an integer >= 1") == 2
     assert not out_dir.exists()
 
 

@@ -13,6 +13,7 @@ from gscfw import (EuclideanBall, IntervalBlock, L1Ball, Line, NonnegativeBall,
 from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
                    portfolio_problem, synthetic_classification)
 from gscfw.bench import make_start
+from gscfw.gsc import l2_norm
 from gscfw.solvers import SolverConfig, fwgsc
 
 from conftest import NegLogObjective, reference_lloo_query
@@ -168,6 +169,20 @@ def test_ball_lmos_reject_a_non_finite_entry_without_a_warning(bad):
     # +inf in c is a zero of max(-c, 0): the nonnegative ball's answer is finite
     assert np.allclose(NonnegativeBall(3, 1.0).lmo(np.array([math.inf, -3.0, -4.0])),
                        [0.0, 0.6, 0.8])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-3 * np.finfo(float).max])
+def test_ball_lmos_keep_the_direction_of_a_gradient_whose_squared_norm_overflows(scale):
+    # r / ||c|| is 0 at an infinite norm and would send every answer to 0
+    unit = np.array([10.0, -10.0, 3.0])
+    c = scale * unit
+    assert math.isinf(l2_norm(c)) and np.all(np.isfinite(c))
+    s = EuclideanBall(3, 2.0).lmo(c)
+    np.testing.assert_allclose(s, -2.0 * unit / np.linalg.norm(unit), rtol=1e-15)
+    s = NonnegativeBall(3, 2.0).lmo(-c)
+    np.testing.assert_allclose(s, 2.0 * np.array([10.0, 0.0, 3.0]) / math.sqrt(109.0),
+                               rtol=1e-15)
 
 
 def test_nonneg_ball_lmo_against_sampling():

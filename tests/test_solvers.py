@@ -93,6 +93,20 @@ def test_a_gradient_that_overflows_to_inf_mid_run_ends_in_a_typed_error():
                     SolverConfig(epsilon=1e-6, max_iter=1000))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["fwgsc", "lbtfwgsc", "mbtfwgsc"])
+def test_gsc_solvers_keep_descending_where_the_gradient_norm_overflows(method):
+    # at q = 100 the squared norm of the ball blocks' gradients overflows on
+    # every oracle call; ball oracles that answered 0 there gave gaps against
+    # a wrong vertex, and fwgsc and mbtfwgsc stopped "converged" at f = 7.86e167
+    inst = build_problem({"name": "dwd", "p": 40, "d": 6, "q": 100, "seed": 3})
+    x0, _ = make_start(inst, 5)
+    trace = SOLVERS[method](inst.objective, inst.feasible_set, x0,
+                            SolverConfig(epsilon=1e-8, max_iter=200))
+    assert trace.status == "iteration-cap" and len(trace.iterations) == 200
+    assert trace.final_f < 2e167 and trace.final_gap > 0.0
+
+
 # ---------------------------------------------------------------------------
 # fw_line_search
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, delta_nu,
                   gsc_affine_constant, gsc_finite_sum_constant, gsc_sum_constant, inner,
                   l2_norm, omega)
-from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
-                   OracleViolation, ProductSet, SimplexLLOO, SymmetricL1Ball,
-                   UnitSimplex, VertexSet, gap, max_feasible_step)
+from .sets import (EuclideanBall, FeasibleSet, L1Ball, NonnegativeBall, OracleViolation,
+                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, VertexSet, gap,
+                   max_feasible_step)
 from .stepsize import analytic_step, psi, t_star
 from .solvers import (SOLVERS, ActiveSet, BacktrackingError, IterationRecord,
                       RunTrace, SolverConfig, asfwgsc, away_vertex, fw_line_search,

@@ -26,8 +26,7 @@ from .problems import (ProblemInstance, covariance_generator, covariance_problem
                        dwd_problem, logistic_problem, portfolio_generator,
                        portfolio_problem, synthetic_classification)
 from .sets import SimplexLLOO, UnitSimplex
-from .solvers import (SOLVERS, ActiveSet, IterationRecord, RunTrace, SolverConfig, asfwgsc,
-                      fwlloo)
+from .solvers import SOLVERS, IterationRecord, RunTrace, SolverConfig, asfwgsc, fwlloo
 
 make_simplex_lloo = SimplexLLOO  # a name the benchmark's tracer rebinds to wrap queries
 
@@ -134,9 +133,9 @@ DEFAULT_SIZES = {
 _METHOD_FAMILIES = {"asfwgsc": ("logistic", "portfolio", "covariance"), "fwlloo": ("portfolio",)}
 
 _SPEC_RANGES = (
-    (("p", "n", "d", "q"), ">= 1", lambda v: v >= 1),
+    (("p", "n", "d", "q"), "finite and >= 1", lambda v: 1 <= v < math.inf),
     (("seed",), ">= 0", lambda v: v >= 0),
-    (("gamma", "radius", "u", "big_r"), "> 0", lambda v: v > 0),
+    (("gamma", "radius", "u", "big_r"), "finite and > 0", lambda v: 0 < v < math.inf),
     (("density",), "in (0, 1]", lambda v: 0 < v <= 1),
     (("nu_mode",), "2 or 3", lambda v: v in (2, 3)),
 )
@@ -199,8 +198,8 @@ def build_problem(spec: dict) -> ProblemInstance:
 def make_start(instance: ProblemInstance, start_seed: int):
     """Starting point recipe per problem family.
 
-    Returns (x0, active) with active the ActiveSet of x0, its vertex ids and
-    weights over the family's polytope, or None for dwd (no vertex start).
+    Returns (x0, weights) with weights the {vertex_id: weight} dict of x0
+    over the family's polytope, or None for dwd (no vertex start).
     logistic: random l1-ball vertex; portfolio: random simplex vertex;
     dwd: (0, 0, xi) with xi drawn from its block; covariance: a random
     diagonal matrix with diagonal on the scaled simplex.
@@ -214,13 +213,13 @@ def make_start(instance: ProblemInstance, start_seed: int):
         sign = 1 if rng.integers(2) else -1
         vid = (i, sign)
         x0 = feasible.vertex(vid)
-        return x0, ActiveSet(feasible, {vid: 1.0})
+        return x0, {vid: 1.0}
     if family == "portfolio":
         for _ in range(1000):
             i = int(rng.integers(feasible.dimension))
             x0 = feasible.vertex(i)
             if obj.in_domain(x0):
-                return x0, ActiveSet(feasible, {i: 1.0})
+                return x0, {i: 1.0}
         raise ConfigError("no feasible simplex vertex found")
     if family == "dwd":
         ball, _, slack = feasible.blocks
@@ -236,18 +235,18 @@ def make_start(instance: ProblemInstance, start_seed: int):
         p = feasible.p
         diag = rng.dirichlet(np.ones(p)) * feasible.radius
         x0 = np.diag(diag)
-        return x0, ActiveSet(feasible, {(i, i, 1): diag[i] / feasible.radius for i in range(p)})
+        return x0, {(i, i, 1): diag[i] / feasible.radius for i in range(p)}
     raise ConfigError(f"no start recipe for {instance.name!r}")
 
 
-def run_method(method: str, instance: ProblemInstance, x0, active, config: SolverConfig) -> RunTrace:
+def run_method(method: str, instance: ProblemInstance, x0, weights, config: SolverConfig) -> RunTrace:
     if method not in SOLVERS:
         raise ConfigError(f"unknown method {method!r}")
     if method == "asfwgsc":
-        if active is None:
+        if weights is None:
             raise ConfigError(f"{instance.name} provides no vertex representation "
                               "for the away-step solver")
-        return asfwgsc(instance.objective, instance.feasible_set, active, config)
+        return asfwgsc(instance.objective, instance.feasible_set, weights, config)
     if method == "fwlloo":
         feasible = instance.feasible_set
         if not isinstance(feasible, UnitSimplex):
@@ -330,6 +329,19 @@ _GRID_KEYS = ("problems", "methods", "n_starts", "seed", "profile_epsilons", "ou
 DEFAULT_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)  # the profile grid when a config names none
 
 
+def epsilon_grid(values) -> list:
+    """A profile's relative-error grid as floats: a non-empty list of finite
+    values >= 0, or a ConfigError."""
+    try:
+        grid = [float(eps) for eps in values] if isinstance(values, list) else []
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad epsilon grid: {exc}") from exc
+    if not grid or not all(0.0 <= eps < math.inf for eps in grid):
+        raise ConfigError(f"the epsilon grid must be a non-empty list of finite numbers "
+                          f">= 0, got {values!r}")
+    return grid
+
+
 def _parse_config(config: dict):
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
@@ -346,13 +358,10 @@ def _parse_config(config: dict):
                                         for k in _SOLVER_FIELDS if k in config})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver settings: {exc}") from exc
-    epsilons = config.get("profile_epsilons", list(DEFAULT_EPSILONS))
-    if not isinstance(epsilons, list):
-        raise ConfigError("profile_epsilons must be a list of numbers")
+    epsilons = epsilon_grid(config.get("profile_epsilons", list(DEFAULT_EPSILONS)))
     try:
         n_starts = _integer(config.get("n_starts", 1))
         base_seed = _integer(config.get("seed", 0))
-        epsilons = [float(eps) for eps in epsilons]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid settings: {exc}") from exc
     if n_starts < 1 or base_seed < 0:
@@ -418,11 +427,11 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
             for start in range(n_starts):
                 start_seed = int(np.random.SeedSequence(
                     [base_seed, cell_tag, start]).generate_state(1)[0])
-                x0, active = make_start(instance, start_seed)
-                trace = run_method(method, instance, x0, active, solver_config)
+                x0, weights = make_start(instance, start_seed)
+                trace = run_method(method, instance, x0, weights, solver_config)
                 results.append((cell_id, method, start, trace))
                 f_star[cell_id] = min(f_star.get(cell_id, math.inf), trace.best_f())
-        del instance, x0, active  # release this problem before the next is built
+        del instance, x0, weights  # release this problem before the next is built
 
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []

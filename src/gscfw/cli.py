@@ -58,12 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    try:
-        epsilons = [float(tok) for tok in args.epsilons.split(",") if tok]
-    except ValueError as exc:
-        raise ConfigError(f"bad epsilon grid: {exc}") from exc
-    if not epsilons:
-        raise ConfigError("empty epsilon grid")
+    epsilons = bench.epsilon_grid([tok for tok in args.epsilons.split(",") if tok])
     records = bench.load_records(args.records)
     if not records:
         raise ConfigError(f"no record files under {args.records}")
@@ -88,8 +83,8 @@ def _cmd_trace(args) -> int:
     *_, config, _ = bench._parse_config({"problems": [spec], "methods": [args.method],
                                          "epsilon": args.epsilon, "max_iter": args.max_iter})
     instance = bench.build_problem(spec)
-    x0, active = bench.make_start(instance, args.seed)
-    trace = bench.run_method(args.method, instance, x0, active, config)
+    x0, weights = bench.make_start(instance, args.seed)
+    trace = bench.run_method(args.method, instance, x0, weights, config)
     lines = bench.trace_to_lines(bench._cell_id(spec), args.method, 0, trace)
     if args.out:
         bench.write_record(Path(args.out), lines)

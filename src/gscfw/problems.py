@@ -19,8 +19,8 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .gsc import (GscSpec, Line, Objective, Point, gsc_affine_constant,
                   gsc_finite_sum_constant, gsc_sum_constant, inner, pull_back)
-from .sets import (EuclideanBall, FeasibleSet, IntervalBlock, L1Ball, NonnegativeBall,
-                   ProductSet, SymmetricL1Ball, UnitSimplex)
+from .sets import (EuclideanBall, FeasibleSet, L1Ball, NonnegativeBall, ProductSet,
+                   SymmetricL1Ball, UnitSimplex)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,8 @@ class MarginLine(Line):
         obj, v, q = self.point.obj, self.v, self.at(t)
         if obj.kernel.positive and not np.all(q.z > 0.0):
             raise ValueError("slope undefined outside the domain")
-        out = float(obj.kernel.d1(q.w) @ self.dz) / obj.count
+        with np.errstate(over="ignore", invalid="ignore"):  # the search reads inf/NaN as not < 0
+            out = float(obj.kernel.d1(q.w) @ self.dz) / obj.count
         if obj.c is not None:
             out += float(obj.c @ v)
         return out + obj.gamma * float(q.x @ v)
@@ -431,7 +432,7 @@ def dwd_problem(data: SparseDataset, q: float = 2.0, c=None, u: float = 5.0,
                           c=np.concatenate([np.zeros(d + 1), c]))
     feasible = ProductSet([
         EuclideanBall(d, 1.0),
-        IntervalBlock(u),
+        L1Ball(1, u),
         NonnegativeBall(p, math.sqrt(big_r)),
     ])
     return ProblemInstance(obj, feasible, name="dwd")

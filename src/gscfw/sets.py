@@ -73,6 +73,15 @@ class VertexSet(FeasibleSet):
 # Set classes
 # ---------------------------------------------------------------------------
 
+def _radius(n: int, radius: float) -> float:
+    """``radius`` as a float; a dimension ``n`` under 1, or a radius that is
+    not finite and positive, is a ValueError."""
+    if n < 1 or not 0.0 < radius < math.inf:
+        raise ValueError(f"need a positive dimension and a finite positive radius, "
+                         f"got {n} and {radius}")
+    return float(radius)
+
+
 class UnitSimplex(VertexSet):
     """{x >= 0, sum x = 1}; vertices are the coordinate basis, ids are ints."""
 
@@ -101,10 +110,8 @@ class L1Ball(VertexSet):
     """{||x||_1 <= R}; vertices +-R e_i, ids are (index, sign) pairs."""
 
     def __init__(self, n: int, radius: float):
-        if n < 1 or not radius > 0:
-            raise ValueError("need positive dimension and radius")
         self.dimension = n
-        self.radius = float(radius)
+        self.radius = _radius(n, radius)
         self.diameter = 2.0 * self.radius
 
     def lmo_indexed(self, c):
@@ -132,11 +139,9 @@ class SymmetricL1Ball(VertexSet):
     """
 
     def __init__(self, p: int, radius: float):
-        if p < 1 or not radius > 0:
-            raise ValueError("need positive dimension and radius")
         self.p = p
         self.dimension = p * p
-        self.radius = float(radius)
+        self.radius = _radius(p, radius)
         self.diameter = 2.0 * self.radius
 
     def lmo_indexed(self, c):
@@ -189,7 +194,7 @@ class EuclideanBall(FeasibleSet):
 
     def __init__(self, n: int, radius: float):
         self.dimension = n
-        self.radius = float(radius)
+        self.radius = _radius(n, radius)
         self.diameter = 2.0 * self.radius
 
     def lmo(self, c):
@@ -204,28 +209,12 @@ class EuclideanBall(FeasibleSet):
         return l2_norm(x) <= self.radius * (1.0 + tol) + tol
 
 
-class IntervalBlock(FeasibleSet):
-    """One-dimensional block [-u, u]."""
-
-    def __init__(self, u: float):
-        self.dimension = 1
-        self.u = float(u)
-        self.diameter = 2.0 * self.u
-
-    def lmo(self, c):
-        c = np.asarray(c, dtype=float)
-        return np.array([-self.u if c[0] >= 0 else self.u])
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return abs(float(np.asarray(x).ravel()[0])) <= self.u + tol
-
-
 class NonnegativeBall(FeasibleSet):
     """{x >= 0, ||x||_2 <= r}: the nonnegative orthant slice of a ball."""
 
     def __init__(self, n: int, radius: float):
         self.dimension = n
-        self.radius = float(radius)
+        self.radius = _radius(n, radius)
         self.diameter = self.radius * (math.sqrt(2.0) if n > 1 else 1.0)
 
     def lmo(self, c):

@@ -421,16 +421,15 @@ def away_vertex(grad, active: ActiveSet):
     return active.ids[row], active.vertices[row].reshape(active._shape)
 
 
-def asfwgsc(obj: Objective, polytope: VertexSet, start: ActiveSet, config: SolverConfig) -> RunTrace:
+def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConfig) -> RunTrace:
     """Away-step variant over a polytope with vertex-representation updates.
 
-    ``start`` is the ActiveSet of the starting point.  Away steps are capped
-    at weight/(1-weight); hitting the cap drops the vertex.
+    ``start`` maps vertex ids to their weights at the starting point.  Away
+    steps are capped at weight/(1-weight); hitting the cap drops the vertex.
     """
     if not isinstance(polytope, VertexSet):
         raise ValueError("away-step solver needs a polytope with vertex ids")
-    # the run owns its bookkeeping; never mutate the caller's copy
-    active = ActiveSet(polytope, dict(zip(start.ids, start.weights)))
+    active = ActiveSet(polytope, start)
     point, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
     meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
 

@@ -16,7 +16,7 @@ from gscfw import relative_error, run_experiment
 from gscfw.bench import (ConfigError, RunRecord, _cell_id, build_problem, load_records,
                          make_start, profile_points, profile_table, record_filename,
                          run_method, trace_to_lines, write_record)
-from gscfw.solvers import IterationRecord, RunTrace, SolverConfig
+from gscfw.solvers import ActiveSet, IterationRecord, RunTrace, SolverConfig
 
 from conftest import records_without_times, reference_profile_points
 
@@ -179,11 +179,13 @@ def test_build_problem_and_start_recipes():
                         ("dwd", {"p": 12, "d": 5}),
                         ("covariance", {"p": 4})):
         inst = build_problem({"name": name, "seed": 1, **extra})
-        x0, active = make_start(inst, start_seed=5)
+        x0, weights = make_start(inst, start_seed=5)
         assert inst.feasible_set.contains(x0, tol=1e-7)
         assert inst.objective.in_domain(x0)
-        if name != "dwd":
-            assert active is not None
+        if name == "dwd":
+            assert weights is None
+        else:
+            active = ActiveSet(inst.feasible_set, weights)
             assert np.allclose(np.ravel(active.reconstruct()), np.ravel(x0))
     with pytest.raises(ConfigError):
         build_problem({"name": "nope"})

@@ -190,6 +190,20 @@ def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, dama
                                {"name": "portfolio", "p": 15.0, "n": 5}]},
                  id="problem-twice-as-float"),
     pytest.param({"methods": ["fwgsc", "fw-standard", "fwgsc"]}, id="method-twice"),
+    pytest.param({"problems": [{"name": "logistic", "p": 20, "n": 5, "radius": float("inf")}]},
+                 id="logistic-radius-infinite"),
+    pytest.param({"problems": [{"name": "logistic", "p": 20, "n": 5, "gamma": float("inf")}]},
+                 id="logistic-gamma-infinite"),
+    pytest.param({"problems": [{"name": "dwd", "p": 10, "d": 3, "q": float("inf")}]},
+                 id="dwd-q-infinite"),
+    pytest.param({"problems": [{"name": "dwd", "p": 10, "d": 3, "u": float("inf")}]},
+                 id="dwd-u-infinite"),
+    pytest.param({"problems": [{"name": "dwd", "p": 10, "d": 3, "big_r": float("inf")}]},
+                 id="dwd-big_r-infinite"),
+    pytest.param({"profile_epsilons": [float("nan")]}, id="profile_epsilons-nan"),
+    pytest.param({"profile_epsilons": [1e-2, float("inf")]}, id="profile_epsilons-infinite"),
+    pytest.param({"profile_epsilons": [-1e-3]}, id="profile_epsilons-negative"),
+    pytest.param({"profile_epsilons": []}, id="profile_epsilons-empty"),
 ])
 def test_cli_run_rejects_mistyped_settings_before_any_cell(tmp_path, capsys, setting):
     out_dir = tmp_path / "rec"
@@ -265,6 +279,21 @@ def test_cli_run_rejects_non_integer_settings_before_any_cell(tmp_path, capsys, 
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.count("config error:") == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "-1e-3", "1e-2,nan"])
+def test_cli_profile_rejects_an_epsilon_grid_run_would_reject(tmp_path, capsys, grid):
+    # the records exist, so only the grid can make the exit code 2
+    config = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"],
+              "max_iter": 5, "out_dir": str(tmp_path / "rec")}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg)]) == 0
+    out_csv = tmp_path / "prof.csv"
+    assert main(["profile", str(tmp_path / "rec"), f"--epsilons={grid}",
+                 "--out", str(out_csv)]) == 2
+    assert "config error: the epsilon grid" in capsys.readouterr().err
+    assert not out_csv.exists()
 
 
 def test_cli_profile_stdout_matches_the_csv_file(tmp_path, capsys):

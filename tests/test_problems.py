@@ -263,7 +263,7 @@ def test_dwd_order_and_defaults():
     # feasible blocks: unit ball, [-5, 5], nonneg ball of radius sqrt(10)
     blocks = inst.feasible_set.blocks
     assert blocks[0].radius == 1.0
-    assert blocks[1].u == 5.0
+    assert blocks[1].radius == 5.0
     assert blocks[2].radius == pytest.approx(math.sqrt(10.0))
 
 

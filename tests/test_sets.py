@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from gscfw import (EuclideanBall, IntervalBlock, L1Ball, Line, NonnegativeBall,
-                   OracleViolation, Point, ProductSet, SimplexLLOO, SymmetricL1Ball,
-                   UnitSimplex, gap, max_feasible_step)
+from gscfw import (EuclideanBall, L1Ball, Line, NonnegativeBall, OracleViolation, Point,
+                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, gap,
+                   max_feasible_step)
 from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
                    portfolio_problem, synthetic_classification)
 from gscfw.bench import make_start
@@ -139,7 +139,7 @@ def test_sym_l1_lmo_against_vertex_enumeration():
 
 
 def test_product_lmo_blocks():
-    interval = IntervalBlock(5.0)
+    interval = L1Ball(1, 5.0)  # the interval [-5, 5]
     assert interval.lmo(np.array([2.0]))[0] == -5.0
     assert interval.lmo(np.array([-0.1]))[0] == 5.0
     assert interval.lmo(np.array([0.0]))[0] == -5.0
@@ -155,6 +155,16 @@ def test_product_lmo_blocks():
 
     with pytest.raises(ValueError):
         ProductSet([interval, ball]).lmo(np.zeros(4))
+
+
+@pytest.mark.parametrize("cls", [EuclideanBall, NonnegativeBall, L1Ball, SymmetricL1Ball])
+@pytest.mark.parametrize("n, radius", [(3, -1.0), (3, 0.0), (3, math.nan), (3, math.inf),
+                                       (0, 1.0)])
+def test_set_constructors_reject_a_bad_dimension_or_radius(cls, n, radius):
+    # a negative radius made the balls' oracles return a maximizer, and an
+    # infinite one an infinite vertex
+    with pytest.raises(ValueError, match="need a positive dimension and a finite positive radius"):
+        cls(n, radius)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -232,8 +242,6 @@ def _feasible_sampler(feasible, rng):
             d /= np.linalg.norm(d)
             return feasible.radius * rng.uniform() ** (1.0 / feasible.dimension) * d
         return draw
-    if isinstance(feasible, IntervalBlock):
-        return lambda: np.array([rng.uniform(-feasible.u, feasible.u)])
     if isinstance(feasible, NonnegativeBall):
         def draw():
             d = np.abs(rng.standard_normal(feasible.dimension))
@@ -247,7 +255,7 @@ def _feasible_sampler(feasible, rng):
     UnitSimplex(6),
     L1Ball(5, 2.5),
     SymmetricL1Ball(3, 2.0),
-    ProductSet([EuclideanBall(3, 1.0), IntervalBlock(5.0), NonnegativeBall(4, 2.0)]),
+    ProductSet([EuclideanBall(3, 1.0), L1Ball(1, 5.0), NonnegativeBall(4, 2.0)]),
 ])
 def test_oracle_optimality(feasible):
     rng = np.random.default_rng(3)

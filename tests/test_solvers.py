@@ -94,11 +94,12 @@ def test_a_gradient_that_overflows_to_inf_mid_run_ends_in_a_typed_error():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("method", ["fwgsc", "lbtfwgsc", "mbtfwgsc"])
+@pytest.mark.parametrize("method", ["fwgsc", "lbtfwgsc", "mbtfwgsc", "fw-line-search"])
 def test_gsc_solvers_keep_descending_where_the_gradient_norm_overflows(method):
     # at q = 100 the squared norm of the ball blocks' gradients overflows on
     # every oracle call; ball oracles that answered 0 there gave gaps against
-    # a wrong vertex, and fwgsc and mbtfwgsc stopped "converged" at f = 7.86e167
+    # a wrong vertex, and fwgsc and mbtfwgsc stopped "converged" at f = 7.86e167;
+    # fw-line-search's slope at the boundary probe overflows in d1 @ dz
     inst = build_problem({"name": "dwd", "p": 40, "d": 6, "q": 100, "seed": 3})
     x0, _ = make_start(inst, 5)
     trace = SOLVERS[method](inst.objective, inst.feasible_set, x0,
@@ -577,8 +578,7 @@ def test_active_set_updates():
 
 def test_asfwgsc_bookkeeping_and_monotonicity(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
-    trace = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
-                    SolverConfig(epsilon=1e-10, max_iter=600))
+    trace = asfwgsc(obj, feasible, {0: 1.0}, SolverConfig(epsilon=1e-10, max_iter=600))
     fs = trace.f_values()
     assert all(fs[i + 1] <= fs[i] + 1e-10 for i in range(len(fs) - 1))
     assert trace.meta["active_set_max_drift"] <= 1e-9
@@ -593,17 +593,14 @@ def test_asfwgsc_bookkeeping_and_monotonicity(portfolio_toy):
 def test_asfwgsc_requires_vertex_set(portfolio_toy):
     from gscfw import EuclideanBall
     with pytest.raises(ValueError):
-        asfwgsc(portfolio_toy.objective, EuclideanBall(10, 1.0),
-                ActiveSet(UnitSimplex(10), {0: 1.0}), SolverConfig())
+        asfwgsc(portfolio_toy.objective, EuclideanBall(10, 1.0), {0: 1.0}, SolverConfig())
 
 
 def test_asfwgsc_geometric_decrease(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
-    long = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
-                   SolverConfig(epsilon=1e-13, max_iter=2000))
+    long = asfwgsc(obj, feasible, {0: 1.0}, SolverConfig(epsilon=1e-13, max_iter=2000))
     f_star = long.best_f()
-    trace = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
-                    SolverConfig(epsilon=1e-13, max_iter=400))
+    trace = asfwgsc(obj, feasible, {0: 1.0}, SolverConfig(epsilon=1e-13, max_iter=400))
     hs = [f - f_star for f in trace.f_values()]
     # qualitative linear rate: the error at K is a fraction of the error at K/2
     k = min(len(hs) - 1, 60)
@@ -614,7 +611,7 @@ def test_asfwgsc_geometric_decrease(portfolio_toy):
 def test_asfwgsc_accepts_active_set_start(portfolio_toy):
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
     n = feasible.dimension
-    start = ActiveSet(feasible, {i: 1.0 / n for i in range(n)})
+    start = {i: 1.0 / n for i in range(n)}
     trace = asfwgsc(obj, feasible, start, SolverConfig(epsilon=1e-8, max_iter=500))
     assert trace.status == "gap-converged"
     assert trace.meta["active_set_max_drift"] <= 1e-9
@@ -642,8 +639,7 @@ def test_mbtfwgsc_beats_conservative_constant_on_logistic_toy():
     inst = logistic_problem(data, gamma=1.0 / 80, radius=10.0, nu_mode=3)
     obj, feasible = inst.objective, inst.feasible_set
     x0 = feasible.vertex((0, 1))
-    ref = asfwgsc(obj, feasible, ActiveSet(feasible, {(0, 1): 1.0}),
-                  SolverConfig(epsilon=1e-13, max_iter=50000))
+    ref = asfwgsc(obj, feasible, {(0, 1): 1.0}, SolverConfig(epsilon=1e-13, max_iter=50000))
     f_star = ref.best_f()
 
     def iters_to(trace, tol):
@@ -667,14 +663,12 @@ def test_mbtfwgsc_beats_conservative_constant_on_logistic_toy():
 @pytest.mark.parametrize("method", sorted(SOLVERS))
 def test_max_iter_zero_status_is_solver_independent(method):
     inst = ProblemInstance(ShiftedQuadratic([0.5, 0.5]), UnitSimplex(2), name="toy")
-    optimal = ActiveSet(inst.feasible_set, {0: 0.5, 1: 0.5})
     config = SolverConfig(epsilon=1e-6, max_iter=0)
-    trace = run_method(method, inst, optimal.reconstruct(), optimal, config)
+    trace = run_method(method, inst, np.array([0.5, 0.5]), {0: 0.5, 1: 0.5}, config)
     assert trace.status == "gap-converged"
     assert len(trace.iterations) == 0
     assert trace.final_gap <= config.epsilon
-    vertex = ActiveSet(inst.feasible_set, {0: 1.0})
-    trace = run_method(method, inst, vertex.reconstruct(), vertex, config)
+    trace = run_method(method, inst, np.array([1.0, 0.0]), {0: 1.0}, config)
     assert trace.status == "iteration-cap"
     assert len(trace.iterations) == 0
     assert trace.final_gap > config.epsilon
@@ -689,8 +683,7 @@ def test_elapsed_covers_active_set_bookkeeping(portfolio_toy, monkeypatch):
         return reconstruct(self)
 
     monkeypatch.setattr(ActiveSet, "reconstruct", slow_reconstruct)
-    trace = asfwgsc(obj, feasible, ActiveSet(feasible, {0: 1.0}),
-                    SolverConfig(epsilon=1e-10, max_iter=20))
+    trace = asfwgsc(obj, feasible, {0: 1.0}, SolverConfig(epsilon=1e-10, max_iter=20))
     assert trace.iterations
     assert all(rec.elapsed_seconds >= 0.002 for rec in trace.iterations)
 

@@ -445,12 +445,13 @@ def dwd_problem(data: SparseDataset, q: float = 2.0, c=None, u: float = 5.0,
 class CovarianceObjective(Objective):
     """-log det(X) + tr(S X) over symmetric positive definite X.
 
-    ``at(X)`` keeps the Cholesky factor X = L L^T and, once a gradient or a
-    line asks for it, L^{-1}.  Along a line X + tV the eigenvalues lam of
-    W = L^{-1} V L^{-T} give f(X + tV) = f(X) - sum log(1 + t lam) + t tr(SV),
-    the curvature sum lam^2 and the domain boundary.  Toward a vertex s of
-    the symmetric l1 ball, W = L^{-1} s L^{-T} - I is rank two minus I, so
-    its spectrum comes in closed form from one or two columns of L^{-1}.
+    ``at(X)`` keeps Y = X^{-1}; the gradient is S - Y.  Along a line X + tV
+    the eigenvalues lam of W = L^{-1} V L^{-T}, X = L L^T, give f(X + tV) =
+    f(X) - sum log(1 + t lam) + t tr(SV), the curvature sum lam^2 and the
+    domain boundary.  Toward a vertex s of the symmetric l1 ball, W =
+    L^{-1} s L^{-T} - I is rank two minus I, so its spectrum comes in closed
+    form from entries of Y, and a step carries Y by a rank-one or rank-two
+    update (``LogdetLine``).
     """
 
     name = "covariance"
@@ -491,9 +492,8 @@ class CovarianceObjective(Objective):
         return self.at(x).gradient()
 
     def hess_vec(self, x, v):
-        # X^{-1} V X^{-1} = L^{-T} (L^{-1} V L^{-T}) L^{-1}
-        inv = self.at(x).inverse_factor()
-        z = inv.T @ (inv @ np.asarray(v, dtype=float) @ inv.T) @ inv
+        y = self.at(x).x_inverse()
+        z = y @ np.asarray(v, dtype=float) @ y
         return (z + z.T) / 2.0
 
     def in_domain(self, x) -> bool:
@@ -501,14 +501,24 @@ class CovarianceObjective(Objective):
 
 
 class LogdetPoint(Point):
-    """X with its Cholesky factor (None outside the domain) and L^{-1}."""
+    """X with its Cholesky factor ``low`` (None outside the domain) and
+    Y = X^{-1}.  A fresh point factors X and forms Y from L^{-1}; a point a
+    vertex line carries (``LogdetLine``) comes with Y, f and its ``age``,
+    the carried steps since the last fresh point, and factors X only if
+    ``low`` is asked for."""
 
-    __slots__ = ("low", "_inv")
+    __slots__ = ("_low", "_y", "age")
 
-    def __init__(self, obj: CovarianceObjective, x):
+    def __init__(self, obj: CovarianceObjective, x, carried=None):
         super().__init__(obj, x)
-        self.low = obj._factor(x)
-        self._inv = None
+        self._low = obj._factor(x) if carried is None else False  # False: not yet factored
+        self._y, self._f, self.age = carried or (None, None, 0)
+
+    @property
+    def low(self):
+        if self._low is False:
+            self._low = self.obj._factor(self.x)
+        return self._low
 
     def value(self) -> float:
         if self._f is None:
@@ -520,17 +530,21 @@ class LogdetPoint(Point):
         return self._f
 
     def inverse_factor(self):
-        if self._inv is None:
-            if self.low is None:
-                raise ValueError("undefined outside the domain: X is not positive definite")
-            self._inv = dtrtri(self.low, lower=1)[0]
-        return self._inv
+        if self.low is None:
+            raise ValueError("undefined outside the domain: X is not positive definite")
+        return dtrtri(self.low, lower=1)[0]
+
+    def x_inverse(self):
+        """Y = X^{-1}, exactly symmetric."""
+        if self._y is None:
+            inv = self.inverse_factor()
+            y = inv.T @ inv
+            self._y = (y + y.T) / 2.0
+        return self._y
 
     def gradient(self):
         if self._g is None:
-            inv = self.inverse_factor()
-            x_inv = inv.T @ inv
-            self._g = self.obj.sigma - (x_inv + x_inv.T) / 2.0
+            self._g = self.obj.sigma - self.x_inverse()
         return self._g
 
     def restrict(self, v) -> "LogdetLine":
@@ -539,23 +553,22 @@ class LogdetPoint(Point):
         return LogdetLine(self, v, np.linalg.eigvalsh((w + w.T) / 2.0).tolist(), 0)
 
     def toward(self, s) -> "LogdetLine":
-        # a symmetric l1-ball vertex: a at (i, i), or b at (i, j) and (j, i)
-        p, nonzero = self.obj.p, np.flatnonzero(s)
-        if not 0 < len(nonzero) <= 2:
+        # a symmetric l1-ball vertex: b at (i, i), or b at (i, j) and (j, i),
+        # where (i, j) is the first nonzero entry and no other is nonzero
+        p = self.obj.p
+        i, j = divmod(int(np.argmax(s.ravel() != 0.0)), p)
+        b = float(s[i, j])
+        if b == 0.0 or s[j, i] != b or np.count_nonzero(s) != (1 if i == j else 2):
             return super().toward(s)
-        (i, j), (k, m) = divmod(int(nonzero[0]), p), divmod(int(nonzero[-1]), p)
-        if (i, j) != (m, k) or s[i, j] != s[j, i]:
-            return super().toward(s)
-        # with c_i = L^{-1} e_i, L^{-1} s L^{-T} is a c_i c_i^T or
-        # b (c_i c_j^T + c_j c_i^T), and L^{-1} X L^{-T} = I
-        inv, b = self.inverse_factor(), float(s[i, j])
-        ci, cj = inv[:, i], inv[:, j]
+        # with c_i = L^{-1} e_i, L^{-1} s L^{-T} is b c_i c_i^T or
+        # b (c_i c_j^T + c_j c_i^T), L^{-1} X L^{-T} = I, and c_i . c_j = Y_ij
+        y = self.x_inverse()
         if i == j:
-            lam = [b * float(ci @ ci) - 1.0]
+            lam = [b * float(y[i, i]) - 1.0]
         else:
-            cross, norms = float(ci @ cj), math.sqrt(float(ci @ ci) * float(cj @ cj))
+            cross, norms = float(y[i, j]), math.sqrt(float(y[i, i]) * float(y[j, j]))
             lam = [b * (cross - norms) - 1.0, b * (cross + norms) - 1.0]
-        return LogdetLine(self, s - self.x, lam, p - len(lam))
+        return LogdetLine(self, s - self.x, lam, p - len(lam), (i, j, b))
 
 
 # Below this distance of 1 + t lam_min from 0, rounding can decide whether X + tV
@@ -569,13 +582,20 @@ class LogdetLine(Line):
     A line toward a vertex has one or two of them in ``lam`` and the rest
     -1; any other direction lists all of W's eigenvalues with ``ones`` = 0.
     Each question is then a sum over ``lam`` plus ``ones`` equal terms.
+
+    Toward s = b (e_i e_j^T + e_j e_i^T), or b e_i e_i^T (``vertex`` = (i, j,
+    b)), ``at(t)`` carries Y: X + tV = (1 - t)(X + beta s), beta = t/(1 - t),
+    has the inverse (Y - update)/(1 - t), the update Sherman-Morrison's for
+    i = j and a 2x2 Woodbury solve's otherwise, and f = ``value(t)``.  At
+    t = 0 or t >= 1, within ``_LOGDET_EDGE`` of the edge, and after p
+    carried steps, X + tV is a fresh point, factored.
     """
 
-    __slots__ = ("lam", "ones", "trace_sv", "_low", "_high")
+    __slots__ = ("lam", "ones", "trace_sv", "vertex", "_low", "_high")
 
-    def __init__(self, point: LogdetPoint, v, lam, ones):
+    def __init__(self, point: LogdetPoint, v, lam, ones, vertex=None):
         super().__init__(point, v)
-        self.lam, self.ones = lam, ones
+        self.lam, self.ones, self.vertex = lam, ones, vertex
         self.trace_sv = inner(point.obj.sigma, v)
         spectrum = lam + [-1.0] if ones else lam
         self._low, self._high = min(spectrum), max(spectrum)
@@ -583,6 +603,22 @@ class LogdetLine(Line):
     def _edge(self, t) -> float:
         """min_i 1 + t lam_i; X + tV is positive definite iff it is > 0."""
         return 1.0 + t * (self._low if t >= 0.0 else self._high)
+
+    def _point_at(self, t) -> LogdetPoint:
+        point, x = self.point, self.point.x + t * self.v
+        if (self.vertex is None or t == 0.0 or t >= 1.0 or point.age >= point.obj.p
+                or self._edge(t) <= _LOGDET_EDGE):
+            return LogdetPoint(point.obj, x)
+        i, j, b = self.vertex
+        y, q = point.x_inverse(), t * b / (1.0 - t)  # beta b
+        if i == j:
+            rows, k = y[[i]], np.array([[q / (1.0 + q * y[i, i])]])
+        else:  # K = q (q U^T Y U + [[0, 1], [1, 0]])^{-1}
+            a, c, d = q * y[i, i], 1.0 + q * y[i, j], q * y[j, j]
+            rows, k = y[[i, j]], np.array([[d, -c], [-c, a]]) * (q / (a * d - c * c))
+        z = y - rows.T @ (k @ rows)
+        return LogdetPoint(point.obj, x, ((z + z.T) * (0.5 / (1.0 - t)), self.value(t),
+                                          point.age + 1))
 
     def value(self, t) -> float:
         if self._edge(t) <= 0.0:

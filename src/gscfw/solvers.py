@@ -105,13 +105,16 @@ class RunTrace:
 def _start(obj: Objective, feasible: FeasibleSet, x0, solver: str):
     """The evaluation cache at a validated float copy of the start, and the
     run's metadata.  f is +inf outside dom f, so one finite f(x0) admits the
-    start; a start outside dom f, or one where f overflows, is a ValueError."""
+    start; a start outside dom f, or one where f or its gradient overflows,
+    is a ValueError.  The loop's first gradient is the one checked here."""
     x = np.array(x0, dtype=float)
     if not feasible.contains(x, tol=1e-7):
         raise ValueError("initial point is not feasible")
     point = obj.at(x)
     if not math.isfinite(point.value()):
         raise ValueError(f"initial point has f = {point.value()}: outside dom f or overflowing")
+    if not np.isfinite(point.gradient()).all():
+        raise ValueError("initial point has a non-finite gradient where f is finite")
     return point, {"solver": solver, "problem": obj.name}
 
 

@@ -545,6 +545,84 @@ def test_covariance_factor_decides_as_the_tolerance_test(p, seed, skew, shift, b
     assert low is None or np.array_equal(low, ref)
 
 
+def _assert_matches_a_fresh_point(point, obj):
+    """Y, f and the gradient of ``point`` against obj.at(x), 1e-12 relative."""
+    ref = obj.at(point.x)
+
+    def rel(a, b):
+        return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(b)))
+
+    assert rel(point.x_inverse(), ref.x_inverse()) <= 1e-12
+    assert rel(point.value(), ref.value()) <= 1e-12
+    assert rel(point.gradient(), ref.gradient()) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [6, 30])
+def test_carried_inverse_matches_a_fresh_point(p):
+    # x walks over convex combinations of vertices of the l1 ball, from
+    # (R/p) I: forward steps to diagonal and off-diagonal vertices, away
+    # steps, and one drop of the off-diagonal vertex added first
+    inst = covariance_problem(covariance_generator(p, seed=p))
+    obj, ball = inst.objective, inst.feasible_set
+    rng = np.random.default_rng(p)
+    weights = {(i, i, 1): 1.0 / p for i in range(p)}
+    point, ages, first_off = obj.at(ball.radius / p * np.eye(p)), [], None
+    for k in range(3 * p):
+        kind = ("diagonal", "off-diagonal", "away")[k % 3] if k != 2 * p else "drop"
+        if kind in ("diagonal", "off-diagonal"):
+            i, j = (int(m) for m in rng.choice(p, 2, replace=False))
+            vid = (i, i, int(rng.choice([-1, 1]))) if kind == "diagonal" else (
+                min(i, j), max(i, j), int(rng.choice([-1, 1])))
+            line = point.toward(ball.vertex(vid))
+            t = rng.uniform(0.05, 0.5) * min(line.max_step(), 0.5)
+            weights = {v: w * (1.0 - t) for v, w in weights.items()}
+            weights[vid] = weights.get(vid, 0.0) + t
+            if first_off is None and kind == "off-diagonal":
+                first_off = vid
+        else:
+            vid = first_off if kind == "drop" else list(weights)[int(rng.integers(len(weights)))]
+            line, mu = point.toward(ball.vertex(vid)), weights[vid]
+            t_bar = mu / (1.0 - mu)  # the drop step
+            high = max(line.lam)  # the away step's domain edge is 1 - t high
+            t = t_bar if kind == "drop" else rng.uniform(0.2, 0.8) * min(
+                t_bar, 0.5 / high if high > 0.0 else t_bar)
+            weights = {v: w * (1.0 + t) for v, w in weights.items()}
+            weights[vid] -= t
+            if kind == "drop":
+                del weights[vid]
+            t = -t
+        assert line.vertex is not None and line.in_domain(t)
+        nxt = line.at(t)
+        ages.append(nxt.age)
+        assert nxt.age == (point.age + 1 if point.age < p else 0)
+        _assert_matches_a_fresh_point(nxt, obj)
+        recon = sum(w * ball.vertex(v) for v, w in weights.items())
+        assert np.allclose(recon, nxt.x, rtol=0.0, atol=1e-12 * ball.radius)
+        point = nxt
+    assert ages.count(0) >= 2 and sum(age > 0 for age in ages) >= 2 * p
+    assert first_off not in weights
+
+
+def test_a_step_near_the_domain_edge_gets_a_factored_point():
+    # within _LOGDET_EDGE of the edge, rounding may decide whether X + tV
+    # factors: at(t) factors it and in_domain answers what dpotrf says
+    p = 6
+    inst = covariance_problem(covariance_generator(p, seed=5))
+    obj, ball = inst.objective, inst.feasible_set
+    point = obj.at(ball.radius / p * np.eye(p))
+    for vid in ((0, 0, -1), (1, 3, 1), (2, 4, -1)):
+        line = point.toward(ball.vertex(vid))
+        low = min(line.lam + [-1.0])
+        for edge in (5e-7, 1e-9, 1e-13):
+            t = (1.0 - edge) / -low
+            nxt = line.at(t)
+            assert nxt.age == 0 and nxt._low is not False
+            assert line.in_domain(t) == (obj._factor(nxt.x) is not None)
+        t = (1.0 - 1e-3) / -low  # away from the edge: carried
+        assert line.at(t).age == 1 and line.at(t)._low is False
+        _assert_matches_a_fresh_point(line.at(t), obj)
+
+
 # ---------------------------------------------------------------------------
 # logistic sandwich (executable GSC-membership proxy)
 # ---------------------------------------------------------------------------

@@ -83,6 +83,19 @@ def test_start_where_f_overflows_is_rejected(method):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc",
+                                    "mbtfwgsc"])
+def test_start_where_the_gradient_overflows_is_rejected(method):
+    # big_r = 1e-300 leaves f(x0) = 2.5e303 finite, but its gradient holds
+    # inf and NaN; the run used to stop at the first oracle call instead
+    inst = build_problem({"name": "dwd", "p": 20, "d": 4, "big_r": 1e-300})
+    x0, _ = make_start(inst, 0)
+    assert math.isfinite(inst.objective.value(x0))
+    with pytest.raises(ValueError, match="initial point has a non-finite gradient"):
+        SOLVERS[method](inst.objective, inst.feasible_set, x0, SolverConfig(max_iter=5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_gradient_that_overflows_to_inf_mid_run_ends_in_a_typed_error():
     # at q = 100 the start is finite, but z^(-q-1) overflows at a late
     # iterate; the ball oracles raise before 0 * inf can warn

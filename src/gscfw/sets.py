@@ -2,9 +2,9 @@
 
 Every set exposes ``lmo`` (vertex output, lowest-index tie-breaking), a
 membership test, and its diameter.  Polytope sets additionally return a
-stable hashable vertex id with each oracle answer, which the away-step
-solver needs for its active-set bookkeeping.  All sets are immutable and
-their oracles are pure, so concurrent queries are safe.
+stable hashable vertex id with each oracle answer and give each vertex as
+an atom, which the away-step solver keeps in its active set.  All sets are
+immutable and their oracles are pure, so concurrent queries are safe.
 """
 
 from __future__ import annotations
@@ -55,15 +55,24 @@ class FeasibleSet(ABC):
 
 
 class VertexSet(FeasibleSet):
-    """Polytope whose oracle also reports a stable vertex identifier."""
+    """Polytope whose oracle also reports a stable vertex id and whose every vertex is
+    h (e_a + e_b) over the flat indices of a point of ``shape``; a box, say, is not one."""
 
     @abstractmethod
     def lmo_indexed(self, c):
         """Return (vertex_id, vertex); ids are hashable and orderable."""
 
     @abstractmethod
+    def atom(self, vid):
+        """(a, b, h) with vertex ``vid`` = h (e_a + e_b); a ValueError if no vertex has that id."""
+
     def vertex(self, vid):
         """The vertex with id ``vid``, as a new array."""
+        a, b, h = self.atom(vid)
+        out = np.zeros(self.dimension)
+        out[b] = h
+        out[a] += h  # 2h when a == b
+        return out.reshape(self.shape)
 
     def lmo(self, c):
         return self.lmo_indexed(c)[1]
@@ -88,7 +97,7 @@ class UnitSimplex(VertexSet):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be positive")
-        self.dimension = n
+        self.dimension, self.shape = n, (n,)
         self.diameter = math.sqrt(2.0) if n > 1 else 0.0
 
     def lmo_indexed(self, c):
@@ -96,10 +105,10 @@ class UnitSimplex(VertexSet):
         i = int(np.argmin(c))
         return i, self.vertex(i)
 
-    def vertex(self, i: int):
-        out = np.zeros(self.dimension)
-        out[i] = 1.0
-        return out
+    def atom(self, i: int):
+        if not 0 <= i < self.dimension:
+            raise ValueError(f"no vertex has id {i!r}")
+        return i, i, 0.5
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)
@@ -110,7 +119,7 @@ class L1Ball(VertexSet):
     """{||x||_1 <= R}; vertices +-R e_i, ids are (index, sign) pairs."""
 
     def __init__(self, n: int, radius: float):
-        self.dimension = n
+        self.dimension, self.shape = n, (n,)
         self.radius = _radius(n, radius)
         self.diameter = 2.0 * self.radius
 
@@ -121,11 +130,11 @@ class L1Ball(VertexSet):
         vid = (i, -1 if c[i] >= 0 else 1)
         return vid, self.vertex(vid)
 
-    def vertex(self, vid):
+    def atom(self, vid):
         i, sign = vid
-        out = np.zeros(self.dimension)
-        out[i] = sign * self.radius
-        return out
+        if not (0 <= i < self.dimension and sign in (1, -1)):
+            raise ValueError(f"no vertex has id {vid!r}")
+        return i, i, sign * self.radius / 2
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return float(np.sum(np.abs(x))) <= self.radius * (1.0 + tol) + tol
@@ -140,7 +149,7 @@ class SymmetricL1Ball(VertexSet):
 
     def __init__(self, p: int, radius: float):
         self.p = p
-        self.dimension = p * p
+        self.dimension, self.shape = p * p, (p, p)
         self.radius = _radius(p, radius)
         self.diameter = 2.0 * self.radius
 
@@ -159,14 +168,11 @@ class SymmetricL1Ball(VertexSet):
         vid = (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
         return vid, self.vertex(vid)
 
-    def vertex(self, vid):
+    def atom(self, vid):
         i, j, sign = vid
-        out = np.zeros((self.p, self.p))
-        if i == j:
-            out[i, i] = sign * self.radius
-        else:
-            out[i, j] = out[j, i] = sign * 0.5 * self.radius
-        return out
+        if not (0 <= i <= j < self.p and sign in (1, -1)):
+            raise ValueError(f"no vertex has id {vid!r}")
+        return i * self.p + j, j * self.p + i, sign * self.radius / 2
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         x = np.asarray(x, dtype=float)

@@ -364,16 +364,16 @@ _PURGE_TOL = 1e-12
 
 class ActiveSet:
     """Iterate as an explicit convex combination of polytope vertices: the
-    ``ids`` in entry order, their ``weights``, and row r of ``vertices`` the
-    flattened ``polytope.vertex(ids[r])``, asked for once, when ids[r] enters."""
+    ``ids`` in entry order, their ``weights``, and the atom (a, b, h) of ids[r]
+    as ``pairs[r]`` and ``heights[r]``, asked of the polytope once, when ids[r] enters."""
 
     def __init__(self, polytope: VertexSet, weights: dict):
         self.polytope = polytope
         self.ids = list(weights)
         self.weights = np.fromiter(weights.values(), dtype=float, count=len(self.ids))
-        vertices = np.array([polytope.vertex(vid) for vid in self.ids], dtype=float)
-        self._shape = vertices.shape[1:]
-        self.vertices = vertices.reshape(len(self.ids), math.prod(self._shape))
+        atoms = [polytope.atom(vid) for vid in self.ids]
+        self.pairs = np.array([(a, b) for a, b, _ in atoms], dtype=np.intp).reshape(-1, 2)
+        self.heights = np.array([h for _, _, h in atoms], dtype=float)
         self._normalize()
 
     def _normalize(self):
@@ -381,7 +381,8 @@ class ActiveSet:
         if np.count_nonzero(low):
             keep = ~low
             self.ids = list(compress(self.ids, keep))
-            self.weights, self.vertices = self.weights[keep], self.vertices[keep]
+            self.weights, self.pairs, self.heights = (
+                self.weights[keep], self.pairs[keep], self.heights[keep])
         # a sequential sum in entry order (np.sum would sum pairwise)
         total = np.add.accumulate(self.weights)[-1] if self.ids else 0.0
         if not math.isfinite(total) or total <= 0.0:
@@ -395,9 +396,10 @@ class ActiveSet:
         if vid in self.ids:
             self.weights[self.ids.index(vid)] += alpha
         else:
+            a, b, h = self.polytope.atom(vid)
             self.ids.append(vid)
-            self.weights = np.append(self.weights, alpha)
-            self.vertices = np.vstack([self.vertices, np.ravel(self.polytope.vertex(vid))])
+            self.weights, self.heights = np.append(self.weights, alpha), np.append(self.heights, h)
+            self.pairs = np.append(self.pairs, [(a, b)], axis=0)
         self._normalize()
 
     def away_update(self, vid, alpha: float):
@@ -410,18 +412,15 @@ class ActiveSet:
         return self.weights[self.ids.index(vid)] if vid in self.ids else 0.0
 
     def reconstruct(self):
-        return (self.weights @ self.vertices).reshape(self._shape)
-
-    def __len__(self):
-        return len(self.ids)
+        return np.bincount(self.pairs.ravel(), np.repeat(self.weights * self.heights, 2),
+                           minlength=self.polytope.dimension).reshape(self.polytope.shape)
 
 
 def away_vertex(grad, active: ActiveSet):
     """Active vertex most aligned with the gradient (lowest id on ties)."""
-    scores = active.vertices @ np.ravel(grad)
-    best = np.flatnonzero(scores == scores[scores.argmax()])
-    row = min(best, key=active.ids.__getitem__)
-    return active.ids[row], active.vertices[row].reshape(active._shape)
+    scores = (active.heights[:, None] * np.ravel(grad)[active.pairs]).sum(axis=1)  # h g_a + h g_b
+    uid = min(compress(active.ids, scores == scores[scores.argmax()]))
+    return uid, active.polytope.vertex(uid)
 
 
 def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConfig) -> RunTrace:
@@ -466,7 +465,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
                                     predicted_decrease=predicted)
 
     trace = _frank_wolfe(polytope, point, config, meta, step)
-    meta["active_set_size"] = len(active)
+    meta["active_set_size"] = len(active.ids)
     return trace
 
 

@@ -556,7 +556,7 @@ class IntervalSet(VertexSet):
 
     def __init__(self, lo, hi):
         self.lo, self.hi = float(lo), float(hi)
-        self.dimension = 1
+        self.dimension, self.shape = 1, (1,)
         self.diameter = self.hi - self.lo
 
     def lmo_indexed(self, c):
@@ -565,8 +565,8 @@ class IntervalSet(VertexSet):
             return 0, np.array([self.lo])
         return 1, np.array([self.hi])
 
-    def vertex(self, vid):
-        return np.array([self.hi if vid else self.lo])
+    def atom(self, vid):
+        return 0, 0, (self.hi if vid else self.lo) / 2
 
     def contains(self, x, tol=1e-9):
         val = float(np.asarray(x).ravel()[0])

@@ -7,19 +7,22 @@ import numpy as np
 import pytest
 
 from gscfw import (ActiveSet, L1Ball, SolverConfig, SymmetricL1Ball, UnitSimplex, asfwgsc,
-                   away_vertex, inner)
+                   away_vertex, covariance_generator, covariance_problem, fwgsc, inner, solvers)
 from gscfw.bench import build_problem, make_start
 
 
 class CountingVertices:
-    """A polytope that counts the vertices it is asked for."""
+    """A polytope that counts the atoms it is asked for."""
 
     def __init__(self, polytope):
         self.polytope, self.calls = polytope, []
 
-    def vertex(self, vid):
+    def __getattr__(self, name):
+        return getattr(self.polytope, name)
+
+    def atom(self, vid):
         self.calls.append(vid)
-        return self.polytope.vertex(vid)
+        return self.polytope.atom(vid)
 
 
 # polytope, start weights, then (kind, id, alpha) updates: forward steps to
@@ -74,7 +77,7 @@ def test_active_set_matches_the_dense_reference(name):
         else:
             active.away_update(vid, alpha)
         reference = _reference_step(reference, kind, vid, alpha)
-        # the polytope is asked for a vertex only when its id enters
+        # the polytope is asked for an atom only when its id enters
         assert counting.calls == ([vid] if entered else [])
         assert sorted(active.ids) == sorted(reference)
         assert (vid in active.ids) == (kind != "drop")
@@ -116,7 +119,7 @@ def test_a_weight_below_the_purge_tolerance_removes_its_id():
     assert active.ids == [0]
     assert active.weight(2) == 0.0
     assert np.array_equal(active.reconstruct(), simplex.vertex(0))
-    assert active.vertices.shape == (1, 3)
+    assert active.pairs.tolist() == [[0, 0]] and active.heights.tolist() == [0.5]
 
 
 @pytest.mark.parametrize("weights", [{}, {0: 0.0}, {0: 1e-13, 1: -1.0}, {0: math.nan}],
@@ -144,3 +147,60 @@ def test_asfwgsc_leaves_the_callers_start_unchanged(spec):
                     SolverConfig(epsilon=1e-12, max_iter=60))
     assert any(rec.step_kind != "forward" for rec in trace.iterations)
     assert list(start.items()) == list(before.items())
+
+
+@pytest.mark.parametrize("start", [{(-1, 1): 1.0}, {(0, 0.5): 1.0}, {(12, 1): 1.0},
+                                   {(0, 1): 0.5, (12, -1): 0.5}],
+                         ids=["negative-index", "half-sign", "index-n", "one-of-two"])
+def test_asfwgsc_rejects_a_start_id_that_names_no_vertex(start):
+    # (-1, 1) would alias (11, 1), and (0, 0.5) is a point at half the radius
+    inst = build_problem({"name": "logistic", "p": 60, "n": 12, "seed": 3})
+    with pytest.raises(ValueError, match="no vertex has id"):
+        asfwgsc(inst.objective, inst.feasible_set, start, SolverConfig(epsilon=1e-12, max_iter=200))
+
+
+class RecordingBall(SymmetricL1Ball):
+    """A symmetric l1 ball that records the vertex ids its oracle answers."""
+
+    def __init__(self, p, radius):
+        super().__init__(p, radius)
+        self.picks = []
+
+    def lmo_indexed(self, c):
+        vid, s = super().lmo_indexed(c)
+        self.picks.append(vid)
+        return vid, s
+
+
+def test_covariance_runs_off_the_diagonal_at_a_large_radius(monkeypatch):
+    # At the default radius ceil(sqrt(p)) every oracle answer is diagonal;
+    # at R = 9 with p = 6 both solvers pick off-diagonal vertices, which
+    # exercises the two-eigenvalue line, the rank-two inverse update and the
+    # off-diagonal atoms.
+    inst = covariance_problem(covariance_generator(6, 11), radius=9.0)
+    x0, start = make_start(inst, 1)
+    config = SolverConfig(epsilon=1e-12, max_iter=200)
+
+    ball = RecordingBall(6, 9.0)
+    trace = fwgsc(inst.objective, ball, x0, config)
+    assert sum(i < j for i, j, _ in ball.picks) >= 5
+    fs = trace.f_values()
+    for k, rec in enumerate(trace.iterations):
+        assert fs[k] - fs[k + 1] >= rec.predicted_decrease - 1e-9 * (1.0 + abs(fs[k]))
+
+    made = []
+
+    class KeptActiveSet(ActiveSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "ActiveSet", KeptActiveSet)
+    ball = RecordingBall(6, 9.0)
+    trace = asfwgsc(inst.objective, ball, start, config)
+    assert sum(i < j for i, j, _ in ball.picks) >= 20
+    assert any(rec.step_kind != "forward" for rec in trace.iterations)
+    [active] = made
+    assert any(i < j for i, j, _ in active.ids)
+    assert trace.meta["active_set_max_drift"] <= 1e-12
+    assert np.allclose(active.reconstruct(), trace.x, rtol=0.0, atol=1e-12)

@@ -309,6 +309,50 @@ def test_diameters_match_vertex_brute_force():
     assert sym.diameter == pytest.approx(best) == pytest.approx(4.0)
 
 
+def _unit(shape, *entries):
+    out = np.zeros(shape)
+    for index, value in entries:
+        out[index] = value
+    return out
+
+
+def _written_vertices():
+    """Every vertex of three polytopes by id, written out densely by hand:
+    e_i, +-R e_i, +-R E_ii and +-(R/2)(E_ij + E_ji)."""
+    yield UnitSimplex(4), {i: _unit(4, (i, 1.0)) for i in range(4)}
+    yield L1Ball(3, 2.5), {(i, s): _unit(3, (i, s * 2.5)) for i in range(3) for s in (1, -1)}
+    yield SymmetricL1Ball(3, 3.0), {
+        (i, j, s): (_unit((3, 3), ((i, i), s * 3.0)) if i == j
+                    else _unit((3, 3), ((i, j), s * 1.5), ((j, i), s * 1.5)))
+        for i in range(3) for j in range(i, 3) for s in (1, -1)}
+
+
+@pytest.mark.parametrize("polytope, written", list(_written_vertices()),
+                         ids=["simplex", "l1", "symmetric-l1"])
+def test_every_vertex_matches_its_written_dense_form(polytope, written):
+    for vid, expected in written.items():
+        v = polytope.vertex(vid)
+        assert v.shape == expected.shape and v.dtype == np.float64
+        assert np.array_equal(v, expected)
+
+
+@pytest.mark.parametrize("polytope, vid", [
+    (UnitSimplex(4), -1), (UnitSimplex(4), 4),
+    (L1Ball(3, 2.5), (-1, 1)), (L1Ball(3, 2.5), (3, -1)), (L1Ball(3, 2.5), (0, 0.5)),
+    (L1Ball(3, 2.5), (1, 0)),
+    (SymmetricL1Ball(3, 1.0), (-1, 0, 1)), (SymmetricL1Ball(3, 1.0), (0, 3, 1)),
+    (SymmetricL1Ball(3, 1.0), (0, 1, 2)), (SymmetricL1Ball(3, 1.0), (1, 1, -0.5)),
+    (SymmetricL1Ball(3, 1.0), (2, 1, 1)),
+], ids=["simplex-below", "simplex-above", "l1-below", "l1-above", "l1-half-sign",
+        "l1-zero-sign", "sym-below", "sym-above", "sym-sign-2", "sym-half-sign", "sym-lower"])
+def test_an_id_that_names_no_vertex_is_rejected(polytope, vid):
+    # each case names no vertex: an index outside [0, n), a sign other than
+    # +-1, or i > j on the symmetric ball (whose vertex has id (j, i, s))
+    for ask in (polytope.atom, polytope.vertex):
+        with pytest.raises(ValueError, match="no vertex has id"):
+            ask(vid)
+
+
 # ---------------------------------------------------------------------------
 # simplex LLOO
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,19 +45,17 @@ def nu_branch(nu: float) -> int:
 
 @dataclass(frozen=True)
 class GscSpec:
-    """The pair (M, nu) classifying a generalized self-concordant objective."""
+    """The pair (M, nu) classifying a generalized self-concordant objective,
+    with nu's ``branch`` (see ``nu_branch``) classified once, here."""
 
     m: float
     nu: float
+    branch: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.m >= 0.0:
             raise ValueError(f"GSC constant must be nonnegative, got {self.m}")
-        nu_branch(self.nu)  # validates the range
-
-    @property
-    def branch(self) -> int:
-        return nu_branch(self.nu)
+        object.__setattr__(self, "branch", nu_branch(self.nu))  # validates the range
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,11 @@ class Point:
 
     A point is a value the solver run owns, never state of the objective.
     This generic point calls the objective's own oracles; families subclass
-    it to keep what their oracles share.
+    it to keep what their oracles share.  Points are built on every step, so
+    a subclass sets all its slots in its own ``__init__``, with no chained
+    ``super().__init__``, and its methods call ndarray methods (``a.sum()``,
+    ``a.argmax()``) or a ufunc's ``reduce``, not numpy's module wrappers,
+    which reach the same kernels through one more Python call.
     """
 
     __slots__ = ("obj", "x", "_f", "_g")
@@ -242,7 +244,8 @@ class Line:
     the same t computed there.  This generic line asks ``obj.at`` for the
     points along it, the objective's oracles for the curvature and the
     domain, and bisects on ``in_domain`` when ``max_step`` gives no exact
-    answer.
+    answer.  As for ``Point``, a subclass sets its own slots (no chained
+    ``super().__init__``) and uses ndarray methods on the iteration path.
     """
 
     __slots__ = ("point", "v", "_t", "_probe_point")

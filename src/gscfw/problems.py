@@ -230,7 +230,8 @@ class MarginObjective(Objective):
     for every gradient costs a format check of B each time.  ``columns`` is
     B when it is stored column-wise (dense or CSC), else None; then the line
     toward a vertex with one nonzero s_i reads dz = s_i B[:, i] - z instead
-    of a product.
+    of a product, from the arrays (indptr, indices, data) in ``csc`` when B
+    is sparse, so no line asks B's format.
     """
 
     def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
@@ -242,6 +243,7 @@ class MarginObjective(Objective):
         self.b = b
         self.bt = b.T
         self.columns = b if isinstance(b, np.ndarray) or b.format == "csc" else None
+        self.csc = (b.indptr, b.indices, b.data) if sp.issparse(self.columns) else None
         self.count = count
         self.c = c
         self.gamma = float(gamma)
@@ -270,7 +272,7 @@ class MarginObjective(Objective):
         return (h.toarray() if sp.issparse(h) else h) + self.gamma * np.eye(self.dimension)
 
     def in_domain(self, x) -> bool:
-        return not self.kernel.positive or bool(np.all(self.b @ x > 0.0))
+        return not self.kernel.positive or bool((self.b @ x > 0.0).all())
 
 
 class MarginPoint(Point):
@@ -279,16 +281,16 @@ class MarginPoint(Point):
     __slots__ = ("z", "w")
 
     def __init__(self, obj: MarginObjective, x, z):
-        super().__init__(obj, x)
+        self.obj, self.x, self._f, self._g = obj, x, None, None
         self.z, self.w = z, obj.kernel.prepare(z)
 
     def value(self) -> float:
         if self._f is None:
             obj, x, z = self.obj, self.x, self.z
-            if obj.kernel.positive and np.any(z <= 0.0):
+            if obj.kernel.positive and (z <= 0.0).any():
                 self._f = math.inf
             else:
-                out = float(np.sum(obj.kernel.phi(self.w))) / obj.count
+                out = float(obj.kernel.phi(self.w).sum()) / obj.count
                 if obj.c is not None:
                     out += float(obj.c @ x)
                 self._f = out + 0.5 * obj.gamma * float(x @ x)
@@ -305,16 +307,17 @@ class MarginPoint(Point):
         return MarginLine(self, v, self.obj.b @ v)
 
     def toward(self, s) -> "MarginLine":
-        cols = self.obj.columns
-        nonzero = np.flatnonzero(s) if cols is not None else ()
+        obj = self.obj
+        nonzero = s.nonzero()[0] if obj.columns is not None else ()  # s is a vector here
         if len(nonzero) != 1:
             return super().toward(s)
         i = nonzero[0]
-        if sp.issparse(cols):
-            lo, hi = cols.indptr[i], cols.indptr[i + 1]
-            rows, column = cols.indices[lo:hi], cols.data[lo:hi]
+        if obj.csc is not None:
+            indptr, indices, data = obj.csc
+            lo, hi = indptr[i], indptr[i + 1]
+            rows, column = indices[lo:hi], data[lo:hi]
         else:
-            rows, column = slice(None), cols[:, i]
+            rows, column = slice(None), obj.columns[:, i]
         dz = -self.z  # B(s - x) = s_i B[:, i] - z
         dz[rows] += s[i] * column
         return MarginLine(self, s - self.x, dz)
@@ -331,8 +334,7 @@ class MarginLine(Line):
     __slots__ = ("dz",)
 
     def __init__(self, point: MarginPoint, v, dz):
-        super().__init__(point, v)
-        self.dz = dz
+        self.point, self.v, self._t, self._probe_point, self.dz = point, v, None, None, dz
 
     def _point_at(self, t) -> MarginPoint:
         p = self.point
@@ -340,7 +342,7 @@ class MarginLine(Line):
 
     def slope(self, t) -> float:
         obj, v, q = self.point.obj, self.v, self.at(t)
-        if obj.kernel.positive and not np.all(q.z > 0.0):
+        if obj.kernel.positive and not (q.z > 0.0).all():
             raise ValueError("slope undefined outside the domain")
         with np.errstate(over="ignore", invalid="ignore"):  # the search reads inf/NaN as not < 0
             out = float(obj.kernel.d1(q.w) @ self.dz) / obj.count
@@ -358,10 +360,10 @@ class MarginLine(Line):
         if not obj.kernel.positive:
             return True
         q = self.at(t)
-        low = float(np.min(q.z))
+        low = float(q.z.min())
         if low <= 0.0:
             return False
-        scale = float(np.max(np.abs(self.point.z))) + abs(t) * float(np.max(np.abs(self.dz)))
+        scale = float(np.abs(self.point.z).max()) + abs(t) * float(np.abs(self.dz).max())
         return low > _MARGIN_EDGE * scale or obj.in_domain(q.x)
 
     def max_step(self) -> float:
@@ -370,9 +372,9 @@ class MarginLine(Line):
             return 1.0
         dz = self.dz
         shrinking = dz < 0.0
-        if not np.any(shrinking):
+        if not shrinking.any():
             return 1.0
-        return pull_back(float(np.min(self.point.z[shrinking] / -dz[shrinking])))
+        return pull_back(float((self.point.z[shrinking] / -dz[shrinking]).min()))
 
 
 def logistic_problem(data: SparseDataset, gamma: float, radius: float,
@@ -510,7 +512,7 @@ class LogdetPoint(Point):
     __slots__ = ("_low", "_y", "age")
 
     def __init__(self, obj: CovarianceObjective, x, carried=None):
-        super().__init__(obj, x)
+        self.obj, self.x, self._g = obj, x, None
         self._low = obj._factor(x) if carried is None else False  # False: not yet factored
         self._y, self._f, self.age = carried or (None, None, 0)
 
@@ -525,7 +527,7 @@ class LogdetPoint(Point):
             if self.low is None:
                 self._f = math.inf
             else:
-                logdet = 2.0 * float(np.sum(np.log(np.diag(self.low))))
+                logdet = 2.0 * float(np.log(self.low.diagonal()).sum())
                 self._f = -logdet + inner(self.obj.sigma, self.x)
         return self._f
 
@@ -556,7 +558,7 @@ class LogdetPoint(Point):
         # a symmetric l1-ball vertex: b at (i, i), or b at (i, j) and (j, i),
         # where (i, j) is the first nonzero entry and no other is nonzero
         p = self.obj.p
-        i, j = divmod(int(np.argmax(s.ravel() != 0.0)), p)
+        i, j = divmod(int((s.ravel() != 0.0).argmax()), p)
         b = float(s[i, j])
         if b == 0.0 or s[j, i] != b or np.count_nonzero(s) != (1 if i == j else 2):
             return super().toward(s)
@@ -594,7 +596,7 @@ class LogdetLine(Line):
     __slots__ = ("lam", "ones", "trace_sv", "vertex", "_low", "_high")
 
     def __init__(self, point: LogdetPoint, v, lam, ones, vertex=None):
-        super().__init__(point, v)
+        self.point, self.v, self._t, self._probe_point = point, v, None, None
         self.lam, self.ones, self.vertex = lam, ones, vertex
         self.trace_sv = inner(point.obj.sigma, v)
         spectrum = lam + [-1.0] if ones else lam

@@ -31,7 +31,7 @@ def gap(grad, x, s) -> float:
     value = inner(grad, x) - inner(grad, s)
     if value >= 0.0:
         return value
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError(f"non-finite gradient (gap {value})")
     scale = max(1.0, abs(inner(grad, x)), abs(inner(grad, s)))
     if value >= -1e-12 * scale:
@@ -102,7 +102,7 @@ class UnitSimplex(VertexSet):
 
     def lmo_indexed(self, c):
         c = np.asarray(c, dtype=float)
-        i = int(np.argmin(c))
+        i = int(c.argmin())
         return i, self.vertex(i)
 
     def atom(self, i: int):
@@ -126,7 +126,7 @@ class L1Ball(VertexSet):
     def lmo_indexed(self, c):
         # vertex -R sign(c_i) e_i with i = argmax |c_j|; sign(0) taken as +1
         c = np.asarray(c, dtype=float)
-        i = int(np.argmax(np.abs(c)))
+        i = int(np.abs(c).argmax())
         vid = (i, -1 if c[i] >= 0 else 1)
         return vid, self.vertex(vid)
 
@@ -160,10 +160,10 @@ class SymmetricL1Ball(VertexSet):
         if c.shape != (self.p, self.p):
             raise ValueError(f"expected a square {self.p} x {self.p} matrix")
         mag = np.abs(c)
-        i, j = divmod(int(np.argmax(mag)), self.p)  # mag[i, j] is max |c|, NaN included
+        i, j = divmod(int(mag.argmax()), self.p)  # mag[i, j] is max |c|, NaN included
         if not (c == c.T).all():
             with np.errstate(invalid="ignore"):  # inf - inf in c - c.T: NaN, never a rejection
-                if float(np.max(np.abs(c - c.T))) > 1e-10 * max(1.0, float(mag[i, j])):
+                if float(np.abs(c - c.T).max()) > 1e-10 * max(1.0, float(mag[i, j])):
                     raise ValueError("gradient matrix is not symmetric")
         vid = (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
         return vid, self.vertex(vid)
@@ -188,9 +188,9 @@ def _scaled(d):
     """d and ||d||_2, both divided by max |d| if d is finite but its squared norm overflows."""
     norm = l2_norm(d)
     if not math.isfinite(norm):
-        if not np.all(np.isfinite(d)):  # else 0 * inf in r / norm * d
+        if not np.isfinite(d).all():  # else 0 * inf in r / norm * d
             raise ValueError(f"non-finite gradient (norm {norm})")
-        d = d / np.max(np.abs(d))
+        d = d / np.abs(d).max()
         norm = l2_norm(d)
     return d, norm
 
@@ -300,7 +300,7 @@ class SimplexLLOO:
         held = x > 0.0
         held[target] = False
         order = held.nonzero()[0]
-        order = order[np.argsort(-c[order], kind="stable")]
+        order = order[(-c[order]).argsort(kind="stable")]
         mass = x[order]
         drained = np.add.accumulate(np.concatenate(([0.0], mass)))
         binding = (mass > budget - drained[:-1]).nonzero()[0]

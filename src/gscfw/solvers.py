@@ -398,8 +398,9 @@ class ActiveSet:
         else:
             a, b, h = self.polytope.atom(vid)
             self.ids.append(vid)
-            self.weights, self.heights = np.append(self.weights, alpha), np.append(self.heights, h)
-            self.pairs = np.append(self.pairs, [(a, b)], axis=0)
+            self.weights = np.concatenate((self.weights, [alpha]))
+            self.heights = np.concatenate((self.heights, [h]))
+            self.pairs = np.concatenate((self.pairs, [(a, b)]))
         self._normalize()
 
     def away_update(self, vid, alpha: float):
@@ -412,13 +413,13 @@ class ActiveSet:
         return self.weights[self.ids.index(vid)] if vid in self.ids else 0.0
 
     def reconstruct(self):
-        return np.bincount(self.pairs.ravel(), np.repeat(self.weights * self.heights, 2),
+        return np.bincount(self.pairs.ravel(), (self.weights * self.heights).repeat(2),
                            minlength=self.polytope.dimension).reshape(self.polytope.shape)
 
 
 def away_vertex(grad, active: ActiveSet):
     """Active vertex most aligned with the gradient (lowest id on ties)."""
-    scores = (active.heights[:, None] * np.ravel(grad)[active.pairs]).sum(axis=1)  # h g_a + h g_b
+    scores = (active.heights[:, None] * grad.ravel()[active.pairs]).sum(axis=1)  # h g_a + h g_b
     uid = min(compress(active.ids, scores == scores[scores.argmax()]))
     return uid, active.polytope.vertex(uid)
 
@@ -440,14 +441,14 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
         uid, u = away_vertex(g, active)
         away_gap = inner(g, u) - inner(g, x)
         forward = gap >= away_gap
-        if not forward and active.weight(uid) >= 1.0 - 1e-12:
+        mu_u = 0.0 if forward else active.weight(uid)
+        if mu_u >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
             meta["forced_forward_steps"] += 1
         line = point.toward(s if forward else u)  # away: a negative step toward u
         if forward:
             t_bar, kind, g_mod = 1.0, "forward", gap
         else:
-            mu_u = active.weight(uid)
             t_bar, kind, g_mod = mu_u / (1.0 - mu_u), "away", away_gap
         geom = LocalGeometry.from_direction(line, g_mod)
         alpha, predicted = analytic_step(obj.spec, geom, cap=t_bar)

@@ -39,6 +39,9 @@ def test_gap_clamps_rounding_but_flags_violations():
     assert gap(g, x, s) == 0.0
     with pytest.raises(OracleViolation):
         gap(g, x, np.array([2.0, 0.0]))
+    # a billionth of the inner products is far beyond rounding: a violation too
+    with pytest.raises(OracleViolation):
+        gap(g, x, np.array([1.0 + 1e-9, 0.0]))
 
 
 def test_gap_rejects_non_finite_gradient():

@@ -1,9 +1,13 @@
 import math
+import os
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import gscfw
 from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry,
                    ProblemInstance, SolverConfig, UnitSimplex, analytic_step, asfwgsc,
                    away_vertex, fw_line_search, fw_standard, fwgsc, fwlloo, inner,
@@ -250,6 +254,16 @@ def test_step_l_recovers_from_tiny_estimate():
     config = SolverConfig()
     alpha, l_new, _ = step_l(line, -line.slope(0.0), 4.0 / 1000.0, config)
     assert l_new <= max(4.0 / 1000.0, config.gamma_u * 4.0)
+
+
+def test_step_l_raises_a_tiny_estimate_to_the_floor_exactly():
+    # along a linear f the quadratic model holds for every L, so the first
+    # trial is taken: gamma_d * 1e-12, raised to the floor 1e-10
+    obj = LinearObjective([3.0, 1.0, 2.0])
+    x = np.array([0.2, 0.3, 0.5])
+    line = obj.at(x).restrict(UnitSimplex(3).lmo(obj.c) - x)
+    alpha, l_new, backtracks = step_l(line, -line.slope(0.0), 1e-12, SolverConfig())
+    assert (alpha, l_new, backtracks) == (1.0, 1e-10, 0)
 
 
 def test_step_l_domain_violation_forces_doubling(portfolio_toy):
@@ -716,3 +730,59 @@ def test_backtracking_evaluates_each_accepted_point_once(portfolio_toy, monkeypa
     trials = sum(rec.backtrack_count + 1 for rec in trace.iterations)
     # f(x_0) once, then at most one evaluation per backtracking trial
     assert len(calls) <= 1 + trials
+
+
+# ---------------------------------------------------------------------------
+# Per-iteration dispatch
+# ---------------------------------------------------------------------------
+
+_GSCFW_DIR = os.path.dirname(os.path.abspath(gscfw.__file__))
+_SMALL = {"logistic": {"p": 60, "n": 10}, "portfolio": {"p": 100, "n": 30},
+          "dwd": {"p": 20, "d": 4}, "covariance": {"p": 6}}
+
+
+def _numpy_wrapper_calls(method, instance, x0, weights, max_iter):
+    """Calls from gscfw's own frames into a function of numpy's fromnumeric.py
+    (np.sum, np.argmax, np.ravel, ...) or into np.flatnonzero, each a Python
+    wrapper around an ndarray method or a ufunc's reduce, during one run, as
+    a Counter of "caller -> callee", and the run's iteration count.  Files
+    match by basename (numpy/core before 2.0, numpy/_core after), and the
+    ``<__array_function__ internals>`` frame numpy < 1.25 puts between
+    caller and wrapper is skipped."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        name = os.path.basename(code.co_filename)
+        if name != "fromnumeric.py" and (name, code.co_name) != ("numeric.py", "flatnonzero"):
+            return
+        caller = frame.f_back
+        while caller is not None and caller.f_code.co_filename == "<__array_function__ internals>":
+            caller = caller.f_back
+        if caller is not None and os.path.dirname(caller.f_code.co_filename) == _GSCFW_DIR:
+            calls[f"{caller.f_code.co_name} -> {code.co_name}"] += 1
+
+    config = SolverConfig(epsilon=5e-324, max_iter=max_iter)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = run_method(method, instance, x0, weights, config)
+    finally:
+        sys.setprofile(previous)
+    return calls, len(trace.iterations)
+
+
+@pytest.mark.parametrize("family, method", [
+    (family, method) for family in _SMALL for method in sorted(SOLVERS)
+    if (method != "asfwgsc" or family != "dwd") and (method != "fwlloo" or family == "portfolio")])
+def test_iterations_call_no_numpy_module_wrapper(family, method):
+    # the wrappers run the kernels of the ndarray methods, one Python call
+    # later; a 60- minus a 20-iteration run leaves start-up out
+    instance = build_problem({"name": family, **_SMALL[family], "seed": 1})
+    x0, weights = make_start(instance, 1)
+    short, short_iters = _numpy_wrapper_calls(method, instance, x0, weights, 20)
+    long, long_iters = _numpy_wrapper_calls(method, instance, x0, weights, 60)
+    assert long_iters > short_iters
+    assert long - short == Counter()

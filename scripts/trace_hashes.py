@@ -1,0 +1,81 @@
+"""Fingerprint solver traces, to show that a change moves no float of a run.
+
+For every problem family x applicable solver x 2 starts (60 cells), run 150
+iterations at epsilon 1e-12 with the gscfw sources under SRC and hash every
+iteration record field but its wall time, plus the status, final f, final
+gap, length, final x and meta.  Writes one line per cell,
+``"family/method/start": [sha256, iterations, status]``, to OUT:
+
+    python3 scripts/trace_hashes.py . after.json
+    python3 scripts/trace_hashes.py ../parent before.json
+    diff before.json after.json
+
+Equal hashes mean a cell's trace is the same bit for bit, wall times aside.
+BLAS products may round differently on another host, so compare files
+written on one host.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+FAMILIES = {
+    "logistic-nu2": {"name": "logistic"},
+    "logistic-nu3": {"name": "logistic", "nu_mode": 3},
+    "portfolio": {"name": "portfolio"},
+    "dwd": {"name": "dwd"},
+    "covariance": {"name": "covariance"},
+}
+BASE = ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc", "mbtfwgsc"]
+MAX_ITER = 150
+
+
+def methods(family: str) -> list:
+    return (BASE + (["asfwgsc"] if family != "dwd" else [])
+            + (["fwlloo"] if family == "portfolio" else []))
+
+
+def trace_hash(trace, np) -> str:
+    h = hashlib.sha256()
+    for rec in trace.iterations:
+        fields = dataclasses.asdict(rec)
+        fields.pop("elapsed_seconds")
+        h.update(repr(fields).encode())
+    h.update(repr((trace.status, trace.final_f, trace.final_gap,
+                   len(trace.iterations))).encode())
+    h.update(np.ascontiguousarray(trace.x).tobytes())
+    h.update(repr(sorted(trace.meta.items())).encode())
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="a checkout whose src/gscfw is run")
+    parser.add_argument("out", type=Path, help="the JSON file to write")
+    args = parser.parse_args(argv)
+    if not (args.src / "src" / "gscfw").is_dir():
+        parser.error(f"no src/gscfw package under {args.src}")
+    sys.path.insert(0, str(args.src / "src"))
+    import numpy as np
+    from gscfw import SolverConfig
+    from gscfw.bench import build_problem, make_start, run_method
+
+    config = SolverConfig(epsilon=1e-12, max_iter=MAX_ITER)
+    lines = []
+    for family, spec in FAMILIES.items():
+        inst = build_problem(spec)
+        for method in methods(family):
+            for start in (1, 2):
+                x0, weights = make_start(inst, start)
+                trace = run_method(method, inst, x0, weights, config)
+                cell = [trace_hash(trace, np), len(trace.iterations), trace.status]
+                lines.append(f"{json.dumps(f'{family}/{method}/{start}')}: {json.dumps(cell)}")
+    args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

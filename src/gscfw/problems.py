@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from .gsc import (GscSpec, Line, Objective, Point, gsc_affine_constant,
                   gsc_finite_sum_constant, gsc_sum_constant, inner, pull_back)
 from .sets import (EuclideanBall, FeasibleSet, L1Ball, NonnegativeBall, ProductSet,
-                   SymmetricL1Ball, UnitSimplex)
+                   SymmetricL1Ball, UnitSimplex, exactly_symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,7 @@ class CovarianceObjective(Objective):
     def _factor(self, x):
         """Lower Cholesky factor of sym(x), or None outside the domain."""
         x = np.asarray(x, dtype=float)
-        if not (x == x.T).all():  # an exactly symmetric x is sym(x); NaN is not
+        if not exactly_symmetric(x):  # else x is sym(x), and NaN fails the factorization
             scale = float(np.max(np.abs(x)))
             if not math.isfinite(scale) or float(np.max(np.abs(x - x.T))) > 1e-8 * max(1.0, scale):
                 return None
@@ -557,10 +557,10 @@ class LogdetPoint(Point):
     def toward(self, s) -> "LogdetLine":
         # a symmetric l1-ball vertex: b at (i, i), or b at (i, j) and (j, i),
         # where (i, j) is the first nonzero entry and no other is nonzero
-        p = self.obj.p
-        i, j = divmod(int((s.ravel() != 0.0).argmax()), p)
+        p, nz = self.obj.p, (s.ravel() != 0.0).nonzero()[0]  # a bool mask: float nonzero is slow
+        i, j = divmod(int(nz[0]), p) if nz.size else (0, 0)
         b = float(s[i, j])
-        if b == 0.0 or s[j, i] != b or np.count_nonzero(s) != (1 if i == j else 2):
+        if nz.size != (1 if i == j else 2) or s[j, i] != b:
             return super().toward(s)
         # with c_i = L^{-1} e_i, L^{-1} s L^{-T} is b c_i c_i^T or
         # b (c_i c_j^T + c_j c_i^T), L^{-1} X L^{-T} = I, and c_i . c_j = Y_ij
@@ -587,8 +587,9 @@ class LogdetLine(Line):
 
     Toward s = b (e_i e_j^T + e_j e_i^T), or b e_i e_i^T (``vertex`` = (i, j,
     b)), ``at(t)`` carries Y: X + tV = (1 - t)(X + beta s), beta = t/(1 - t),
-    has the inverse (Y - update)/(1 - t), the update Sherman-Morrison's for
-    i = j and a 2x2 Woodbury solve's otherwise, and f = ``value(t)``.  At
+    has the inverse (Y - update)/(1 - t), the update Sherman-Morrison's
+    +-w w^T, w = sqrt|k| Y_i, for i = j (exactly symmetric, as Y is) and a
+    2x2 Woodbury solve's, symmetrized, otherwise; f = ``value(t)``.  At
     t = 0 or t >= 1, within ``_LOGDET_EDGE`` of the edge, and after p
     carried steps, X + tV is a fresh point, factored.
     """
@@ -613,14 +614,17 @@ class LogdetLine(Line):
             return LogdetPoint(point.obj, x)
         i, j, b = self.vertex
         y, q = point.x_inverse(), t * b / (1.0 - t)  # beta b
-        if i == j:
-            rows, k = y[[i]], np.array([[q / (1.0 + q * y[i, i])]])
+        if i == j:  # k Y_i Y_i^T = +-w w^T, exactly symmetric as Y is
+            k = q / (1.0 + q * y[i, i])
+            w = math.sqrt(abs(k)) * y[i]
+            z = np.multiply.outer(w, w)
+            y = (y - z if k > 0.0 else y + z) / (1.0 - t)
         else:  # K = q (q U^T Y U + [[0, 1], [1, 0]])^{-1}
             a, c, d = q * y[i, i], 1.0 + q * y[i, j], q * y[j, j]
             rows, k = y[[i, j]], np.array([[d, -c], [-c, a]]) * (q / (a * d - c * c))
-        z = y - rows.T @ (k @ rows)
-        return LogdetPoint(point.obj, x, ((z + z.T) * (0.5 / (1.0 - t)), self.value(t),
-                                          point.age + 1))
+            z = y - rows.T @ (k @ rows)
+            y = (z + z.T) * (0.5 / (1.0 - t))
+        return LogdetPoint(point.obj, x, (y, self.value(t), point.age + 1))
 
     def value(self, t) -> float:
         if self._edge(t) <= 0.0:

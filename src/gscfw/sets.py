@@ -39,6 +39,11 @@ def gap(grad, x, s) -> float:
     raise OracleViolation(f"negative gap {value} exceeds rounding tolerance")
 
 
+def exactly_symmetric(c) -> bool:
+    """c equals its transpose bit for bit: NaN matches NaN, 0.0 does not match -0.0."""
+    return c.tobytes() == c.T.tobytes()  # two contiguous copies: (c == c.T) reads c.T strided
+
+
 class FeasibleSet(ABC):
     """Convex compact set accessed through a linear minimization oracle."""
 
@@ -161,7 +166,7 @@ class SymmetricL1Ball(VertexSet):
             raise ValueError(f"expected a square {self.p} x {self.p} matrix")
         mag = np.abs(c)
         i, j = divmod(int(mag.argmax()), self.p)  # mag[i, j] is max |c|, NaN included
-        if not (c == c.T).all():
+        if not exactly_symmetric(c):
             with np.errstate(invalid="ignore"):  # inf - inf in c - c.T: NaN, never a rejection
                 if float(np.abs(c - c.T).max()) > 1e-10 * max(1.0, float(mag[i, j])):
                     raise ValueError("gradient matrix is not symmetric")

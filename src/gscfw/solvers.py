@@ -418,10 +418,10 @@ class ActiveSet:
 
 
 def away_vertex(grad, active: ActiveSet):
-    """Active vertex most aligned with the gradient (lowest id on ties)."""
+    """Active vertex most aligned with the gradient (lowest id on ties), and <grad, vertex>."""
     scores = (active.heights[:, None] * grad.ravel()[active.pairs]).sum(axis=1)  # h g_a + h g_b
-    uid = min(compress(active.ids, scores == scores[scores.argmax()]))
-    return uid, active.polytope.vertex(uid)
+    best = scores[scores.argmax()]
+    return min(compress(active.ids, scores == best)), float(best)
 
 
 def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConfig) -> RunTrace:
@@ -438,14 +438,14 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
 
     def step(k, point, s_id, s, gap):
         x, g = point.x, point.gradient()
-        uid, u = away_vertex(g, active)
-        away_gap = inner(g, u) - inner(g, x)
+        uid, score = away_vertex(g, active)
+        away_gap = score - inner(g, x)
         forward = gap >= away_gap
         mu_u = 0.0 if forward else active.weight(uid)
         if mu_u >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
             meta["forced_forward_steps"] += 1
-        line = point.toward(s if forward else u)  # away: a negative step toward u
+        line = point.toward(s if forward else polytope.vertex(uid))  # away: a negative step
         if forward:
             t_bar, kind, g_mod = 1.0, "forward", gap
         else:

@@ -595,6 +595,8 @@ def test_carried_inverse_matches_a_fresh_point(p):
         nxt = line.at(t)
         ages.append(nxt.age)
         assert nxt.age == (point.age + 1 if point.age < p else 0)
+        y = nxt.x_inverse()
+        assert (y == y.T).all()  # rank one by construction, rank two symmetrized
         _assert_matches_a_fresh_point(nxt, obj)
         recon = sum(w * ball.vertex(v) for v, w in weights.items())
         assert np.allclose(recon, nxt.x, rtol=0.0, atol=1e-12 * ball.radius)

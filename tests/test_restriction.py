@@ -375,6 +375,11 @@ def test_vertex_line_asks_no_eigensolver(monkeypatch):
     for s in (zero, lone, unequal, two_diagonal, three):
         with pytest.raises(AssertionError, match="eigvalsh"):
             point.toward(s)
+    monkeypatch.undo()
+    for s in (zero, lone, unequal, two_diagonal, three):
+        line, ref = point.toward(s), point.restrict(s - point.x)
+        assert line.vertex is None and line.ones == 0
+        assert np.array_equal(line.v, ref.v) and line.lam == ref.lam
 
 
 def test_covariance_rejects_non_finite_and_asymmetric_points():

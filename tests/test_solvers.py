@@ -582,14 +582,14 @@ def test_away_vertex_selection():
     e2 = np.array([0.0, 1.0, 0.0])
     active = ActiveSet(UnitSimplex(3), {0: 0.5, 1: 0.5})
     grad = np.array([1.0, 5.0, 0.0])
-    vid, v = away_vertex(grad, active)
-    assert vid == 1 and np.array_equal(v, e2)
+    vid, score = away_vertex(grad, active)
+    assert vid == 1 and score == inner(grad, e2) == 5.0
     single = ActiveSet(UnitSimplex(3), {2: 1.0})
-    vid, _ = away_vertex(grad, single)
-    assert vid == 2
+    vid, score = away_vertex(grad, single)
+    assert vid == 2 and score == inner(grad, UnitSimplex(3).vertex(2))
     # adding a constant to the gradient cannot change the argmax on the simplex
-    vid2, _ = away_vertex(grad + 7.3, active)
-    assert vid2 == 1
+    vid2, score = away_vertex(grad + 7.3, active)
+    assert vid2 == 1 and score == inner(grad + 7.3, e2)
 
 
 def test_active_set_updates():

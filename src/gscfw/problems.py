@@ -308,7 +308,8 @@ class MarginPoint(Point):
 
     def toward(self, s) -> "MarginLine":
         obj = self.obj
-        nonzero = s.nonzero()[0] if obj.columns is not None else ()  # s is a vector here
+        # s is a vector here; a bool mask, as float nonzero is slow
+        nonzero = (s != 0.0).nonzero()[0] if obj.columns is not None else ()
         if len(nonzero) != 1:
             return super().toward(s)
         i = nonzero[0]
@@ -452,8 +453,8 @@ class CovarianceObjective(Objective):
     f(X) - sum log(1 + t lam) + t tr(SV), the curvature sum lam^2 and the
     domain boundary.  Toward a vertex s of the symmetric l1 ball, W =
     L^{-1} s L^{-T} - I is rank two minus I, so its spectrum comes in closed
-    form from entries of Y, and a step carries Y by a rank-one or rank-two
-    update (``LogdetLine``).
+    form from entries of Y, and a step carries Y by one or two
+    Sherman-Morrison terms (``LogdetLine``).
     """
 
     name = "covariance"
@@ -503,45 +504,30 @@ class CovarianceObjective(Objective):
 
 
 class LogdetPoint(Point):
-    """X with its Cholesky factor ``low`` (None outside the domain) and
-    Y = X^{-1}.  A fresh point factors X and forms Y from L^{-1}; a point a
-    vertex line carries (``LogdetLine``) comes with Y, f and its ``age``,
-    the carried steps since the last fresh point, and factors X only if
-    ``low`` is asked for."""
+    """X with f and Y = X^{-1}, exactly symmetric (f = +inf and Y = None
+    outside the domain).  A fresh point factors X once and forms both; a
+    point a vertex line carries (``LogdetLine``) comes with Y, f and its
+    ``age``, the carried steps since the last fresh point."""
 
-    __slots__ = ("_low", "_y", "age")
+    __slots__ = ("_y", "age")
 
     def __init__(self, obj: CovarianceObjective, x, carried=None):
         self.obj, self.x, self._g = obj, x, None
-        self._low = obj._factor(x) if carried is None else False  # False: not yet factored
-        self._y, self._f, self.age = carried or (None, None, 0)
-
-    @property
-    def low(self):
-        if self._low is False:
-            self._low = self.obj._factor(self.x)
-        return self._low
+        self._y, self._f, self.age = carried or (None, math.inf, 0)
+        low = None if carried else obj._factor(x)
+        if low is not None:
+            inv = dtrtri(low, lower=1)[0]
+            y = inv.T @ inv
+            self._y = (y + y.T) / 2.0
+            self._f = inner(obj.sigma, x) - 2.0 * float(np.log(low.diagonal()).sum())
 
     def value(self) -> float:
-        if self._f is None:
-            if self.low is None:
-                self._f = math.inf
-            else:
-                logdet = 2.0 * float(np.log(self.low.diagonal()).sum())
-                self._f = -logdet + inner(self.obj.sigma, self.x)
         return self._f
-
-    def inverse_factor(self):
-        if self.low is None:
-            raise ValueError("undefined outside the domain: X is not positive definite")
-        return dtrtri(self.low, lower=1)[0]
 
     def x_inverse(self):
         """Y = X^{-1}, exactly symmetric."""
         if self._y is None:
-            inv = self.inverse_factor()
-            y = inv.T @ inv
-            self._y = (y + y.T) / 2.0
+            raise ValueError("undefined outside the domain: X is not positive definite")
         return self._y
 
     def gradient(self):
@@ -550,7 +536,8 @@ class LogdetPoint(Point):
         return self._g
 
     def restrict(self, v) -> "LogdetLine":
-        inv = self.inverse_factor()
+        self.x_inverse()  # raises outside the domain
+        inv = dtrtri(self.obj._factor(self.x), lower=1)[0]
         w = inv @ v @ inv.T
         return LogdetLine(self, v, np.linalg.eigvalsh((w + w.T) / 2.0).tolist(), 0)
 
@@ -574,7 +561,7 @@ class LogdetPoint(Point):
 
 
 # Below this distance of 1 + t lam_min from 0, rounding can decide whether X + tV
-# factors, so in_domain factors it (and at(t) reuses the factor).
+# factors, so in_domain asks the fresh point at(t), which factored it, for f.
 _LOGDET_EDGE = 1e-6
 
 
@@ -587,11 +574,10 @@ class LogdetLine(Line):
 
     Toward s = b (e_i e_j^T + e_j e_i^T), or b e_i e_i^T (``vertex`` = (i, j,
     b)), ``at(t)`` carries Y: X + tV = (1 - t)(X + beta s), beta = t/(1 - t),
-    has the inverse (Y - update)/(1 - t), the update Sherman-Morrison's
-    +-w w^T, w = sqrt|k| Y_i, for i = j (exactly symmetric, as Y is) and a
-    2x2 Woodbury solve's, symmetrized, otherwise; f = ``value(t)``.  At
-    t = 0 or t >= 1, within ``_LOGDET_EDGE`` of the edge, and after p
-    carried steps, X + tV is a fresh point, factored.
+    has the inverse (Y - update)/(1 - t), the update one Sherman-Morrison
+    term +-w w^T for i = j and two for i != j, each exactly symmetric as Y
+    is; f = ``value(t)``.  At t = 0 or t >= 1, within ``_LOGDET_EDGE`` of
+    the edge, and after p carried steps, X + tV is a fresh point, factored.
     """
 
     __slots__ = ("lam", "ones", "trace_sv", "vertex", "_low", "_high")
@@ -614,16 +600,18 @@ class LogdetLine(Line):
             return LogdetPoint(point.obj, x)
         i, j, b = self.vertex
         y, q = point.x_inverse(), t * b / (1.0 - t)  # beta b
-        if i == j:  # k Y_i Y_i^T = +-w w^T, exactly symmetric as Y is
-            k = q / (1.0 + q * y[i, i])
-            w = math.sqrt(abs(k)) * y[i]
+        # beta s is q u u^T for u = e_i, or q (u+ u+^T - u- u-^T)/2 for u+- =
+        # e_i +- e_j; taking the term that adds to X first keeps each
+        # Sherman-Morrison denominator 1 + c u^T Y u > 0 while X + tV > 0
+        h, first = 0.5 * abs(q), math.copysign(1.0, q)
+        terms = [(q, 0.0)] if i == j else [(h, first), (-h, -first)]
+        for c, sign in terms:  # u = e_i + sign e_j; sign 0 keeps e_i's own operations
+            yu = y[i] + sign * y[j] if sign else y[i]
+            k = c / (1.0 + c * (yu[i] + sign * yu[j] if sign else yu[i]))
+            w = math.sqrt(abs(k)) * yu  # k Y u u^T Y = +-w w^T, exactly symmetric
             z = np.multiply.outer(w, w)
-            y = (y - z if k > 0.0 else y + z) / (1.0 - t)
-        else:  # K = q (q U^T Y U + [[0, 1], [1, 0]])^{-1}
-            a, c, d = q * y[i, i], 1.0 + q * y[i, j], q * y[j, j]
-            rows, k = y[[i, j]], np.array([[d, -c], [-c, a]]) * (q / (a * d - c * c))
-            z = y - rows.T @ (k @ rows)
-            y = (z + z.T) * (0.5 / (1.0 - t))
+            y = y - z if k > 0.0 else y + z
+        y = y / (1.0 - t)
         return LogdetPoint(point.obj, x, (y, self.value(t), point.age + 1))
 
     def value(self, t) -> float:
@@ -645,7 +633,7 @@ class LogdetLine(Line):
 
     def in_domain(self, t) -> bool:
         edge = self._edge(t)
-        return edge > _LOGDET_EDGE or (edge > 0.0 and self.at(t).low is not None)
+        return edge > _LOGDET_EDGE or (edge > 0.0 and self.at(t).value() < math.inf)
 
     def max_step(self) -> float:
         # X + tV > 0 iff t * lam_max(-W) < 1

@@ -596,13 +596,34 @@ def test_carried_inverse_matches_a_fresh_point(p):
         ages.append(nxt.age)
         assert nxt.age == (point.age + 1 if point.age < p else 0)
         y = nxt.x_inverse()
-        assert (y == y.T).all()  # rank one by construction, rank two symmetrized
+        assert (y == y.T).all()  # by construction
         _assert_matches_a_fresh_point(nxt, obj)
         recon = sum(w * ball.vertex(v) for v, w in weights.items())
         assert np.allclose(recon, nxt.x, rtol=0.0, atol=1e-12 * ball.radius)
         point = nxt
     assert ages.count(0) >= 2 and sum(age > 0 for age in ages) >= 2 * p
     assert first_off not in weights
+
+
+@pytest.mark.parametrize("p", [6, 30])
+def test_an_off_diagonal_step_carries_a_symmetric_inverse_up_to_the_edge(p):
+    # two Sherman-Morrison terms, the one that adds to X first: Y stays
+    # exactly symmetric, and its error grows no faster than 1/edge as
+    # X + tV nears the boundary of the cone
+    inst = covariance_problem(covariance_generator(p, seed=p), radius=1.5 * p)
+    obj, ball = inst.objective, inst.feasible_set
+    point, rng = obj.at(ball.radius / p * np.eye(p)), np.random.default_rng(p)
+    for _ in range(4):
+        i, j = sorted(int(m) for m in rng.choice(p, 2, replace=False))
+        line = point.toward(ball.vertex((i, j, int(rng.choice([-1, 1])))))
+        assert line.vertex is not None and len(line.lam) == 2
+        for edge in (0.5, 1e-2, 1e-4, 2e-6):
+            t = (1.0 - edge) / -min(line.lam + [-1.0])
+            nxt = line.at(t)
+            assert nxt.age == 1  # carried, not refactored
+            y, ref = nxt.x_inverse(), obj.at(nxt.x).x_inverse()
+            assert (y == y.T).all()
+            assert np.linalg.norm(y - ref) <= 1e-15 / edge * np.linalg.norm(ref)
 
 
 def test_a_step_near_the_domain_edge_gets_a_factored_point():
@@ -618,10 +639,10 @@ def test_a_step_near_the_domain_edge_gets_a_factored_point():
         for edge in (5e-7, 1e-9, 1e-13):
             t = (1.0 - edge) / -low
             nxt = line.at(t)
-            assert nxt.age == 0 and nxt._low is not False
+            assert nxt.age == 0
             assert line.in_domain(t) == (obj._factor(nxt.x) is not None)
         t = (1.0 - 1e-3) / -low  # away from the edge: carried
-        assert line.at(t).age == 1 and line.at(t)._low is False
+        assert line.at(t).age == 1
         _assert_matches_a_fresh_point(line.at(t), obj)
 
 

@@ -644,6 +644,15 @@ def test_asfwgsc_accepts_active_set_start(portfolio_toy):
     assert trace.meta["active_set_max_drift"] <= 1e-9
 
 
+def test_asfwgsc_steps_forward_when_the_gaps_tie():
+    # x = (1/2, 1/2, 0), g = x - c = (1/4, 0, 0): the FW gap <g, x - e_1> and
+    # the away gap <g, e_0 - x> are both exactly 1/8, and a tie goes forward
+    obj, feasible = ShiftedQuadratic([0.25, 0.5, 0.0]), UnitSimplex(3)
+    trace = asfwgsc(obj, feasible, {0: 0.5, 1: 0.5}, SolverConfig(epsilon=1e-12, max_iter=1))
+    first = trace.iterations[0]
+    assert first.gap == 0.125 and first.step_kind == "forward"
+
+
 def test_lbtfwgsc_total_backtracks_bounded():
     # doubling totals stay within max_iter * log_u(L_hat / l_init) + max_iter
     curvature = 3.0

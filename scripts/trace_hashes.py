@@ -1,6 +1,8 @@
 """Fingerprint solver traces, to show that a change moves no float of a run.
 
-For every problem family x applicable solver x 2 starts (60 cells), run 150
+For every problem family x applicable solver x 2 starts (60 cells), and for
+fw-line-search, fwgsc and asfwgsc x 2 starts on a p = 6 covariance problem at
+radius 9, whose oracle picks off-diagonal vertices (6 cells), run 150
 iterations at epsilon 1e-12 with the gscfw sources under SRC and hash every
 iteration record field but its wall time, plus the status, final f, final
 gap, length, final x and meta.  Writes one line per cell,
@@ -30,6 +32,10 @@ FAMILIES = {
     "covariance": {"name": "covariance"},
 }
 BASE = ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc", "mbtfwgsc"]
+# At the default radius ceil(sqrt(p)) every covariance vertex picked is
+# diagonal; at p = 6 and radius 9 some are not, so these cells run the
+# off-diagonal score, vertex line and two-term carried inverse step.
+OFF_DIAGONAL = ("covariance-p6-r9", ["fw-line-search", "fwgsc", "asfwgsc"])
 MAX_ITER = 150
 
 
@@ -62,12 +68,16 @@ def main(argv) -> int:
     import numpy as np
     from gscfw import SolverConfig
     from gscfw.bench import build_problem, make_start, run_method
+    from gscfw.problems import covariance_generator, covariance_problem
 
     config = SolverConfig(epsilon=1e-12, max_iter=MAX_ITER)
+    cells = [(family, build_problem(spec), methods(family)) for family, spec in FAMILIES.items()]
+    family, off_diagonal_methods = OFF_DIAGONAL
+    cells.append((family, covariance_problem(covariance_generator(6, 0), radius=9.0),
+                  off_diagonal_methods))
     lines = []
-    for family, spec in FAMILIES.items():
-        inst = build_problem(spec)
-        for method in methods(family):
+    for family, inst, family_methods in cells:
+        for method in family_methods:
             for start in (1, 2):
                 x0, weights = make_start(inst, start)
                 trace = run_method(method, inst, x0, weights, config)

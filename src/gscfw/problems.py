@@ -229,9 +229,8 @@ class MarginObjective(Objective):
     probe.  ``bt`` is the transposed view of B taken once: taking it anew
     for every gradient costs a format check of B each time.  ``columns`` is
     B when it is stored column-wise (dense or CSC), else None; then the line
-    toward a vertex with one nonzero s_i reads dz = s_i B[:, i] - z instead
-    of a product, from the arrays (indptr, indices, data) in ``csc`` when B
-    is sparse, so no line asks B's format.
+    toward an atom 2h e_a reads dz = 2h B[:, a] - z, not a product, from the
+    arrays (indptr, indices, data) in ``csc`` if B is sparse, never B's format.
     """
 
     def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
@@ -307,21 +306,26 @@ class MarginPoint(Point):
         return MarginLine(self, v, self.obj.b @ v)
 
     def toward(self, s) -> "MarginLine":
-        obj = self.obj
-        # s is a vector here; a bool mask, as float nonzero is slow
-        nonzero = (s != 0.0).nonzero()[0] if obj.columns is not None else ()
+        # fwlloo's oracle may answer a vertex s_i e_i; a bool mask, as float nonzero is slow
+        nonzero = (s != 0.0).nonzero()[0] if self.obj.columns is not None else ()
         if len(nonzero) != 1:
             return super().toward(s)
-        i = nonzero[0]
+        return self.toward_atom(nonzero[0], nonzero[0], 0.5 * s[nonzero[0]])
+
+    def toward_atom(self, a, b, h) -> "MarginLine":
+        obj = self.obj
+        if a != b or obj.columns is None:
+            return super().toward_atom(a, b, h)
         if obj.csc is not None:
             indptr, indices, data = obj.csc
-            lo, hi = indptr[i], indptr[i + 1]
+            lo, hi = indptr[a], indptr[a + 1]
             rows, column = indices[lo:hi], data[lo:hi]
         else:
-            rows, column = slice(None), obj.columns[:, i]
-        dz = -self.z  # B(s - x) = s_i B[:, i] - z
-        dz[rows] += s[i] * column
-        return MarginLine(self, s - self.x, dz)
+            rows, column = slice(None), obj.columns[:, a]
+        v, dz = 0.0 - self.x, -self.z  # v = s - x bit for bit (+0.0 where x is 0.0)
+        v[a] += h + h
+        dz[rows] += (h + h) * column  # B(s - x) = 2h B[:, a] - z
+        return MarginLine(self, v, dz)
 
 
 # Margins z + t dz this close to 0, relative to max |z| + |t| max |dz|, may be
@@ -541,14 +545,17 @@ class LogdetPoint(Point):
         w = inv @ v @ inv.T
         return LogdetLine(self, v, np.linalg.eigvalsh((w + w.T) / 2.0).tolist(), 0)
 
-    def toward(self, s) -> "LogdetLine":
-        # a symmetric l1-ball vertex: b at (i, i), or b at (i, j) and (j, i),
-        # where (i, j) is the first nonzero entry and no other is nonzero
-        p, nz = self.obj.p, (s.ravel() != 0.0).nonzero()[0]  # a bool mask: float nonzero is slow
-        i, j = divmod(int(nz[0]), p) if nz.size else (0, 0)
-        b = float(s[i, j])
-        if nz.size != (1 if i == j else 2) or s[j, i] != b:
-            return super().toward(s)
+    def toward_atom(self, a, b, h) -> "LogdetLine":
+        # a symmetric l1-ball vertex s: b = 2h at (i, i), or b = h at (i, j) and (j, i)
+        p = self.obj.p
+        i, j = divmod(a, p)
+        if b != j * p + i:  # not a mirrored pair: a general direction
+            return super().toward_atom(a, b, h)
+        b = h + h if i == j else h  # from here on, b is the entry s_ij
+        v = 0.0 - self.x  # s - x bit for bit (+0.0 where x is 0.0)
+        v[i, j] += b
+        if i != j:
+            v[j, i] += b
         # with c_i = L^{-1} e_i, L^{-1} s L^{-T} is b c_i c_i^T or
         # b (c_i c_j^T + c_j c_i^T), L^{-1} X L^{-T} = I, and c_i . c_j = Y_ij
         y = self.x_inverse()
@@ -557,7 +564,7 @@ class LogdetPoint(Point):
         else:
             cross, norms = float(y[i, j]), math.sqrt(float(y[i, i]) * float(y[j, j]))
             lam = [b * (cross - norms) - 1.0, b * (cross + norms) - 1.0]
-        return LogdetLine(self, s - self.x, lam, p - len(lam), (i, j, b))
+        return LogdetLine(self, v, lam, p - len(lam), (i, j, b))
 
 
 # Below this distance of 1 + t lam_min from 0, rounding can decide whether X + tV

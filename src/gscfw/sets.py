@@ -1,9 +1,9 @@
 """Feasible sets and their linear minimization oracles.
 
 Every set exposes ``lmo`` (vertex output, lowest-index tie-breaking), a
-membership test, and its diameter.  Polytope sets additionally return a
-stable hashable vertex id with each oracle answer and give each vertex as
-an atom, which the away-step solver keeps in its active set.  All sets are
+membership test, and its diameter.  Polytope sets also answer ``lmo_indexed``
+with a stable hashable vertex id and the vertex as an atom, not a dense array,
+and the away-step solver keeps those atoms in its active set.  All sets are
 immutable and their oracles are pure, so concurrent queries are safe.
 """
 
@@ -21,19 +21,20 @@ class OracleViolation(RuntimeError):
     """A linear oracle returned a certifiably non-optimal answer."""
 
 
-def gap(grad, x, s) -> float:
-    """Dual merit <grad, x - s> with s = lmo(grad); nonnegative at feasible x.
+def gap(grad, x, score: float) -> float:
+    """Dual merit <grad, x> - score, score = <grad, s>, s = lmo(grad); nonnegative at feasible x.
 
-    Rounding-level negativity (relative to the inner products involved) is
-    clamped to 0; anything larger indicates a broken oracle.  A gradient
-    with a NaN or infinite entry is a ValueError, not an oracle fault.
+    Rounding-level negativity (relative to the inner products involved) is clamped to
+    0; anything larger indicates a broken oracle.  A gradient with a NaN or infinite
+    entry is a ValueError, not an oracle fault, even where the score is finite.
     """
-    value = inner(grad, x) - inner(grad, s)
-    if value >= 0.0:
+    at_x = inner(grad, x)
+    value = at_x - score
+    if value >= 0.0 and (value < math.inf or np.isfinite(grad).all()):
         return value
     if not np.isfinite(grad).all():
         raise ValueError(f"non-finite gradient (gap {value})")
-    scale = max(1.0, abs(inner(grad, x)), abs(inner(grad, s)))
+    scale = max(1.0, abs(at_x), abs(score))
     if value >= -1e-12 * scale:
         return 0.0
     raise OracleViolation(f"negative gap {value} exceeds rounding tolerance")
@@ -65,7 +66,8 @@ class VertexSet(FeasibleSet):
 
     @abstractmethod
     def lmo_indexed(self, c):
-        """Return (vertex_id, vertex); ids are hashable and orderable."""
+        """Return (vertex_id, atom) of a minimizer, the atom as ``atom`` gives it;
+        ids are hashable and orderable."""
 
     @abstractmethod
     def atom(self, vid):
@@ -74,13 +76,10 @@ class VertexSet(FeasibleSet):
     def vertex(self, vid):
         """The vertex with id ``vid``, as a new array."""
         a, b, h = self.atom(vid)
-        out = np.zeros(self.dimension)
-        out[b] = h
-        out[a] += h  # 2h when a == b
-        return out.reshape(self.shape)
+        return np.bincount((a, b), (h, h), self.dimension).reshape(self.shape)  # 2h when a == b
 
     def lmo(self, c):
-        return self.lmo_indexed(c)[1]
+        return self.vertex(self.lmo_indexed(c)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +107,7 @@ class UnitSimplex(VertexSet):
     def lmo_indexed(self, c):
         c = np.asarray(c, dtype=float)
         i = int(c.argmin())
-        return i, self.vertex(i)
+        return i, (i, i, 0.5)
 
     def atom(self, i: int):
         if not 0 <= i < self.dimension:
@@ -132,8 +131,8 @@ class L1Ball(VertexSet):
         # vertex -R sign(c_i) e_i with i = argmax |c_j|; sign(0) taken as +1
         c = np.asarray(c, dtype=float)
         i = int(np.abs(c).argmax())
-        vid = (i, -1 if c[i] >= 0 else 1)
-        return vid, self.vertex(vid)
+        sign = -1 if c[i] >= 0 else 1
+        return (i, sign), (i, i, sign * self.radius / 2)
 
     def atom(self, vid):
         i, sign = vid
@@ -170,8 +169,8 @@ class SymmetricL1Ball(VertexSet):
             with np.errstate(invalid="ignore"):  # inf - inf in c - c.T: NaN, never a rejection
                 if float(np.abs(c - c.T).max()) > 1e-10 * max(1.0, float(mag[i, j])):
                     raise ValueError("gradient matrix is not symmetric")
-        vid = (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
-        return vid, self.vertex(vid)
+        i, j, sign = min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1
+        return (i, j, sign), (i * self.p + j, j * self.p + i, sign * self.radius / 2)
 
     def atom(self, vid):
         i, j, sign = vid

@@ -124,8 +124,9 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
 
     ``point`` is the evaluation cache at the iterate (``Objective.at``).
     ``step(k, point, s_id, s, gap)`` returns ``(point_new, record)`` and
-    carries the solver's own state; ``s_id`` is the vertex id on polytopes
-    and None elsewhere.  A step moves along the restriction of f to its
+    carries the solver's own state; ``s_id``, ``s`` are the vertex id and its
+    atom (a, b, h) on polytopes, else None and the dense answer (``_toward``
+    takes either).  A step moves along the restriction of f to its
     direction, so the new point comes from ``Line.at`` with whatever the
     line already knows there (margins, f).  The run ends at the gap test or
     at the cap, and the gap test runs first, so the final gap is the one at
@@ -140,7 +141,10 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
         t0 = time.perf_counter()
         g = point.gradient()
         s_id, s = feasible.lmo_indexed(g) if indexed else (None, feasible.lmo(g))
-        gp = fw_gap(g, point.x, s)
+        if indexed:  # <g, s> = h g_a + h g_b, as away_vertex scores it
+            (a, b, h), flat = s, g.ravel()
+            score = h * float(flat[a]) + h * float(flat[b])
+        gp = fw_gap(g, point.x, score if indexed else inner(g, s))
         if gp <= config.epsilon:
             status = "gap-converged"
             break
@@ -155,6 +159,11 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
                     x=point.x, meta=meta, iterates=iterates)
 
 
+def _toward(point: Point, s) -> Line:
+    """The line toward the loop's answer ``s``: an atom (a, b, h) on a polytope, else a point."""
+    return point.toward_atom(*s) if isinstance(s, tuple) else point.toward(s)
+
+
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
@@ -165,7 +174,7 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
 
     def step(k, point, s_id, s, gap):
         alpha = 2.0 / (k + 2.0)
-        line = point.toward(s)
+        line = _toward(point, s)
         if not line.in_domain(alpha):
             return point, IterationRecord(k, point.value(), gap, 0.0, "zero")
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
@@ -196,7 +205,7 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
     point, meta = _start(obj, feasible, x0, "fw-line-search")
 
     def step(k, point, s_id, s, gap):
-        line = point.toward(s)
+        line = _toward(point, s)
         alpha = _exact_line_search(line)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
 
@@ -216,7 +225,7 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     point, meta = _start(obj, feasible, x0, "fwgsc")
 
     def step(k, point, s_id, s, gap):
-        line = point.toward(s)
+        line = _toward(point, s)
         geom = LocalGeometry.from_direction(line, gap)
         alpha, predicted = analytic_step(obj.spec, geom, cap=1.0)
         return line.at(alpha), IterationRecord(
@@ -266,7 +275,7 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 
     def step(k, point, s_id, s, gap):
         nonlocal l_prev
-        line = point.toward(s)
+        line = _toward(point, s)
         if l_prev is None:  # phi''(0)/||v||^2 along the first direction
             l_prev = meta["l_init"] = max(1e-6, line.curvature() / inner(line.v, line.v))
         alpha, l_prev, backtracks = step_l(line, gap, l_prev, config)
@@ -297,7 +306,7 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 
     def step(k, point, s_id, s, gap):
         nonlocal mu_prev
-        line = point.toward(s)
+        line = _toward(point, s)
         alpha, mu_prev, backtracks = step_m(line, gap, mu_prev, config)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=mu_prev)
@@ -363,13 +372,14 @@ _PURGE_TOL = 1e-12
 
 
 class ActiveSet:
-    """Iterate as an explicit convex combination of polytope vertices: the
-    ``ids`` in entry order, their ``weights``, and the atom (a, b, h) of ids[r]
-    as ``pairs[r]`` and ``heights[r]``, asked of the polytope once, when ids[r] enters."""
+    """Iterate as an explicit convex combination of polytope vertices: the ``ids`` in entry
+    order, ``rows`` = {ids[r]: r}, their ``weights``, and the atom (a, b, h) of ids[r] as
+    ``pairs[r]`` and ``heights[r]``, asked of the polytope once, when ids[r] enters."""
 
     def __init__(self, polytope: VertexSet, weights: dict):
         self.polytope = polytope
         self.ids = list(weights)
+        self.rows = {vid: r for r, vid in enumerate(self.ids)}
         self.weights = np.fromiter(weights.values(), dtype=float, count=len(self.ids))
         atoms = [polytope.atom(vid) for vid in self.ids]
         self.pairs = np.array([(a, b) for a, b, _ in atoms], dtype=np.intp).reshape(-1, 2)
@@ -378,9 +388,10 @@ class ActiveSet:
 
     def _normalize(self):
         low = self.weights < _PURGE_TOL  # False for NaN, which then fails the mass check
-        if np.count_nonzero(low):
+        if low.any():
             keep = ~low
             self.ids = list(compress(self.ids, keep))
+            self.rows = {vid: r for r, vid in enumerate(self.ids)}
             self.weights, self.pairs, self.heights = (
                 self.weights[keep], self.pairs[keep], self.heights[keep])
         # a sequential sum in entry order (np.sum would sum pairwise)
@@ -393,10 +404,11 @@ class ActiveSet:
     def forward_update(self, vid, alpha: float):
         """x <- (1 - alpha) x + alpha * vertex."""
         self.weights *= 1.0 - alpha
-        if vid in self.ids:
-            self.weights[self.ids.index(vid)] += alpha
+        if vid in self.rows:
+            self.weights[self.rows[vid]] += alpha
         else:
             a, b, h = self.polytope.atom(vid)
+            self.rows[vid] = len(self.ids)
             self.ids.append(vid)
             self.weights = np.concatenate((self.weights, [alpha]))
             self.heights = np.concatenate((self.heights, [h]))
@@ -406,11 +418,8 @@ class ActiveSet:
     def away_update(self, vid, alpha: float):
         """x <- (1 + alpha) x - alpha * vertex; alpha = weight/(1-weight) drops it."""
         self.weights *= 1.0 + alpha
-        self.weights[self.ids.index(vid)] -= alpha
+        self.weights[self.rows[vid]] -= alpha
         self._normalize()
-
-    def weight(self, vid) -> float:
-        return self.weights[self.ids.index(vid)] if vid in self.ids else 0.0
 
     def reconstruct(self):
         return np.bincount(self.pairs.ravel(), (self.weights * self.heights).repeat(2),
@@ -418,10 +427,11 @@ class ActiveSet:
 
 
 def away_vertex(grad, active: ActiveSet):
-    """Active vertex most aligned with the gradient (lowest id on ties), and <grad, vertex>."""
+    """The active vertex most aligned with grad (lowest id on ties), its row and <grad, vertex>."""
     scores = (active.heights[:, None] * grad.ravel()[active.pairs]).sum(axis=1)  # h g_a + h g_b
     best = scores[scores.argmax()]
-    return min(compress(active.ids, scores == best)), float(best)
+    uid = min(compress(active.ids, scores == best))
+    return uid, active.rows[uid], float(best)
 
 
 def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConfig) -> RunTrace:
@@ -438,17 +448,17 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
 
     def step(k, point, s_id, s, gap):
         x, g = point.x, point.gradient()
-        uid, score = away_vertex(g, active)
+        uid, row, score = away_vertex(g, active)
         away_gap = score - inner(g, x)
         forward = gap >= away_gap
-        mu_u = 0.0 if forward else active.weight(uid)
+        mu_u = 0.0 if forward else active.weights[row]
         if mu_u >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
             meta["forced_forward_steps"] += 1
-        line = point.toward(s if forward else polytope.vertex(uid))  # away: a negative step
         if forward:
-            t_bar, kind, g_mod = 1.0, "forward", gap
-        else:
+            line, t_bar, kind, g_mod = point.toward_atom(*s), 1.0, "forward", gap
+        else:  # a negative step along the line toward the away atom
+            line = point.toward_atom(*active.pairs[row], float(active.heights[row]))
             t_bar, kind, g_mod = mu_u / (1.0 - mu_u), "away", away_gap
         geom = LocalGeometry.from_direction(line, g_mod)
         alpha, predicted = analytic_step(obj.spec, geom, cap=t_bar)

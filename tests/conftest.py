@@ -560,10 +560,8 @@ class IntervalSet(VertexSet):
         self.diameter = self.hi - self.lo
 
     def lmo_indexed(self, c):
-        c = np.asarray(c, dtype=float)
-        if c[0] >= 0:
-            return 0, np.array([self.lo])
-        return 1, np.array([self.hi])
+        vid = 0 if np.asarray(c, dtype=float)[0] >= 0 else 1
+        return vid, self.atom(vid)
 
     def atom(self, vid):
         return 0, 0, (self.hi if vid else self.lo) / 2

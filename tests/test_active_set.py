@@ -80,9 +80,11 @@ def test_active_set_matches_the_dense_reference(name):
         # the polytope is asked for an atom only when its id enters
         assert counting.calls == ([vid] if entered else [])
         assert sorted(active.ids) == sorted(reference)
+        assert active.rows == {v: r for r, v in enumerate(active.ids)}
         assert (vid in active.ids) == (kind != "drop")
         for v in reference:
-            assert active.weight(v) == pytest.approx(reference[v], rel=1e-14, abs=1e-15)
+            assert active.weights[active.rows[v]] == pytest.approx(reference[v], rel=1e-14,
+                                                                   abs=1e-15)
         assert math.fsum(active.weights) == pytest.approx(1.0, abs=1e-15)
         dense = sum(w * polytope.vertex(v) for v, w in reference.items())
         assert active.reconstruct().shape == dense.shape
@@ -91,8 +93,9 @@ def test_active_set_matches_the_dense_reference(name):
             grad = rng.standard_normal(np.shape(dense))
             if grad.ndim == 2:
                 grad = grad + grad.T
-            uid, score = away_vertex(grad, active)
+            uid, row, score = away_vertex(grad, active)
             assert uid == _brute_force_away(polytope, reference, grad)
+            assert active.ids[row] == uid
             # h g_a + h g_b is 2 h g_a, rounded once as the dense inner product
             # is, on the simplex and the l1 ball; off the diagonal two products add
             dense_score = inner(grad, polytope.vertex(uid))
@@ -123,7 +126,7 @@ def test_a_weight_below_the_purge_tolerance_removes_its_id():
     active = ActiveSet(simplex, {0: 0.5, 2: 0.5})
     active.away_update(2, 1.0 - 1e-13)  # 0.5 (2 - 1e-13) - (1 - 1e-13) = 5e-14
     assert active.ids == [0]
-    assert active.weight(2) == 0.0
+    assert 2 not in active.rows
     assert np.array_equal(active.reconstruct(), simplex.vertex(0))
     assert active.pairs.tolist() == [[0, 0]] and active.heights.tolist() == [0.5]
 

@@ -32,6 +32,7 @@ def test_inner_and_norm_match_the_ravel_formulas_bit_for_bit(seed, size, square,
     if transpose:
         a, b = a.T, b.T
     assert np.float64(inner(a, b)).tobytes() == np.float64(reference_inner(a, b)).tobytes()
+    assert np.float64(inner(a, b)).tobytes() == np.vdot(a, b).tobytes()  # inner's former body
     assert np.float64(l2_norm(a)).tobytes() == np.float64(reference_l2_norm(a)).tobytes()
 
 

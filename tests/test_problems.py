@@ -573,7 +573,7 @@ def test_carried_inverse_matches_a_fresh_point(p):
             i, j = (int(m) for m in rng.choice(p, 2, replace=False))
             vid = (i, i, int(rng.choice([-1, 1]))) if kind == "diagonal" else (
                 min(i, j), max(i, j), int(rng.choice([-1, 1])))
-            line = point.toward(ball.vertex(vid))
+            line = point.toward_atom(*ball.atom(vid))
             t = rng.uniform(0.05, 0.5) * min(line.max_step(), 0.5)
             weights = {v: w * (1.0 - t) for v, w in weights.items()}
             weights[vid] = weights.get(vid, 0.0) + t
@@ -581,7 +581,7 @@ def test_carried_inverse_matches_a_fresh_point(p):
                 first_off = vid
         else:
             vid = first_off if kind == "drop" else list(weights)[int(rng.integers(len(weights)))]
-            line, mu = point.toward(ball.vertex(vid)), weights[vid]
+            line, mu = point.toward_atom(*ball.atom(vid)), weights[vid]
             t_bar = mu / (1.0 - mu)  # the drop step
             high = max(line.lam)  # the away step's domain edge is 1 - t high
             t = t_bar if kind == "drop" else rng.uniform(0.2, 0.8) * min(
@@ -615,7 +615,7 @@ def test_an_off_diagonal_step_carries_a_symmetric_inverse_up_to_the_edge(p):
     point, rng = obj.at(ball.radius / p * np.eye(p)), np.random.default_rng(p)
     for _ in range(4):
         i, j = sorted(int(m) for m in rng.choice(p, 2, replace=False))
-        line = point.toward(ball.vertex((i, j, int(rng.choice([-1, 1])))))
+        line = point.toward_atom(*ball.atom((i, j, int(rng.choice([-1, 1])))))
         assert line.vertex is not None and len(line.lam) == 2
         for edge in (0.5, 1e-2, 1e-4, 2e-6):
             t = (1.0 - edge) / -min(line.lam + [-1.0])
@@ -626,6 +626,24 @@ def test_an_off_diagonal_step_carries_a_symmetric_inverse_up_to_the_edge(p):
             assert np.linalg.norm(y - ref) <= 1e-15 / edge * np.linalg.norm(ref)
 
 
+def test_the_adding_sherman_morrison_term_goes_first():
+    # X = diag(1, 1/2, 2) and s = b (e_0 e_1^T + e_1 e_0^T) at b = 2: at t = 1/4,
+    # X + tV = (1 - t)(X + q (e_0 e_1^T + e_1 e_0^T)), q = t b/(1 - t) = 2/3,
+    # is positive definite (det of its 2 x 2 block 1/2 - q^2 = 1/18, as
+    # Y_00 != Y_11), but h = q/2 = 1/(Y_00 + Y_11) makes X - h u- u-^T, u- = e_0 - e_1,
+    # singular: the subtracting term, applied first, divides by about 0
+    inst = covariance_problem(covariance_generator(3, seed=1), radius=4.0)
+    obj, ball = inst.objective, inst.feasible_set
+    point = obj.at(np.diag([1.0, 0.5, 2.0]))
+    y = point.x_inverse()
+    line = point.toward_atom(*ball.atom((0, 1, 1)))
+    assert line.vertex == (0, 1, 2.0)
+    assert 0.5 * (0.25 * 2.0 / 0.75) * (y[0, 0] + y[1, 1]) == pytest.approx(1.0, abs=1e-15)
+    nxt = line.at(0.25)
+    assert nxt.age == 1  # carried, not refactored
+    _assert_matches_a_fresh_point(nxt, obj)
+
+
 def test_a_step_near_the_domain_edge_gets_a_factored_point():
     # within _LOGDET_EDGE of the edge, rounding may decide whether X + tV
     # factors: at(t) factors it and in_domain answers what dpotrf says
@@ -634,7 +652,7 @@ def test_a_step_near_the_domain_edge_gets_a_factored_point():
     obj, ball = inst.objective, inst.feasible_set
     point = obj.at(ball.radius / p * np.eye(p))
     for vid in ((0, 0, -1), (1, 3, 1), (2, 4, -1)):
-        line = point.toward(ball.vertex(vid))
+        line = point.toward_atom(*ball.atom(vid))
         low = min(line.lam + [-1.0])
         for edge in (5e-7, 1e-9, 1e-13):
             t = (1.0 - edge) / -low

@@ -310,7 +310,7 @@ def test_vertex_line_without_column_storage_is_the_restriction(family, away):
 
 def _covariance_vertex(data, p):
     """A covariance objective with a well-conditioned point x and a vertex of
-    its l1 ball: diagonal or off-diagonal, of either sign."""
+    its l1 ball, diagonal or off-diagonal, of either sign, dense and as its atom."""
     seed = data.draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     obj = covariance_problem(covariance_generator(p, seed=seed % 1000)).objective
@@ -320,15 +320,16 @@ def _covariance_vertex(data, p):
     j = i if p == 1 or data.draw(st.booleans()) else data.draw(
         st.integers(0, p - 1).filter(lambda k: k != i))
     vid = (min(i, j), max(i, j), data.draw(st.sampled_from([-1, 1])))
-    return obj, x, SymmetricL1Ball(p, data.draw(st.floats(0.1, 10.0))).vertex(vid)
+    ball = SymmetricL1Ball(p, data.draw(st.floats(0.1, 10.0)))
+    return obj, x, ball.vertex(vid), ball.atom(vid)
 
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.integers(1, 8), frac=st.floats(0.0, 1.0), data=st.data())
 def test_vertex_line_spectrum_matches_the_dense_line(p, frac, data):
-    obj, x, s = _covariance_vertex(data, p)
+    obj, x, s, atom = _covariance_vertex(data, p)
     point = obj.at(x)
-    line, ref = point.toward(s), point.restrict(s - x)
+    line, ref = point.toward_atom(*atom), point.restrict(s - x)
     assert line.ones == p - len(line.lam) and len(line.lam) == np.count_nonzero(s)
     assert np.array_equal(line.v, ref.v)
     lam = np.asarray(ref.lam)
@@ -359,27 +360,34 @@ def test_vertex_line_asks_no_eigensolver(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for vid in ((0, 0, 1), (5, 5, -1), (1, 4, 1), (0, 5, -1)):
-        line = point.toward(ball.vertex(vid))
+        line = point.toward_atom(*ball.atom(vid))
         assert line.ones == p - (1 if vid[0] == vid[1] else 2)
         t = 0.5 * line.max_step()
         line.value(t), line.slope(t), line.curvature(), line.in_domain(t), line.at(t).value()
         line.value(-t), line.slope(-t), line.in_domain(-2.0)
-    # anything that is not a single diagonal entry or an equal symmetric pair
-    # is a general direction: its line comes from eigvalsh(W)
+    # toward(s) does not look for a vertex in s: any dense s, a vertex
+    # included, is a general direction, whose line comes from eigvalsh(W);
+    # so is an atom h (e_a + e_b) whose two entries are not mirror images
     zero, lone = np.zeros((p, p)), np.zeros((p, p))
     lone[1, 3] = 1.0
     unequal, two_diagonal, three = lone.copy(), np.zeros((p, p)), ball.vertex((1, 3, 1))
     unequal[3, 1] = 0.5
     two_diagonal[0, 0] = two_diagonal[2, 2] = 1.0
     three[2, 2] = 1.0
-    for s in (zero, lone, unequal, two_diagonal, three):
+    dense = (zero, lone, unequal, two_diagonal, three,
+             ball.vertex((1, 3, 1)), ball.vertex((2, 2, -1)))
+    for s in dense:
         with pytest.raises(AssertionError, match="eigvalsh"):
             point.toward(s)
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        point.toward_atom(p + 3, p + 3, 0.5)  # 2h at (1, 3) alone: lone
     monkeypatch.undo()
-    for s in (zero, lone, unequal, two_diagonal, three):
+    for s in dense:
         line, ref = point.toward(s), point.restrict(s - point.x)
         assert line.vertex is None and line.ones == 0
         assert np.array_equal(line.v, ref.v) and line.lam == ref.lam
+    line, ref = point.toward_atom(p + 3, p + 3, 0.5), point.restrict(lone - point.x)
+    assert line.vertex is None and np.array_equal(line.v, ref.v) and line.lam == ref.lam
 
 
 def test_covariance_rejects_non_finite_and_asymmetric_points():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from gscfw import (EuclideanBall, L1Ball, Line, NonnegativeBall, OracleViolation, Point,
-                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, gap,
+                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, gap, inner,
                    max_feasible_step)
 from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
                    portfolio_problem, synthetic_classification)
@@ -28,32 +28,47 @@ def test_gap_examples():
     x = np.array([1.0, 0.0, 0.0])
     s = UnitSimplex(3).lmo(g)
     assert np.array_equal(s, [0.0, 1.0, 0.0])
-    assert gap(g, x, s) == pytest.approx(2.0)
-    assert gap(g, s, s) == 0.0
+    assert gap(g, x, inner(g, s)) == pytest.approx(2.0)
+    assert gap(g, s, inner(g, s)) == 0.0
 
 
 def test_gap_clamps_rounding_but_flags_violations():
     g = np.array([1.0, 0.0])
     x = np.array([1.0, 0.0])
-    s = np.array([1.0 + 1e-13, 0.0])
-    assert gap(g, x, s) == 0.0
+    assert gap(g, x, 1.0 + 1e-13) == 0.0
     with pytest.raises(OracleViolation):
-        gap(g, x, np.array([2.0, 0.0]))
+        gap(g, x, 2.0)
     # a billionth of the inner products is far beyond rounding: a violation too
     with pytest.raises(OracleViolation):
-        gap(g, x, np.array([1.0 + 1e-9, 0.0]))
+        gap(g, x, 1.0 + 1e-9)
 
 
 def test_gap_rejects_non_finite_gradient():
     x = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="non-finite gradient"):
-        gap(np.array([np.nan, 1.0]), x, np.array([0.0, 1.0]))
+        gap(np.array([np.nan, 1.0]), x, 1.0)
     # q = 1e6 overflows the DWD kernel at the start's slack margins: the
     # solver rejects the start, where f is +inf, before any gradient
     inst = dwd_problem(synthetic_classification(20, 5, seed=1), q=1e6)
     x0, _ = make_start(inst, 3)
     with pytest.raises(ValueError, match="initial point has f = inf"):
         fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(max_iter=5))
+
+
+@pytest.mark.parametrize("g", [[np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0], [0.0, 1.0, np.nan]],
+                         ids=["inf", "nan-first", "nan-last"])
+def test_gap_rejects_non_finite_gradient_scored_by_its_atom(g):
+    # the loop scores a polytope's answer as h g_a + h g_b; at g = (inf, 1, 0)
+    # that is a finite 0.0 while <g, x> is +inf, where the dense vertex's
+    # <g, s> was NaN (inf * 0): both must be the non-finite-gradient error
+    simplex, g, x = UnitSimplex(3), np.array(g), np.array([0.5, 0.5, 0.0])
+    vid, (a, b, h) = simplex.lmo_indexed(g)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        gap(g, x, h * float(g[a]) + h * float(g[b]))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the dense product
+        dense = float(np.vdot(g, simplex.vertex(vid)))
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        gap(g, x, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +84,9 @@ def test_simplex_lmo_tiebreak():
 
 def test_l1ball_lmo():
     ball = L1Ball(3, 10.0)
-    vid, s = ball.lmo_indexed([1.0, -4.0, 2.0])
-    assert vid == (1, 1) and np.array_equal(s, [0.0, 10.0, 0.0])
+    vid, atom = ball.lmo_indexed([1.0, -4.0, 2.0])
+    assert vid == (1, 1) and atom == (1, 1, 5.0)
+    assert np.array_equal(ball.vertex(vid), [0.0, 10.0, 0.0])
     assert np.array_equal(ball.lmo([0.0, 0.0, 0.0]), [-10.0, 0.0, 0.0])
     rng = np.random.default_rng(0)
     ball = L1Ball(7, 3.0)
@@ -116,10 +132,10 @@ def test_sym_l1_lmo_decides_as_the_tolerance_test(p, seed, skew, bad, symmetric_
         with pytest.raises(ValueError, match="not symmetric"):
             ball.lmo_indexed(c)
         return
-    vid, s = ball.lmo_indexed(c)
+    vid, atom = ball.lmo_indexed(c)
     i, j = divmod(int(np.argmax(np.abs(c))), p)
     assert vid == (min(i, j), max(i, j), -1 if c[i, j] >= 0 else 1)
-    assert np.array_equal(s, ball.vertex(vid))
+    assert atom == ball.atom(vid)
 
 
 def test_sym_l1_lmo_against_vertex_enumeration():
@@ -288,9 +304,12 @@ def test_vertex_id_stability():
         raw = rng.standard_normal((3, 3))
         g = (raw + raw.T) / 2.0
         assert sym.lmo_indexed(g)[0] == sym.lmo_indexed(g.copy())[0]
-    # ids rebuild the returned vertex exactly
-    vid, v = l1.lmo_indexed(np.array([0.3, -2.0, 0.1, 0.0, 1.0]))
-    assert np.array_equal(l1.vertex(vid), v)
+    # the returned atom is the id's, and the id rebuilds the vertex exactly
+    for feasible, c in ((simplex, rng.standard_normal(5)), (l1, rng.standard_normal(5)),
+                        (sym, np.array([[0.3, -2.0, 0.1], [-2.0, 0.0, 1.0], [0.1, 1.0, 0.5]]))):
+        vid, atom = feasible.lmo_indexed(c)
+        assert atom == feasible.atom(vid)
+        assert np.array_equal(feasible.vertex(vid), feasible.lmo(c))
 
 
 def test_diameters_match_vertex_brute_force():

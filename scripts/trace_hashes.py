@@ -5,16 +5,17 @@ fw-line-search, fwgsc and asfwgsc x 2 starts on a p = 6 covariance problem at
 radius 9, whose oracle picks off-diagonal vertices (6 cells), run 150
 iterations at epsilon 1e-12 with the gscfw sources under SRC and hash every
 iteration record field but its wall time, plus the status, final f, final
-gap, length, final x and meta.  Writes one line per cell,
-``"family/method/start": [sha256, iterations, status]``, to OUT:
+gap, length and final x.  Writes one line per cell,
+``"family/method/start": [sha256, iterations, status, meta]``, to OUT, with
+the run's meta as a key-sorted object beside the hash:
 
     python3 scripts/trace_hashes.py . after.json
     python3 scripts/trace_hashes.py ../parent before.json
     diff before.json after.json
 
-Equal hashes mean a cell's trace is the same bit for bit, wall times aside.
-BLAS products may round differently on another host, so compare files
-written on one host.
+Equal hashes mean a cell's trace is the same bit for bit, wall times aside,
+and a changed meta value shows by its key in the diff.  BLAS products may
+round differently on another host, so compare files written on one host.
 """
 
 import argparse
@@ -53,7 +54,6 @@ def trace_hash(trace, np) -> str:
     h.update(repr((trace.status, trace.final_f, trace.final_gap,
                    len(trace.iterations))).encode())
     h.update(np.ascontiguousarray(trace.x).tobytes())
-    h.update(repr(sorted(trace.meta.items())).encode())
     return h.hexdigest()
 
 
@@ -81,8 +81,9 @@ def main(argv) -> int:
             for start in (1, 2):
                 x0, weights = make_start(inst, start)
                 trace = run_method(method, inst, x0, weights, config)
-                cell = [trace_hash(trace, np), len(trace.iterations), trace.status]
-                lines.append(f"{json.dumps(f'{family}/{method}/{start}')}: {json.dumps(cell)}")
+                cell = [trace_hash(trace, np), len(trace.iterations), trace.status, trace.meta]
+                lines.append(f"{json.dumps(f'{family}/{method}/{start}')}: "
+                             f"{json.dumps(cell, sort_keys=True)}")
     args.out.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     return 0
 

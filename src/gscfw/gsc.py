@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +81,11 @@ def omega(nu: float, t: float) -> float:
     t < 1.  Near t = 0 the raw expressions lose all precision, so a cubic
     Taylor expansion takes over inside a branch-scaled radius.
     """
-    branch = nu_branch(nu)
+    return omega_kernel(nu, nu_branch(nu), t)
+
+
+def omega_kernel(nu: float, branch: int, t: float) -> float:
+    """``omega`` for a nu already classified as ``branch``, unchecked."""
     t = float(t)
     if branch != 2 and t >= 1.0:
         raise ValueError(f"omega with nu={nu} requires t < 1, got {t}")
@@ -296,8 +301,7 @@ class Line:
         return pull_back(lo)
 
 
-@dataclass(frozen=True)
-class LocalGeometry:
+class LocalGeometry(NamedTuple):
     """Per-iterate quantities feeding the step-size formulas.
 
     beta = ||v||_2, e = ||v||_x = sqrt(<hess_vec(x, v), v>), delta is the
@@ -313,9 +317,8 @@ class LocalGeometry:
     def from_direction(cls, line: Line, gap: float) -> "LocalGeometry":
         """The geometry of ``line``'s direction v at its point x."""
         beta = l2_norm(line.v)
-        e2 = line.curvature()
-        e = math.sqrt(max(e2, 0.0))
-        return cls(beta=beta, e=e, delta=delta_nu(line.point.obj.spec, beta, e), gap=gap)
+        e = math.sqrt(max(line.curvature(), 0.0))
+        return cls(beta, e, delta_nu(line.point.obj.spec, beta, e), gap)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from itertools import compress
 
 import numpy as np
 
-from .gsc import GscSpec, Line, LocalGeometry, Objective, Point, inner, l2_norm
+from .gsc import Line, LocalGeometry, Objective, Point, inner, l2_norm
 from .sets import FeasibleSet, VertexSet, gap as fw_gap, max_feasible_step
 from .stepsize import analytic_step, t_star  # t_star unused: perfbench/tracer.py rebinds it
 
@@ -286,14 +286,14 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 
 
 def step_m(line: Line, gap: float, mu_prev: float, config: SolverConfig):
-    """Backtracking over mu: the analytic step of GscSpec(mu, nu) against its
+    """Backtracking over mu: the analytic step with constant mu against its
     predicted decrease.  Returns (alpha, mu_new, backtracks)."""
     f_x = line.point.value()
     geom = LocalGeometry.from_direction(line, gap)
-    nu = line.point.obj.spec.nu
+    spec = line.point.obj.spec
 
     def trial(mt):
-        alpha, predicted = analytic_step(GscSpec(mt, nu), geom, cap=1.0)
+        alpha, predicted = analytic_step(spec, geom, 1.0, mt)
         return alpha, f_x - predicted
 
     return _backtrack(line, mu_prev, config, trial, "GSC-constant")
@@ -439,12 +439,18 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
 
     ``start`` maps vertex ids to their weights at the starting point.  Away
     steps are capped at weight/(1-weight); hitting the cap drops the vertex.
+    The active set's drift from the iterate is sampled at drop steps, every
+    ``polytope.dimension`` iterations and at the final iterate.
     """
     if not isinstance(polytope, VertexSet):
         raise ValueError("away-step solver needs a polytope with vertex ids")
     active = ActiveSet(polytope, start)
     point, meta = _start(obj, polytope, active.reconstruct(), "asfwgsc")
     meta.update(active_set_max_drift=0.0, forced_forward_steps=0, drop_steps=0)
+
+    def measure_drift(x):
+        drift = l2_norm(active.reconstruct() - x) / (1.0 + l2_norm(x))
+        meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
 
     def step(k, point, s_id, s, gap):
         x, g = point.x, point.gradient()
@@ -470,12 +476,13 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
             active.forward_update(s_id, alpha)
         else:
             active.away_update(uid, alpha)
-        drift = l2_norm(active.reconstruct() - nxt.x) / (1.0 + l2_norm(nxt.x))
-        meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
+        if kind == "drop" or (k + 1) % polytope.dimension == 0:
+            measure_drift(nxt.x)
         return nxt, IterationRecord(k, point.value(), g_mod, alpha, kind,
                                     predicted_decrease=predicted)
 
     trace = _frank_wolfe(polytope, point, config, meta, step)
+    measure_drift(trace.x)
     meta["active_set_size"] = len(active.ids)
     return trace
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .gsc import GscSpec, LocalGeometry, nu_branch, omega
+from .gsc import GscSpec, LocalGeometry, nu_branch, omega_kernel
 
 
 def _check(delta: float, xi: float, nu: float) -> int:
@@ -23,10 +23,13 @@ def _check(delta: float, xi: float, nu: float) -> int:
 
 def psi(delta: float, xi: float, nu: float, t: float) -> float:
     """psi(t) = t - xi * omega_nu(t*delta) * t^2 (concave in t)."""
-    _check(delta, xi, nu)
+    return _psi(delta, xi, nu, _check(delta, xi, nu), t)
+
+
+def _psi(delta: float, xi: float, nu: float, branch: int, t: float) -> float:
     if xi == 0.0:
         return float(t)
-    return t - xi * omega(nu, t * delta) * t * t
+    return t - xi * omega_kernel(nu, branch, t * delta) * t * t
 
 
 def t_star(delta: float, xi: float, nu: float) -> float:
@@ -36,7 +39,10 @@ def t_star(delta: float, xi: float, nu: float) -> float:
     a power form in between.  Satisfies t_star * delta < 1 for nu in (2, 3]
     whenever xi > 0.  delta = 0 degenerates to 1/xi on every branch.
     """
-    branch = _check(delta, xi, nu)
+    return _t_star(delta, xi, nu, _check(delta, xi, nu))
+
+
+def _t_star(delta: float, xi: float, nu: float, branch: int) -> float:
     if delta == 0.0 and xi == 0.0:
         raise ValueError("t_star undefined when both delta and xi vanish")
     if branch == 3:
@@ -56,20 +62,25 @@ def t_star(delta: float, xi: float, nu: float) -> float:
     return -math.expm1(-q * math.log1p(big_b * u)) / delta
 
 
-def analytic_step(spec: GscSpec, geom: LocalGeometry, cap: float) -> tuple[float, float]:
+def analytic_step(spec: GscSpec, geom: LocalGeometry, cap: float,
+                  m: float | None = None) -> tuple[float, float]:
     """Analytic step rule: (alpha, predicted_decrease), with alpha the psi
     maximizer for delta = M * delta_nu(x) and xi = e(x)^2 / gap(x) clipped to
-    the feasible cap.  The predicted decrease is gap * psi(alpha), which the
-    two-sided descent bounds guarantee as actual decrease.  A zero-curvature
-    direction (e = 0 with positive gap) takes the full cap: the quadratic
-    penalty vanishes and psi reduces to t.
+    the feasible cap; M is ``m`` if given (a backtracking trial), else spec.m,
+    and nu's branch is the one ``spec`` classified when it was built.  The
+    predicted decrease is gap * psi(alpha), which the two-sided descent bounds
+    guarantee as actual decrease.  A zero-curvature direction (e = 0 with
+    positive gap) takes the full cap: the quadratic penalty vanishes.
     """
     if not cap > 0.0:
         raise ValueError("cap must be positive")
-    if geom.gap <= 0.0:
+    _, e, shape, gap = geom
+    if gap <= 0.0:
         raise ValueError("converged: analytic step requires a positive gap")
-    if geom.e == 0.0:
-        return cap, geom.gap * cap
-    delta, xi = spec.m * geom.delta, geom.e ** 2 / geom.gap
-    alpha = min(cap, t_star(delta, xi, spec.nu))
-    return alpha, max(geom.gap * psi(delta, xi, spec.nu, alpha), 0.0)
+    if e == 0.0:
+        return cap, gap * cap
+    delta, xi = (spec.m if m is None else m) * shape, e ** 2 / gap
+    if delta < 0.0:  # xi >= 0 here, as gap > 0
+        raise ValueError("delta and xi must be nonnegative")
+    alpha = min(cap, _t_star(delta, xi, spec.nu, spec.branch))
+    return alpha, max(gap * _psi(delta, xi, spec.nu, spec.branch, alpha), 0.0)

@@ -711,17 +711,100 @@ def test_max_iter_zero_status_is_solver_independent(method):
 
 
 def test_elapsed_covers_active_set_bookkeeping(portfolio_toy, monkeypatch):
+    # every iteration makes exactly one of the two updates
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
-    reconstruct = ActiveSet.reconstruct
+    for name in ("forward_update", "away_update"):
+        update = getattr(ActiveSet, name)
 
-    def slow_reconstruct(self):
-        time.sleep(0.002)
-        return reconstruct(self)
+        def slow_update(self, vid, alpha, update=update):
+            time.sleep(0.002)
+            update(self, vid, alpha)
 
-    monkeypatch.setattr(ActiveSet, "reconstruct", slow_reconstruct)
+        monkeypatch.setattr(ActiveSet, name, slow_update)
     trace = asfwgsc(obj, feasible, {0: 1.0}, SolverConfig(epsilon=1e-10, max_iter=20))
     assert trace.iterations
     assert all(rec.elapsed_seconds >= 0.002 for rec in trace.iterations)
+
+
+def _logistic_asfwgsc_run(config):
+    # default logistic, start 1: 154 iterations with 2 drop steps on a 50-dimensional ball
+    inst = build_problem({"name": "logistic"})
+    return lambda: run_method("asfwgsc", inst, *make_start(inst, 1), config), inst.feasible_set
+
+
+def test_sampled_drift_catches_a_broken_active_set(monkeypatch):
+    run, _ = _logistic_asfwgsc_run(SolverConfig(epsilon=1e-12, max_iter=120))
+    clean = run()
+    assert clean.meta["active_set_max_drift"] <= 1e-12
+    update, broken_at = ActiveSet.forward_update, []
+
+    def broken_update(self, vid, alpha):
+        update(self, vid, alpha)
+        if not broken_at and len(self.ids) >= 8:  # mid-run: move one weight by 1e-6
+            self.weights[self.weights.argmax()] += 1e-6
+            broken_at.append(len(self.ids))
+
+    monkeypatch.setattr(ActiveSet, "forward_update", broken_update)
+    trace = run()
+    assert broken_at and len(trace.iterations) == len(clean.iterations)
+    assert trace.meta["active_set_max_drift"] > 1e-8
+
+
+def test_drift_is_measured_at_every_drop_and_not_every_step(monkeypatch):
+    run, feasible = _logistic_asfwgsc_run(SolverConfig(epsilon=1e-12, max_iter=300))
+    reconstruct, samples = ActiveSet.reconstruct, []
+
+    def counting_reconstruct(self):
+        samples.append(1)
+        return reconstruct(self)
+
+    monkeypatch.setattr(ActiveSet, "reconstruct", counting_reconstruct)
+    trace = run()
+    drops, dim = trace.meta["drop_steps"], feasible.dimension
+    assert drops >= 1 and len(trace.iterations) > 2 * dim
+    measured = len(samples) - 1  # the start is built from the active set once
+    # at each drop step, after every dim-th iteration, and at the final iterate
+    due = sum(rec.step_kind == "drop" or (rec.k + 1) % dim == 0 for rec in trace.iterations)
+    assert measured == due + 1 >= drops + 1
+
+
+@pytest.mark.parametrize("method", ["fwgsc", "lbtfwgsc", "mbtfwgsc", "asfwgsc", "fwlloo"])
+def test_run_constants_are_checked_once_per_run(monkeypatch, method):
+    # nu is classified when a GscSpec is built; no step builds one or classifies nu
+    inst, calls = build_problem({"name": "portfolio"}), Counter()
+    nu_branch, post_init = gscfw.gsc.nu_branch, GscSpec.__post_init__
+
+    def counting_nu_branch(nu):
+        calls["nu_branch"] += 1
+        return nu_branch(nu)
+
+    def counting_post_init(self):
+        calls["GscSpec"] += 1
+        post_init(self)
+
+    for module in (gscfw.gsc, gscfw.stepsize, gscfw.problems, gscfw.solvers):
+        if hasattr(module, "nu_branch"):
+            monkeypatch.setattr(module, "nu_branch", counting_nu_branch)
+    monkeypatch.setattr(GscSpec, "__post_init__", counting_post_init)
+    x0, weights = make_start(inst, 1)
+    counts, lengths = [], []
+    for max_iter in (5, 50):
+        calls.clear()
+        trace = run_method(method, inst, x0, weights,
+                           SolverConfig(epsilon=1e-14, max_iter=max_iter))
+        counts.append(dict(calls))
+        lengths.append(len(trace.iterations))
+    assert lengths[0] == 5 and lengths[1] > 10
+    assert counts[0] == counts[1]
+
+    geom = LocalGeometry(beta=1.0, e=1.0, delta=0.5, gap=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        analytic_step(GscSpec(1.0, 2.5), LocalGeometry(1.0, 1.0, -0.5, 1.0), cap=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        analytic_step(GscSpec(1.0, 2.5), geom, 1.0, -1.0)
+    for nu in (1.9, 3.1, math.nan):  # nu is checked where its GscSpec is built
+        with pytest.raises(ValueError, match="nu must lie"):
+            analytic_step(GscSpec(1.0, nu), geom, cap=1.0)
 
 
 @pytest.mark.parametrize("solver", [lbtfwgsc, mbtfwgsc])

@@ -1,12 +1,10 @@
 """Projection-free optimization for generalized self-concordant objectives."""
 
-from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, delta_nu,
+from .gsc import (GscSpec, Line, LocalGeometry, Objective, Point, analytic_step, delta_nu,
                   gsc_affine_constant, gsc_finite_sum_constant, gsc_sum_constant, inner,
-                  l2_norm, omega)
+                  l2_norm, max_feasible_step, omega, psi, t_star)
 from .sets import (EuclideanBall, FeasibleSet, L1Ball, NonnegativeBall, OracleViolation,
-                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, VertexSet, gap,
-                   max_feasible_step)
-from .stepsize import analytic_step, psi, t_star
+                   ProductSet, SimplexLLOO, SymmetricL1Ball, UnitSimplex, VertexSet, gap)
 from .solvers import (SOLVERS, ActiveSet, BacktrackingError, IterationRecord,
                       RunTrace, SolverConfig, asfwgsc, away_vertex, fw_line_search,
                       fw_standard, fwgsc, fwlloo, lbtfwgsc, mbtfwgsc, step_l, step_m)

@@ -1,10 +1,12 @@
-"""Generalized self-concordance kernels, local geometry, and constant calculus.
+"""Generalized self-concordance kernels, local geometry, step sizes, and constant calculus.
 
 A convex C^3 function f is (M, nu)-generalized self-concordant (GSC) when its
 third derivative along any direction is controlled by the power nu/2 of the
-second.  Everything downstream (step sizes, feasibility safeguards) is
-driven by the scalar kernel ``omega`` and the direction shape factor
-``delta_nu`` implemented here.
+second.  Steps are sized here, from the scalar kernel ``omega`` and the
+direction shape factor ``delta_nu``: the analytic step maximizes
+``psi(t) = t - xi * omega_nu(t * delta) * t^2`` in closed form,
+``max_feasible_step`` bounds a step by dom f, and one ``bisect`` serves the
+exact line search and the generic ``Line``'s domain boundary.
 """
 
 from __future__ import annotations
@@ -242,6 +244,19 @@ def pull_back(t_raw: float) -> float:
     return 1.0 if t >= 1.0 else t
 
 
+def bisect(below, hi: float, width: float) -> tuple[float, float]:
+    """The bracket (lo, hi) in which ``below`` turns False, halved from (0, hi)
+    until no wider than ``width``; ``below`` holds at 0 and fails at hi."""
+    lo = 0.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 class Line:
     """The restriction phi(t) = f(x + t v) of f to one line through a point.
 
@@ -291,14 +306,15 @@ class Line:
             return exact
         if obj.in_domain(x + v):
             return 1.0
-        lo, hi = 0.0, 1.0
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            if obj.in_domain(x + mid * v):
-                lo = mid
-            else:
-                hi = mid
-        return pull_back(lo)
+        return pull_back(bisect(lambda t: obj.in_domain(x + t * v), 1.0, 2.0 ** -30)[0])
+
+
+def max_feasible_step(line: Line) -> float:
+    """``line.max_step()``, the largest step in (0, 1] that keeps x + t v inside
+    dom f, pulled back from the boundary; an x outside dom f is a ValueError."""
+    if not line.in_domain(0.0):
+        raise ValueError("x must lie in the domain")
+    return line.max_step()
 
 
 class LocalGeometry(NamedTuple):
@@ -319,6 +335,84 @@ class LocalGeometry(NamedTuple):
         beta = l2_norm(line.v)
         e = math.sqrt(max(line.curvature(), 0.0))
         return cls(beta, e, delta_nu(line.point.obj.spec, beta, e), gap)
+
+
+# ---------------------------------------------------------------------------
+# The analytic step: psi's maximizer, in log1p/expm1 forms that neither overflow nor cancel
+# ---------------------------------------------------------------------------
+
+def _check(delta: float, xi: float, nu: float) -> int:
+    """Validate the step-size parameters and return the nu branch."""
+    if delta < 0 or xi < 0:
+        raise ValueError("delta and xi must be nonnegative")
+    return nu_branch(nu)
+
+
+def psi(delta: float, xi: float, nu: float, t: float) -> float:
+    """psi(t) = t - xi * omega_nu(t*delta) * t^2 (concave in t)."""
+    return _psi(delta, xi, nu, _check(delta, xi, nu), t)
+
+
+def _psi(delta: float, xi: float, nu: float, branch: int, t: float) -> float:
+    if xi == 0.0 or t == 0.0:  # t = 0 with xi = +inf: no step, not inf * 0
+        return float(t)
+    return t - xi * omega_kernel(nu, branch, t * delta) * t * t
+
+
+def t_star(delta: float, xi: float, nu: float) -> float:
+    """Unconstrained maximizer of psi.
+
+    Branches: log(1 + delta/xi)/delta for nu = 2; 1/(delta + xi) for nu = 3;
+    a power form in between.  Satisfies t_star * delta < 1 for nu in (2, 3]
+    whenever xi > 0.  delta = 0 degenerates to 1/xi on every branch.
+    """
+    return _t_star(delta, xi, nu, _check(delta, xi, nu))
+
+
+def _t_star(delta: float, xi: float, nu: float, branch: int) -> float:
+    if delta == 0.0 and xi == 0.0:
+        raise ValueError("t_star undefined when both delta and xi vanish")
+    if branch == 3:
+        return 1.0 / (delta + xi)
+    if delta == 0.0:
+        return 1.0 / xi
+    if branch == 2:
+        if xi == 0.0:
+            return math.inf
+        return math.log1p(delta / xi) / delta
+    # interior: (1/delta) * (1 - (1 + B*u)^(-q)), B = (4-nu)/(nu-2), q = 1/B
+    if xi == 0.0:
+        return 1.0 / delta
+    big_b = (4.0 - nu) / (nu - 2.0)
+    q = 1.0 / big_b
+    u = delta / xi
+    return -math.expm1(-q * math.log1p(big_b * u)) / delta
+
+
+def analytic_step(spec: GscSpec, geom: LocalGeometry, cap: float,
+                  m: float | None = None) -> tuple[float, float]:
+    """Analytic step rule: (alpha, predicted_decrease), with alpha the psi
+    maximizer for delta = M * delta_nu(x) and xi = e(x)^2 / gap(x) clipped to
+    the feasible cap; M is ``m`` if given (a backtracking trial), else spec.m,
+    and nu's branch is the one ``spec`` classified when it was built.  The
+    predicted decrease is gap * psi(alpha), which the two-sided descent bounds
+    guarantee as actual decrease.  A zero-curvature direction (e = 0 with
+    positive gap) takes the full cap: the quadratic penalty vanishes.  A delta
+    that is negative, NaN or infinite, or a NaN xi, is a ValueError; an
+    infinite xi is the zero step.
+    """
+    if not cap > 0.0:
+        raise ValueError("cap must be positive")
+    _, e, shape, gap = geom
+    if gap <= 0.0:
+        raise ValueError("converged: analytic step requires a positive gap")
+    if e == 0.0:
+        return cap, gap * cap
+    delta, xi = (spec.m if m is None else m) * shape, e ** 2 / gap
+    if not (0.0 <= delta < math.inf and xi >= 0.0):  # xi >= 0 unless NaN, as gap > 0
+        raise ValueError(f"delta and xi must be nonnegative, delta finite; got {delta}, {xi}")
+    alpha = min(cap, _t_star(delta, xi, spec.nu, spec.branch))
+    return alpha, max(gap * _psi(delta, xi, spec.nu, spec.branch, alpha), 0.0)
 
 
 # ---------------------------------------------------------------------------

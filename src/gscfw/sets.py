@@ -1,7 +1,7 @@
 """Feasible sets and their linear minimization oracles.
 
-Every set exposes ``lmo`` (vertex output, lowest-index tie-breaking), a
-membership test, and its diameter.  Polytope sets also answer ``lmo_indexed``
+Every set exposes ``lmo`` (vertex output, lowest-index tie-breaking) and a
+membership test.  Polytope sets also answer ``lmo_indexed``
 with a stable hashable vertex id and the vertex as an atom, not a dense array,
 and the away-step solver keeps those atoms in its active set.  All sets are
 immutable and their oracles are pure, so concurrent queries are safe.
@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .gsc import Line, inner, l2_norm
+from .gsc import inner, l2_norm
 
 
 class OracleViolation(RuntimeError):
@@ -49,7 +49,6 @@ class FeasibleSet(ABC):
     """Convex compact set accessed through a linear minimization oracle."""
 
     dimension: int
-    diameter: float
 
     @abstractmethod
     def lmo(self, c):
@@ -102,7 +101,6 @@ class UnitSimplex(VertexSet):
         if n < 1:
             raise ValueError("dimension must be positive")
         self.dimension, self.shape = n, (n,)
-        self.diameter = math.sqrt(2.0) if n > 1 else 0.0
 
     def lmo_indexed(self, c):
         c = np.asarray(c, dtype=float)
@@ -125,7 +123,6 @@ class L1Ball(VertexSet):
     def __init__(self, n: int, radius: float):
         self.dimension, self.shape = n, (n,)
         self.radius = _radius(n, radius)
-        self.diameter = 2.0 * self.radius
 
     def lmo_indexed(self, c):
         # vertex -R sign(c_i) e_i with i = argmax |c_j|; sign(0) taken as +1
@@ -155,7 +152,6 @@ class SymmetricL1Ball(VertexSet):
         self.p = p
         self.dimension, self.shape = p * p, (p, p)
         self.radius = _radius(p, radius)
-        self.diameter = 2.0 * self.radius
 
     def lmo_indexed(self, c):
         # the vertex -sign(c_ij) at the first largest-magnitude entry in
@@ -205,7 +201,6 @@ class EuclideanBall(FeasibleSet):
     def __init__(self, n: int, radius: float):
         self.dimension = n
         self.radius = _radius(n, radius)
-        self.diameter = 2.0 * self.radius
 
     def lmo(self, c):
         c, norm = _scaled(np.asarray(c, dtype=float))
@@ -225,7 +220,6 @@ class NonnegativeBall(FeasibleSet):
     def __init__(self, n: int, radius: float):
         self.dimension = n
         self.radius = _radius(n, radius)
-        self.diameter = self.radius * (math.sqrt(2.0) if n > 1 else 1.0)
 
     def lmo(self, c):
         c = np.asarray(c, dtype=float)
@@ -245,7 +239,6 @@ class ProductSet(FeasibleSet):
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
         self.dimension = sum(b.dimension for b in self.blocks)
-        self.diameter = math.sqrt(sum(b.diameter ** 2 for b in self.blocks))
         self._slices = []
         offset = 0
         for b in self.blocks:
@@ -320,18 +313,3 @@ class SimplexLLOO:
         u[target] += moved
         return u
 
-
-# ---------------------------------------------------------------------------
-# Domain-boundary search
-# ---------------------------------------------------------------------------
-
-def max_feasible_step(line: Line) -> float:
-    """Largest step in (0, 1] keeping x + t v inside dom f, shrunk for safety.
-
-    Asks ``line``, the restriction of f through x along v: an exact boundary
-    rule when the objective has one, or else 30 bisection steps on the
-    domain oracle, then pulled back from the boundary.
-    """
-    if not line.in_domain(0.0):
-        raise ValueError("x must lie in the domain")
-    return line.max_step()

@@ -18,9 +18,9 @@ from itertools import compress
 
 import numpy as np
 
-from .gsc import Line, LocalGeometry, Objective, Point, inner, l2_norm
-from .sets import FeasibleSet, VertexSet, gap as fw_gap, max_feasible_step
-from .stepsize import analytic_step, t_star  # t_star unused: perfbench/tracer.py rebinds it
+from .gsc import (Line, LocalGeometry, Objective, Point, analytic_step, bisect, inner, l2_norm,
+                  max_feasible_step, t_star)  # t_star unused: perfbench/tracer.py rebinds it
+from .sets import FeasibleSet, VertexSet, gap as fw_gap
 
 _LINE_SEARCH_TOL = 1e-10  # bracket width at which the exact line search stops
 _BACKTRACK_LIMIT = 100  # doublings; beyond this the model is being misused
@@ -188,15 +188,7 @@ def _exact_line_search(line: Line) -> float:
     t_max = max_feasible_step(line)
     if line.slope(t_max) <= 0.0:
         return t_max
-    lo, hi = 0.0, t_max  # slope(0) = -gap < 0
-    for _ in range(200):
-        if hi - lo <= _LINE_SEARCH_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if line.slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda t: line.slope(t) < 0.0, t_max, _LINE_SEARCH_TOL)  # slope(0) = -gap
     return 0.5 * (lo + hi)
 
 
@@ -276,8 +268,9 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     def step(k, point, s_id, s, gap):
         nonlocal l_prev
         line = _toward(point, s)
-        if l_prev is None:  # phi''(0)/||v||^2 along the first direction
-            l_prev = meta["l_init"] = max(1e-6, line.curvature() / inner(line.v, line.v))
+        if l_prev is None:  # phi''(0)/||v||^2 along the first direction; step_l rejects v = 0
+            l_prev = max(1e-6, line.curvature() / (inner(line.v, line.v) or math.inf))
+            meta["l_init"] = l_prev
         alpha, l_prev, backtracks = step_l(line, gap, l_prev, config)
         return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
                                                backtrack_count=backtracks, estimate=l_prev)

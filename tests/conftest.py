@@ -18,10 +18,9 @@ import scipy.sparse
 
 from gscfw import GscSpec, Objective, SparseDataset, inner, l2_norm, omega
 from gscfw.bench import ProfilePoint
-from gscfw.gsc import nu_branch
+from gscfw.gsc import nu_branch, psi
 from gscfw.problems import MarginLine
 from gscfw.sets import UnitSimplex, VertexSet
-from gscfw.stepsize import psi
 
 _LN2 = math.log(2.0)
 
@@ -557,7 +556,6 @@ class IntervalSet(VertexSet):
     def __init__(self, lo, hi):
         self.lo, self.hi = float(lo), float(hi)
         self.dimension, self.shape = 1, (1,)
-        self.diameter = self.hi - self.lo
 
     def lmo_indexed(self, c):
         vid = 0 if np.asarray(c, dtype=float)[0] >= 0 else 1

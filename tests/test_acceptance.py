@@ -16,9 +16,9 @@ from gscfw import (SolverConfig, UnitSimplex, asfwgsc, fw_standard, fwgsc, fwllo
                    lbtfwgsc, mbtfwgsc, omega, portfolio_generator, portfolio_problem,
                    run_experiment)
 from gscfw.bench import build_problem, make_start, relative_error
+from gscfw.gsc import psi, t_star
 from gscfw.problems import MarginLine
 from gscfw.sets import SimplexLLOO
-from gscfw.stepsize import psi, t_star
 
 from conftest import (IntervalSet, NegLogObjective, ShiftedQuadratic, descent_bounds,
                       numeric_psi_max, psi_at_tstar, psi_lower_bound, records_without_times)

@@ -91,6 +91,15 @@ def test_run_and_profile_read_one_default_epsilon_grid(tmp_path, monkeypatch):
     assert again.read_text().splitlines() == written
 
 
+def test_cli_run_exits_3_on_a_direction_whose_squared_norm_underflows(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({
+        "problems": [{"name": "logistic", "p": 30, "n": 8, "radius": 1e-300, "seed": 1}],
+        "methods": ["lbtfwgsc"], "epsilon": 5e-324, "out_dir": str(tmp_path / "rec")}))
+    assert main(["run", str(cfg)]) == 3
+    assert "solver failure: zero direction" in capsys.readouterr().err
+
+
 def test_cli_run_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"problems": [], "methods": ["fwgsc"]}))

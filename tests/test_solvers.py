@@ -214,6 +214,22 @@ def test_fwgsc_immediate_exit():
     assert trace.status == "gap-converged" and len(trace.iterations) == 0
 
 
+def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
+    # DWD at u = 1e160 overflows ||v||: a NaN geometry is a ValueError, not a step to f = +inf
+    inst = build_problem({"name": "dwd", "u": 1e160})
+    x0, _ = make_start(inst, 1)
+    with np.errstate(over="ignore"):  # the curvature's overflow is the case under test
+        with pytest.raises(ValueError, match="nonnegative"):
+            fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
+    # logistic at gamma = 1e300: e = 1e151 meets a gap near 1e-16, so xi = +inf and alpha = 0
+    inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
+    x0, _ = make_start(inst, 1)
+    trace = fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=5e-324, max_iter=150))
+    predicted = [rec.predicted_decrease for rec in trace.iterations if rec.alpha == 0.0]
+    assert predicted and set(predicted) == {0.0}
+    assert not any(math.isnan(rec.predicted_decrease) for rec in trace.iterations)
+
+
 def test_fwgsc_min_predicted_decrease_bound(portfolio_toy):
     # min_{k<K} Delta_k <= (f(x0) - f*) / K, f* from a long reference run
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set
@@ -388,6 +404,14 @@ def test_lbtfwgsc_at_max_iter_zero_leaves_l_init_unset(case):
     assert trace.meta["l_init"] is None
 
 
+def test_lbtfwgsc_rejects_a_first_direction_whose_squared_norm_underflows():
+    # ||v||^2 of a 1e-300 radius is 0.0: the first estimate must not divide by it
+    inst = build_problem({"name": "logistic", "p": 30, "n": 8, "radius": 1e-300, "seed": 1})
+    x0, weights = make_start(inst, 3)
+    with pytest.raises(ValueError, match="zero direction"):
+        run_method("lbtfwgsc", inst, x0, weights, SolverConfig(epsilon=5e-324))
+
+
 def test_lbtfwgsc_from_an_optimal_start_leaves_l_init_unset():
     trace = lbtfwgsc(ShiftedQuadratic([0.0, 1.0]), UnitSimplex(2), np.array([0.0, 1.0]),
                      SolverConfig())
@@ -512,6 +536,15 @@ def test_fwlloo_takes_the_full_step_along_a_zero_curvature_direction(nu):
     assert trace.status == "gap-converged"
     assert trace.iterations and all(rec.alpha == 1.0 for rec in trace.iterations)
     assert trace.final_f == pytest.approx(0.5, abs=1e-9)
+
+
+def test_fwlloo_steps_zero_when_the_lloo_radius_is_below_rounding():
+    # sigma_f = 1e300 puts r_0 near 1e-150: the LLOO answers x itself, so v = 0
+    inst = build_problem({"name": "portfolio", "p": 40, "n": 10, "seed": 3})
+    trace = run_method("fwlloo", inst, np.full(10, 0.1), None,
+                       SolverConfig(max_iter=5, sigma_f=1e300))
+    assert [(rec.step_kind, rec.alpha, rec.estimate)
+            for rec in trace.iterations] == [("zero", 0.0, 1.0)] * 5
 
 
 @pytest.mark.parametrize("name, value", [
@@ -642,6 +675,25 @@ def test_asfwgsc_accepts_active_set_start(portfolio_toy):
     trace = asfwgsc(obj, feasible, start, SolverConfig(epsilon=1e-8, max_iter=500))
     assert trace.status == "gap-converged"
     assert trace.meta["active_set_max_drift"] <= 1e-9
+
+
+def test_asfwgsc_steps_forward_when_away_would_leave_no_mass(monkeypatch):
+    # an away step from the only vertex is undefined: the guard steps forward and counts it
+    inst = build_problem({"name": "portfolio"})
+    x0, weights = make_start(inst, 1)  # one vertex of weight 1
+    alone = []
+
+    def heaviest(grad, active):  # an away gap that every forward gap loses to
+        row = int(active.weights.argmax())
+        alone.append(bool(active.weights[row] >= 1.0 - 1e-12))
+        return active.ids[row], row, 1e6
+
+    monkeypatch.setattr(gscfw.solvers, "away_vertex", heaviest)
+    trace = run_method("asfwgsc", inst, x0, weights, SolverConfig(max_iter=3))
+    kinds = [rec.step_kind for rec in trace.iterations]
+    assert len(kinds) == 3 and alone[0]
+    assert trace.meta["forced_forward_steps"] == sum(alone)
+    assert [kind == "forward" for kind in kinds] == alone
 
 
 def test_asfwgsc_steps_forward_when_the_gaps_tie():
@@ -782,7 +834,7 @@ def test_run_constants_are_checked_once_per_run(monkeypatch, method):
         calls["GscSpec"] += 1
         post_init(self)
 
-    for module in (gscfw.gsc, gscfw.stepsize, gscfw.problems, gscfw.solvers):
+    for module in (gscfw.gsc, gscfw.problems, gscfw.solvers):
         if hasattr(module, "nu_branch"):
             monkeypatch.setattr(module, "nu_branch", counting_nu_branch)
     monkeypatch.setattr(GscSpec, "__post_init__", counting_post_init)
@@ -798,10 +850,6 @@ def test_run_constants_are_checked_once_per_run(monkeypatch, method):
     assert counts[0] == counts[1]
 
     geom = LocalGeometry(beta=1.0, e=1.0, delta=0.5, gap=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        analytic_step(GscSpec(1.0, 2.5), LocalGeometry(1.0, 1.0, -0.5, 1.0), cap=1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        analytic_step(GscSpec(1.0, 2.5), geom, 1.0, -1.0)
     for nu in (1.9, 3.1, math.nan):  # nu is checked where its GscSpec is built
         with pytest.raises(ValueError, match="nu must lie"):
             analytic_step(GscSpec(1.0, nu), geom, cap=1.0)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gscfw import GscSpec, LocalGeometry, delta_nu
-from gscfw.gsc import nu_branch
-from gscfw.stepsize import analytic_step, psi, t_star
+from gscfw.gsc import analytic_step, nu_branch, psi, t_star
 
 from conftest import gamma_tilde, numeric_psi_max, psi_at_tstar, psi_lower_bound
 
@@ -177,6 +176,22 @@ def test_analytic_step_examples():
     spec3 = GscSpec(1.0, 2.0)
     geom3 = LocalGeometry(beta=1.0, e=1.0, delta=1.0, gap=1.0)
     assert analytic_step(spec3, geom3, cap=1.0)[0] == pytest.approx(LN2)
+
+
+def test_analytic_step_rejects_a_delta_or_xi_it_cannot_step_on():
+    # a negative, NaN or infinite delta, or a NaN xi, is a ValueError, never a NaN step
+    for spec, geom, m in ((GscSpec(1.0, 2.5), LocalGeometry(1.0, 1.0, -0.5, 1.0), None),
+                          (GscSpec(1.0, 2.5), LocalGeometry(1.0, 1.0, 0.5, 1.0), -1.0),
+                          (GscSpec(1.0, 2.5), LocalGeometry(math.inf, math.nan, math.nan, 1.0), None),
+                          (GscSpec(1.0, 2.0), LocalGeometry(math.inf, 1.0, math.inf, 1.0), None)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            analytic_step(spec, geom, 1.0, m)
+
+
+@pytest.mark.parametrize("nu", [2.0, 2.5, 3.0])
+def test_an_infinite_xi_is_the_zero_step(nu):
+    # e^2 / gap overflows to xi = +inf: no step, and a predicted decrease of 0, not inf * 0
+    assert analytic_step(GscSpec(1.0, nu), LocalGeometry(1.0, 1e151, 1.0, 1.4e-16), 1.0) == (0.0, 0.0)
 
 
 def test_analytic_step_signals():

@@ -10,6 +10,7 @@ reruns are bit-identical apart from wall-time fields.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -261,7 +262,7 @@ def run_method(method: str, instance: ProblemInstance, x0, weights, config: Solv
 # Record serialization
 # ---------------------------------------------------------------------------
 
-RECORD_SCHEMA = 2  # the record layout's version, written in every header
+RECORD_SCHEMA = 3  # the record layout's version, written in every header; 2 is read too
 # IterationRecord field, in field order -> column key and the cast on writing
 _ROW_SCHEMA = (
     ("k", "k", int), ("f_value", "f", float), ("gap", "gap", float), ("alpha", "alpha", float),
@@ -282,7 +283,13 @@ def _typed(key: str, values, cast, nullable: bool, n: int) -> list:
     """``values``, a list of ``n`` values as the writer's cast leaves them,
     checked in one pass: another length, null for a field that is never
     None, or another JSON type (a bool too) is a ValueError.  Ints read as
-    floats are cast."""
+    floats are cast.  A float column may instead be one base64 string of
+    ``n`` little-endian float64s; a bad string or another byte count is a ValueError."""
+    if cast is float and isinstance(values, str):
+        packed = base64.b64decode(values, validate=True)
+        if len(packed) != 8 * n:
+            raise ValueError(f"{key} must pack {8 * n} bytes, got {len(packed)}")
+        return np.frombuffer(packed, "<f8").tolist()
     if not isinstance(values, list) or len(values) != n:
         got = f"{len(values)}" if isinstance(values, list) else f"{values!r:.60}"
         raise ValueError(f"{key} must be a list of {n} values, got {got}")
@@ -299,15 +306,20 @@ def _typed(key: str, values, cast, nullable: bool, n: int) -> list:
 def trace_to_lines(problem: str, method: str, start: int, trace: RunTrace,
                    f_star_estimate=None):
     """Two-line record: the header object, then one object mapping each row
-    key to its column of ``n_iterations`` values (null where a field is None)."""
+    key to its column of ``n_iterations`` values.  A float column with no
+    None is one base64 string of their little-endian float64 bytes, so every
+    bit survives; any other column is a JSON list (null where a field is None)."""
     values = {"schema": RECORD_SCHEMA, "problem": problem, "method": method, "start": start,
               "status": trace.status, "final_f": trace.final_f, "final_gap": trace.final_gap,
               "f_star_estimate": f_star_estimate, "n_iterations": len(trace.iterations)}
     header = {key: None if values[key] is None else cast(values[key])
               for key, cast in _HEADER_TYPES.items()}
-    columns = {key: [None if v is None else cast(v)
-                     for v in map(attrgetter(name), trace.iterations)]
-               for name, key, cast in _ROW_SCHEMA}
+    columns = {}
+    for name, key, cast in _ROW_SCHEMA:
+        column = list(map(attrgetter(name), trace.iterations))
+        columns[key] = (base64.b64encode(np.array(column, dtype="<f8").tobytes()).decode()
+                        if cast is float and None not in column else
+                        [None if v is None else cast(v) for v in column])
     return [json.dumps({"type": "header", **header}, sort_keys=True),
             json.dumps(columns, sort_keys=True)]
 
@@ -460,7 +472,8 @@ def write_profile_csv(path: Path, rows):
 
 def load_records(directory) -> list:
     """Read record files back into RunRecords (for the profile subcommand).
-    An empty, truncated, incomplete or other-schema file is a ConfigError naming it."""
+    Schemas 2 and 3 load; an empty, truncated, incomplete or other-schema
+    file is a ConfigError naming it."""
     out = []
     for path in sorted(Path(directory).glob("*.jsonl")):
         try:
@@ -468,9 +481,9 @@ def load_records(directory) -> list:
             header = json.loads(first)
             header = {key: _typed(key, [header.get(key)], cast, key in _NULLABLE, 1)[0]
                       for key, cast in _HEADER_TYPES.items()}
-            if header["schema"] != RECORD_SCHEMA or len(rest) != 1:
+            if header["schema"] not in (2, RECORD_SCHEMA) or len(rest) != 1:
                 raise ValueError(f"schema {header['schema']} in {len(rest) + 1} lines, "
-                                 f"expected schema {RECORD_SCHEMA} in 2")
+                                 f"expected schema 2 or {RECORD_SCHEMA} in 2")
             columns = json.loads(rest[0])
             iterations = list(starmap(IterationRecord, zip(*(
                 _typed(key, columns.get(key), cast, name in _NULLABLE, header["n_iterations"])

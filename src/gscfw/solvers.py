@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -93,10 +93,7 @@ class RunTrace:
 
     def cumulative_seconds(self):
         """Wall time elapsed when each iterate was produced (iterate 0 at 0)."""
-        out = [0.0]
-        for rec in self.iterations:
-            out.append(out[-1] + rec.elapsed_seconds)
-        return out
+        return list(accumulate((rec.elapsed_seconds for rec in self.iterations), initial=0.0))
 
     def best_f(self):
         return min(self.f_values())
@@ -221,7 +218,8 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
         geom = LocalGeometry.from_direction(line, gap)
         alpha, predicted = analytic_step(obj.spec, geom, cap=1.0)
         return line.at(alpha), IterationRecord(
-            k, point.value(), gap, alpha, "forward", predicted_decrease=predicted)
+            k, point.value(), gap, alpha, "zero" if alpha == 0.0 else "forward",
+            predicted_decrease=predicted)
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -464,6 +462,8 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
         if kind == "away" and alpha >= t_bar:
             kind = "drop"
             meta["drop_steps"] += 1
+        elif alpha == 0.0:
+            kind = "zero"
         nxt = line.at(alpha if forward else -alpha)
         if forward:
             active.forward_update(s_id, alpha)

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import importlib
 import json
@@ -301,6 +302,42 @@ def test_records_round_trip_bit_for_bit(tmp_path_factory, iterations, texts, sta
                            loaded.f_star_estimate), header))
 
 
+def test_records_pack_exactly_the_float_columns_without_none():
+    inst = build_problem({"name": "portfolio", "p": 20, "n": 6, "seed": 2})
+    x0, active = make_start(inst, start_seed=4)
+    config = SolverConfig(epsilon=1e-9, max_iter=40)
+    always = {"f", "gap", "alpha", "elapsed"}
+    # estimate, predicted, certificate and radius hold None and a value in turn
+    mixed = RunTrace(iterations=_SPECIAL_ITERATIONS, status="iteration-cap", final_f=0.0,
+                     final_gap=0.0, x=np.zeros(1))
+    for trace, packed in ((run_method("fwgsc", inst, x0, active, config), always | {"predicted"}),
+                          (run_method("fwlloo", inst, x0, active, config),
+                           always | {"estimate", "certificate", "radius"}),
+                          (mixed, always)):
+        columns = json.loads(trace_to_lines("p", "m", 0, trace, f_star_estimate=-1.0)[1])
+        assert {key for key, column in columns.items() if isinstance(column, str)} == packed
+        for name, key in (("f_value", "f"), ("elapsed_seconds", "elapsed")):
+            want = np.array([getattr(rec, name) for rec in trace.iterations], dtype="<f8")
+            assert base64.b64decode(columns[key]) == want.tobytes()
+
+
+def test_schema_2_records_with_decimal_columns_load_to_the_same_trace(tmp_path):
+    inst = build_problem({"name": "portfolio", "p": 20, "n": 6, "seed": 2})
+    x0, active = make_start(inst, start_seed=4)
+    trace = run_method("asfwgsc", inst, x0, active, SolverConfig(epsilon=1e-9, max_iter=40))
+    header, columns = map(json.loads, trace_to_lines("p", "m", 0, trace, f_star_estimate=-1.5))
+    assert header["schema"] == 3 and isinstance(columns["f"], str)
+    decimal = {key: np.frombuffer(base64.b64decode(column), "<f8").tolist()
+               if isinstance(column, str) else column for key, column in columns.items()}
+    for name, schema, body in (("packed", 3, columns), ("decimal", 2, decimal)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "cell.jsonl").write_text(
+            json.dumps({**header, "schema": schema}) + "\n" + json.dumps(body) + "\n")
+    (packed,), (decimal,) = load_records(tmp_path / "packed"), load_records(tmp_path / "decimal")
+    _assert_same_record(decimal, packed)
+    _assert_same_record(packed, RunRecord("p", "m", 0, trace, -1.5))
+
+
 _GRID = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"]}
 
 
@@ -385,8 +422,25 @@ def test_run_experiment_smoke(tmp_path):
     by_key = {(r.problem, r.method, r.start): r for r in loaded}
     for rec in records:
         twin = by_key[(rec.problem, rec.method, rec.start)]
-        assert twin.trace.final_f == pytest.approx(rec.trace.final_f, rel=1e-15)
-        assert len(twin.trace.iterations) == len(rec.trace.iterations)
+        _assert_same_record(twin, rec)
+
+
+def _plain(value):
+    """A numpy scalar as the Python number a record file gives back."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _assert_same_record(got, want):
+    """Every record field, row field and header value of ``got`` equals ``want``'s
+    bit for bit (by ``_same``)."""
+    assert len(got.trace.iterations) == len(want.trace.iterations)
+    for g, w in zip(got.trace.iterations, want.trace.iterations):
+        for field in dataclasses.fields(IterationRecord):
+            assert _same(getattr(g, field.name), _plain(getattr(w, field.name))), field.name
+    for name in ("problem", "method", "start", "f_star_estimate"):
+        assert _same(getattr(got, name), _plain(getattr(want, name))), name
+    for name in ("status", "final_f", "final_gap"):
+        assert _same(getattr(got.trace, name), _plain(getattr(want.trace, name))), name
 
 
 def test_run_experiment_deterministic_modulo_time(tmp_path):

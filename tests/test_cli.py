@@ -1,3 +1,4 @@
+import base64
 import json
 from operator import setitem
 
@@ -14,9 +15,11 @@ def test_cli_trace_writes_record(tmp_path):
                  "--epsilon", "1e-8", "--seed", "4", "--out", str(out)])
     assert code == 0
     header, columns = (json.loads(line) for line in out.read_text().splitlines())
-    assert (header["method"], header["schema"]) == ("fwgsc", 2)
+    assert (header["method"], header["schema"]) == ("fwgsc", 3)
     assert header["n_iterations"] > 0
-    assert {len(column) for column in columns.values()} == {header["n_iterations"]}
+    # a packed float column holds 8 bytes per iteration, a list column one value
+    assert {len(base64.b64decode(column)) // 8 if isinstance(column, str) else len(column)
+            for column in columns.values()} == {header["n_iterations"]}
 
 
 def test_cli_trace_config_error_exit_code(tmp_path):
@@ -137,6 +140,11 @@ def _damaged(change):
     return damage
 
 
+def _repacked(column, change):
+    """A packed float column with its bytes changed by ``change``."""
+    return base64.b64encode(change(base64.b64decode(column))).decode()
+
+
 # a two-row fwgsc record in the one-object-per-row layout that schema 2 replaced
 _PER_ROW_RECORD = """\
 {"f_star_estimate": -1.0, "final_f": -0.9, "final_gap": 0.01, "method": "fwgsc", \
@@ -153,12 +161,17 @@ _PER_ROW_RECORD = """\
     pytest.param(lambda text: "", id="empty"),
     pytest.param(lambda text: text[:-20], id="truncated-line"),
     pytest.param(_damaged(lambda h, c: h.pop("status")), id="header-without-status"),
-    pytest.param(_damaged(lambda h, c: c["f"].pop()), id="column-one-short"),
-    pytest.param(_damaged(lambda h, c: c["gap"].append(0.5)), id="column-one-long"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "f", _repacked(c["f"], lambda b: b[:-8]))),
+                 id="column-one-short"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "gap", _repacked(c["gap"], lambda b: b + b[:8]))),
+                 id="column-one-long"),
     pytest.param(_damaged(lambda h, c: c.pop("kind")), id="missing-column"),
-    pytest.param(_damaged(lambda h, c: setitem(c["elapsed"], 2, "x")), id="row-elapsed-string"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "elapsed", "*" + c["elapsed"][1:])),
+                 id="row-elapsed-string"),
     pytest.param(_damaged(lambda h, c: setitem(h, "final_f", "x")), id="header-final_f-string"),
-    pytest.param(_damaged(lambda h, c: setitem(c["f"], 2, None)), id="row-f-null"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "f", None)), id="row-f-null"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "k", c["f"])), id="packed-k"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "kind", c["f"])), id="packed-kind"),
     pytest.param(_damaged(lambda h, c: setitem(c["backtracks"], 2, True)),
                  id="row-backtracks-true"),
     pytest.param(lambda text: text + text.splitlines()[1] + "\n", id="third-line"),

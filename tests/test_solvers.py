@@ -230,6 +230,16 @@ def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
     assert not any(math.isnan(rec.predicted_decrease) for rec in trace.iterations)
 
 
+@pytest.mark.parametrize("method", ["fwgsc", "asfwgsc"])
+def test_a_step_of_zero_length_is_recorded_zero(method):
+    # the gamma = 1e300 run above stalls at alpha = 0 on most iterations
+    inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
+    x0, weights = make_start(inst, 1)
+    trace = run_method(method, inst, x0, weights, SolverConfig(epsilon=5e-324, max_iter=150))
+    kinds = Counter((rec.alpha == 0.0, rec.step_kind) for rec in trace.iterations)
+    assert set(kinds) == {(True, "zero"), (False, "forward")}
+
+
 def test_fwgsc_min_predicted_decrease_bound(portfolio_toy):
     # min_{k<K} Delta_k <= (f(x0) - f*) / K, f* from a long reference run
     obj, feasible = portfolio_toy.objective, portfolio_toy.feasible_set

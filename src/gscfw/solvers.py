@@ -117,18 +117,21 @@ def _start(obj: Objective, feasible: FeasibleSet, x0, solver: str):
 
 def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta: dict,
                  step) -> RunTrace:
-    """The iteration every solver shares: gradient, oracle, gap, stop test, step.
+    """The iteration every solver shares: gradient, oracle, gap, stop test,
+    record, step, move.
 
-    ``point`` is the evaluation cache at the iterate (``Objective.at``).
-    ``step(k, point, s_id, s, gap)`` returns ``(point_new, record)`` and
-    carries the solver's own state; ``s_id``, ``s`` are the vertex id and its
-    atom (a, b, h) on polytopes, else None and the dense answer (``_toward``
-    takes either).  A step moves along the restriction of f to its
-    direction, so the new point comes from ``Line.at`` with whatever the
-    line already knows there (margins, f).  The run ends at the gap test or
-    at the cap, and the gap test runs first, so the final gap is the one at
-    the final iterate.  A zero step is one more iteration, and a record's
-    wall time spans its whole iteration, step bookkeeping included.
+    ``point`` is the evaluation cache at the iterate (``Objective.at``).  The
+    loop builds each iteration's record as ``IterationRecord(k, f, gap, 0.0,
+    "forward")`` and hands it to ``step(point, s_id, s, rec)``, which carries
+    the solver's own state, fills in alpha and its own fields of ``rec`` and
+    returns ``(line, t)``; ``s_id``, ``s`` are the vertex id and its atom
+    (a, b, h) on polytopes, else None and the dense answer (``_toward`` takes
+    either).  The loop then moves to ``line.at(t)``, the point with whatever
+    the line already knows there (margins, f); at t = 0 it keeps the iterate
+    and labels the record ``zero``.  The run ends at the gap test or at the
+    cap, and the gap test runs first, so the final gap is the one at the
+    final iterate.  A zero step is one more iteration, and a record's wall
+    time spans its whole iteration, step bookkeeping included.
     """
     indexed = isinstance(feasible, VertexSet)
     records = []
@@ -147,7 +150,12 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
             break
         if k == config.max_iter:
             break
-        point, rec = step(k, point, s_id, s, gp)
+        rec = IterationRecord(k, point.value(), gp, 0.0, "forward")
+        line, t = step(point, s_id, s, rec)
+        if t == 0.0:
+            rec.step_kind = "zero"
+        else:
+            point = line.at(t)
         rec.elapsed_seconds = time.perf_counter() - t0
         records.append(rec)
         if iterates is not None:
@@ -169,12 +177,11 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
     """Oblivious 2/(k+2) schedule; domain-violating candidates are zeroed."""
     point, meta = _start(obj, feasible, x0, "fw-standard")
 
-    def step(k, point, s_id, s, gap):
-        alpha = 2.0 / (k + 2.0)
-        line = _toward(point, s)
-        if not line.in_domain(alpha):
-            return point, IterationRecord(k, point.value(), gap, 0.0, "zero")
-        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
+    def step(point, s_id, s, rec):
+        line, alpha = _toward(point, s), 2.0 / (rec.k + 2.0)
+        if line.in_domain(alpha):  # else a zero step
+            rec.alpha = alpha
+        return line, rec.alpha
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -193,10 +200,10 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
     """Exact line search within the domain-feasible segment."""
     point, meta = _start(obj, feasible, x0, "fw-line-search")
 
-    def step(k, point, s_id, s, gap):
+    def step(point, s_id, s, rec):
         line = _toward(point, s)
-        alpha = _exact_line_search(line)
-        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward")
+        rec.alpha = _exact_line_search(line)
+        return line, rec.alpha
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -213,13 +220,11 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     """
     point, meta = _start(obj, feasible, x0, "fwgsc")
 
-    def step(k, point, s_id, s, gap):
+    def step(point, s_id, s, rec):
         line = _toward(point, s)
-        geom = LocalGeometry.from_direction(line, gap)
-        alpha, predicted = analytic_step(obj.spec, geom, cap=1.0)
-        return line.at(alpha), IterationRecord(
-            k, point.value(), gap, alpha, "zero" if alpha == 0.0 else "forward",
-            predicted_decrease=predicted)
+        geom = LocalGeometry.from_direction(line, rec.gap)
+        rec.alpha, rec.predicted_decrease = analytic_step(obj.spec, geom, cap=1.0)
+        return line, rec.alpha
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -263,15 +268,15 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     point, meta = _start(obj, feasible, x0, "lbtfwgsc")
     l_prev = meta["l_init"] = config.l_init
 
-    def step(k, point, s_id, s, gap):
+    def step(point, s_id, s, rec):
         nonlocal l_prev
         line = _toward(point, s)
         if l_prev is None:  # phi''(0)/||v||^2 along the first direction; step_l rejects v = 0
             l_prev = max(1e-6, line.curvature() / (inner(line.v, line.v) or math.inf))
             meta["l_init"] = l_prev
-        alpha, l_prev, backtracks = step_l(line, gap, l_prev, config)
-        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
-                                               backtrack_count=backtracks, estimate=l_prev)
+        rec.alpha, l_prev, rec.backtrack_count = step_l(line, rec.gap, l_prev, config)
+        rec.estimate = l_prev
+        return line, rec.alpha
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -295,12 +300,12 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     point, meta = _start(obj, feasible, x0, "mbtfwgsc")
     mu_prev = config.mu_init
 
-    def step(k, point, s_id, s, gap):
+    def step(point, s_id, s, rec):
         nonlocal mu_prev
         line = _toward(point, s)
-        alpha, mu_prev, backtracks = step_m(line, gap, mu_prev, config)
-        return line.at(alpha), IterationRecord(k, point.value(), gap, alpha, "forward",
-                                               backtrack_count=backtracks, estimate=mu_prev)
+        rec.alpha, mu_prev, rec.backtrack_count = step_m(line, rec.gap, mu_prev, config)
+        rec.estimate = mu_prev
+        return line, rec.alpha
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -333,24 +338,19 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
     gap0 = r_0 = None
     c_k = 1.0
 
-    def step(k, point, s_id, s, gap):
+    def step(point, s_id, s, rec):
         nonlocal gap0, r_0, c_k
-        if k == 0:
-            gap0 = gap
+        if rec.k == 0:
+            gap0 = rec.gap
             r_0 = meta["r_0"] = math.sqrt(2.0 * gap0 / sigma)
-        r_k = r_0 * math.sqrt(c_k)
-        f_x = point.value()
-        line = point.toward(lloo.query(point.x, r_k, point.gradient()))
+        rec.estimate, rec.certificate, rec.radius = c_k, gap0 * c_k, r_0 * math.sqrt(c_k)
+        line = point.toward(lloo.query(point.x, rec.radius, point.gradient()))
         # the merit is half the certificate, so xi = 2 e^2 / (gap0 c_k)
         geom = LocalGeometry.from_direction(line, 0.5 * gap0 * c_k)
-        if geom.beta == 0.0:
-            return point, IterationRecord(k, f_x, gap, 0.0, "zero", estimate=c_k,
-                                          certificate=gap0 * c_k, radius=r_k)
-        alpha, _ = analytic_step(obj.spec, geom, cap=1.0)
-        rec = IterationRecord(k, f_x, gap, alpha, "forward", estimate=c_k,
-                              certificate=gap0 * c_k, radius=r_k)
-        c_k *= math.exp(-0.5 * alpha)
-        return line.at(alpha), rec
+        if geom.beta != 0.0:  # else the oracle answered x itself: a zero step
+            rec.alpha = analytic_step(obj.spec, geom, cap=1.0)[0]
+            c_k *= math.exp(-0.5 * rec.alpha)
+        return line, rec.alpha
 
     return _frank_wolfe(feasible, point, config, meta, step)
 
@@ -363,16 +363,15 @@ _PURGE_TOL = 1e-12
 
 
 class ActiveSet:
-    """Iterate as an explicit convex combination of polytope vertices: the ``ids`` in entry
-    order, ``rows`` = {ids[r]: r}, their ``weights``, and the atom (a, b, h) of ids[r] as
-    ``pairs[r]`` and ``heights[r]``, asked of the polytope once, when ids[r] enters."""
+    """Iterate as an explicit convex combination of polytope vertices: ``rows`` maps each id
+    to its row r, in entry order, and row r holds the id's weight ``weights[r]`` and its atom
+    (a, b, h) as ``pairs[r]`` and ``heights[r]``, asked of the polytope once, when it enters."""
 
     def __init__(self, polytope: VertexSet, weights: dict):
         self.polytope = polytope
-        self.ids = list(weights)
-        self.rows = {vid: r for r, vid in enumerate(self.ids)}
-        self.weights = np.fromiter(weights.values(), dtype=float, count=len(self.ids))
-        atoms = [polytope.atom(vid) for vid in self.ids]
+        self.rows = {vid: r for r, vid in enumerate(weights)}
+        self.weights = np.fromiter(weights.values(), dtype=float, count=len(self.rows))
+        atoms = [polytope.atom(vid) for vid in self.rows]
         self.pairs = np.array([(a, b) for a, b, _ in atoms], dtype=np.intp).reshape(-1, 2)
         self.heights = np.array([h for _, _, h in atoms], dtype=float)
         self._normalize()
@@ -381,12 +380,11 @@ class ActiveSet:
         low = self.weights < _PURGE_TOL  # False for NaN, which then fails the mass check
         if low.any():
             keep = ~low
-            self.ids = list(compress(self.ids, keep))
-            self.rows = {vid: r for r, vid in enumerate(self.ids)}
+            self.rows = {vid: r for r, vid in enumerate(compress(self.rows, keep))}
             self.weights, self.pairs, self.heights = (
                 self.weights[keep], self.pairs[keep], self.heights[keep])
         # a sequential sum in entry order (np.sum would sum pairwise)
-        total = np.add.accumulate(self.weights)[-1] if self.ids else 0.0
+        total = np.add.accumulate(self.weights)[-1] if self.rows else 0.0
         if not math.isfinite(total) or total <= 0.0:
             raise ValueError("active set lost all mass")
         if abs(total - 1.0) > 1e-15:
@@ -399,8 +397,7 @@ class ActiveSet:
             self.weights[self.rows[vid]] += alpha
         else:
             a, b, h = self.polytope.atom(vid)
-            self.rows[vid] = len(self.ids)
-            self.ids.append(vid)
+            self.rows[vid] = len(self.rows)
             self.weights = np.concatenate((self.weights, [alpha]))
             self.heights = np.concatenate((self.heights, [h]))
             self.pairs = np.concatenate((self.pairs, [(a, b)]))
@@ -421,7 +418,7 @@ def away_vertex(grad, active: ActiveSet):
     """The active vertex most aligned with grad (lowest id on ties), its row and <grad, vertex>."""
     scores = (active.heights[:, None] * grad.ravel()[active.pairs]).sum(axis=1)  # h g_a + h g_b
     best = scores[scores.argmax()]
-    uid = min(compress(active.ids, scores == best))
+    uid = min(compress(active.rows, scores == best))
     return uid, active.rows[uid], float(best)
 
 
@@ -443,40 +440,37 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
         drift = l2_norm(active.reconstruct() - x) / (1.0 + l2_norm(x))
         meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
 
-    def step(k, point, s_id, s, gap):
+    def step(point, s_id, s, rec):
         x, g = point.x, point.gradient()
         uid, row, score = away_vertex(g, active)
         away_gap = score - inner(g, x)
-        forward = gap >= away_gap
+        forward = rec.gap >= away_gap
         mu_u = 0.0 if forward else active.weights[row]
         if mu_u >= 1.0 - 1e-12:
             forward = True  # away from the only vertex is undefined; flag it
             meta["forced_forward_steps"] += 1
         if forward:
-            line, t_bar, kind, g_mod = point.toward_atom(*s), 1.0, "forward", gap
-        else:  # a negative step along the line toward the away atom
+            line, t_bar = point.toward_atom(*s), 1.0
+        else:  # a negative step along the line toward the away atom, sized by the away gap
             line = point.toward_atom(*active.pairs[row], float(active.heights[row]))
-            t_bar, kind, g_mod = mu_u / (1.0 - mu_u), "away", away_gap
-        geom = LocalGeometry.from_direction(line, g_mod)
-        alpha, predicted = analytic_step(obj.spec, geom, cap=t_bar)
-        if kind == "away" and alpha >= t_bar:
-            kind = "drop"
-            meta["drop_steps"] += 1
-        elif alpha == 0.0:
-            kind = "zero"
-        nxt = line.at(alpha if forward else -alpha)
+            t_bar, rec.gap, rec.step_kind = mu_u / (1.0 - mu_u), away_gap, "away"
+        geom = LocalGeometry.from_direction(line, rec.gap)
+        rec.alpha, rec.predicted_decrease = analytic_step(obj.spec, geom, cap=t_bar)
         if forward:
-            active.forward_update(s_id, alpha)
+            active.forward_update(s_id, rec.alpha)
         else:
-            active.away_update(uid, alpha)
-        if kind == "drop" or (k + 1) % polytope.dimension == 0:
-            measure_drift(nxt.x)
-        return nxt, IterationRecord(k, point.value(), g_mod, alpha, kind,
-                                    predicted_decrease=predicted)
+            active.away_update(uid, rec.alpha)
+            if rec.alpha >= t_bar:
+                rec.step_kind = "drop"
+                meta["drop_steps"] += 1
+        t = rec.alpha if forward else -rec.alpha
+        if rec.step_kind == "drop" or (rec.k + 1) % polytope.dimension == 0:
+            measure_drift(line.at(t).x if t else point.x)
+        return line, t
 
     trace = _frank_wolfe(polytope, point, config, meta, step)
     measure_drift(trace.x)
-    meta["active_set_size"] = len(active.ids)
+    meta["active_set_size"] = len(active.rows)
     return trace
 
 

@@ -70,7 +70,7 @@ def test_active_set_matches_the_dense_reference(name):
         if kind == "drop":
             mu = reference[vid]
             alpha = mu / (1.0 - mu)
-        entered = vid not in active.ids
+        entered = vid not in active.rows
         counting.calls.clear()
         if kind == "forward":
             active.forward_update(vid, alpha)
@@ -79,9 +79,8 @@ def test_active_set_matches_the_dense_reference(name):
         reference = _reference_step(reference, kind, vid, alpha)
         # the polytope is asked for an atom only when its id enters
         assert counting.calls == ([vid] if entered else [])
-        assert sorted(active.ids) == sorted(reference)
-        assert active.rows == {v: r for r, v in enumerate(active.ids)}
-        assert (vid in active.ids) == (kind != "drop")
+        assert sorted(active.rows) == sorted(reference)
+        assert (vid in active.rows) == (kind != "drop")
         for v in reference:
             assert active.weights[active.rows[v]] == pytest.approx(reference[v], rel=1e-14,
                                                                    abs=1e-15)
@@ -95,7 +94,7 @@ def test_active_set_matches_the_dense_reference(name):
                 grad = grad + grad.T
             uid, row, score = away_vertex(grad, active)
             assert uid == _brute_force_away(polytope, reference, grad)
-            assert active.ids[row] == uid
+            assert list(active.rows)[row] == uid
             # h g_a + h g_b is 2 h g_a, rounded once as the dense inner product
             # is, on the simplex and the l1 ball; off the diagonal two products add
             dense_score = inner(grad, polytope.vertex(uid))
@@ -115,17 +114,17 @@ def test_away_vertex_breaks_an_exact_tie_by_the_lowest_id(polytope, first, later
     assert later < first
     active = ActiveSet(polytope, {first: 1.0})
     active.forward_update(later, 0.5)
-    assert active.ids == [first, later]
+    assert list(active.rows) == [first, later]
     assert inner(grad, polytope.vertex(first)) == inner(grad, polytope.vertex(later))
     assert away_vertex(grad, active)[0] == later
 
 
 def test_a_weight_below_the_purge_tolerance_removes_its_id():
     simplex = UnitSimplex(3)
-    assert ActiveSet(simplex, {0: 1.0, 1: 5e-13}).ids == [0]
+    assert list(ActiveSet(simplex, {0: 1.0, 1: 5e-13}).rows) == [0]
     active = ActiveSet(simplex, {0: 0.5, 2: 0.5})
     active.away_update(2, 1.0 - 1e-13)  # 0.5 (2 - 1e-13) - (1 - 1e-13) = 5e-14
-    assert active.ids == [0]
+    assert list(active.rows) == [0]
     assert 2 not in active.rows
     assert np.array_equal(active.reconstruct(), simplex.vertex(0))
     assert active.pairs.tolist() == [[0, 0]] and active.heights.tolist() == [0.5]
@@ -210,6 +209,6 @@ def test_covariance_runs_off_the_diagonal_at_a_large_radius(monkeypatch):
     assert sum(i < j for i, j, _ in ball.picks) >= 20
     assert any(rec.step_kind != "forward" for rec in trace.iterations)
     [active] = made
-    assert any(i < j for i, j, _ in active.ids)
+    assert any(i < j for i, j, _ in active.rows)
     assert trace.meta["active_set_max_drift"] <= 1e-12
     assert np.allclose(active.reconstruct(), trace.x, rtol=0.0, atol=1e-12)

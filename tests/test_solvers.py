@@ -230,7 +230,7 @@ def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
     assert not any(math.isnan(rec.predicted_decrease) for rec in trace.iterations)
 
 
-@pytest.mark.parametrize("method", ["fwgsc", "asfwgsc"])
+@pytest.mark.parametrize("method", ["fwgsc", "mbtfwgsc", "asfwgsc"])
 def test_a_step_of_zero_length_is_recorded_zero(method):
     # the gamma = 1e300 run above stalls at alpha = 0 on most iterations
     inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
@@ -238,6 +238,9 @@ def test_a_step_of_zero_length_is_recorded_zero(method):
     trace = run_method(method, inst, x0, weights, SolverConfig(epsilon=5e-324, max_iter=150))
     kinds = Counter((rec.alpha == 0.0, rec.step_kind) for rec in trace.iterations)
     assert set(kinds) == {(True, "zero"), (False, "forward")}
+    # a zero step keeps its iterate, so the next f is the same float bit for bit
+    fs = np.array(trace.f_values()).view(np.int64)
+    assert all(fs[rec.k + 1] == fs[rec.k] for rec in trace.iterations if rec.step_kind == "zero")
 
 
 def test_fwgsc_min_predicted_decrease_bound(portfolio_toy):
@@ -641,7 +644,7 @@ def test_active_set_updates():
     active.forward_update(1, 0.5)
     assert np.allclose(active.reconstruct(), [0.5, 0.5, 0.0])
     active.away_update(0, 1.0)  # weight 0.5 -> 0.5*2 - 1 = 0: drop
-    assert active.ids == [1]
+    assert list(active.rows) == [1]
     assert np.allclose(active.reconstruct(), e[1])
     assert sum(active.weights) == pytest.approx(1.0)
 
@@ -696,7 +699,7 @@ def test_asfwgsc_steps_forward_when_away_would_leave_no_mass(monkeypatch):
     def heaviest(grad, active):  # an away gap that every forward gap loses to
         row = int(active.weights.argmax())
         alone.append(bool(active.weights[row] >= 1.0 - 1e-12))
-        return active.ids[row], row, 1e6
+        return list(active.rows)[row], row, 1e6
 
     monkeypatch.setattr(gscfw.solvers, "away_vertex", heaviest)
     trace = run_method("asfwgsc", inst, x0, weights, SolverConfig(max_iter=3))
@@ -802,9 +805,9 @@ def test_sampled_drift_catches_a_broken_active_set(monkeypatch):
 
     def broken_update(self, vid, alpha):
         update(self, vid, alpha)
-        if not broken_at and len(self.ids) >= 8:  # mid-run: move one weight by 1e-6
+        if not broken_at and len(self.rows) >= 8:  # mid-run: move one weight by 1e-6
             self.weights[self.weights.argmax()] += 1e-6
-            broken_at.append(len(self.ids))
+            broken_at.append(len(self.rows))
 
     monkeypatch.setattr(ActiveSet, "forward_update", broken_update)
     trace = run()

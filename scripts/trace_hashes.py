@@ -5,7 +5,9 @@ fw-line-search, fwgsc and asfwgsc x 2 starts on a p = 6 covariance problem at
 radius 9, whose oracle picks off-diagonal vertices (6 cells), run 150
 iterations at epsilon 1e-12 with the gscfw sources under SRC and hash every
 iteration record field but its wall time, plus the status, final f, final
-gap, length and final x.  Writes one line per cell,
+gap, length and final x.  Floats are hashed by their IEEE-754 bytes, so a
+float and a numpy scalar of the same value agree, and so do two numpy
+versions that print numpy scalars differently.  Writes one line per cell,
 ``"family/method/start": [sha256, iterations, status, meta]``, to OUT, with
 the run's meta as a key-sorted object beside the hash:
 
@@ -22,6 +24,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -45,14 +48,24 @@ def methods(family: str) -> list:
             + (["fwlloo"] if family == "portfolio" else []))
 
 
+def field_bytes(value) -> bytes:
+    """A float by its IEEE-754 bytes, an int, a string or None by its repr.
+
+    ``np.float64`` subclasses ``float``, so a numpy scalar and a float of the
+    same value hash alike, whatever numpy's version prints for them.
+    """
+    return struct.pack("<d", value) if isinstance(value, float) else repr(value).encode()
+
+
 def trace_hash(trace, np) -> str:
     h = hashlib.sha256()
     for rec in trace.iterations:
         fields = dataclasses.asdict(rec)
         fields.pop("elapsed_seconds")
-        h.update(repr(fields).encode())
-    h.update(repr((trace.status, trace.final_f, trace.final_gap,
-                   len(trace.iterations))).encode())
+        for name, value in fields.items():
+            h.update(name.encode() + b"=" + field_bytes(value) + b";")
+    for value in (trace.status, trace.final_f, trace.final_gap, len(trace.iterations)):
+        h.update(field_bytes(value) + b";")
     h.update(np.ascontiguousarray(trace.x).tobytes())
     return h.hexdigest()
 

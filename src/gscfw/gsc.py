@@ -58,6 +58,7 @@ class GscSpec:
     def __post_init__(self):
         if not self.m >= 0.0:
             raise ValueError(f"GSC constant must be nonnegative, got {self.m}")
+        object.__setattr__(self, "m", float(self.m))  # a numpy scalar would slow every step
         object.__setattr__(self, "branch", nu_branch(self.nu))  # validates the range
 
 
@@ -260,13 +261,13 @@ def bisect(below, hi: float, width: float) -> tuple[float, float]:
 class Line:
     """The restriction phi(t) = f(x + t v) of f to one line through a point.
 
-    ``value(t)`` is +inf outside dom f, ``slope(t)`` = phi'(t) is asked
-    inside it only, ``curvature()`` = phi''(0) = <hess f(x) v, v>,
-    ``max_step()`` is the largest step in (0, 1] that stays inside dom f,
-    pulled back from the boundary (1.0 if the whole segment is inside), and
-    ``at(t)`` is the point x + t v, with whatever the last question about
-    the same t computed there.  This generic line asks ``obj.at`` for the
-    points along it, the objective's oracles for the curvature and the
+    ``value(t)`` is +inf outside dom f, ``slope(t)`` = phi'(t) is asked inside
+    it only, ``curvature()`` = phi''(0) = <hess f(x) v, v>, ``max_step()`` is
+    the largest step in (0, 1] that stays inside dom f, pulled back from the
+    boundary (1.0 if the whole segment is inside), and ``at(t)`` is the point
+    x + t v with what the last question at t computed there, or at t = 0 the
+    line's own point, never built anew.  This generic line asks ``obj.at`` for
+    the points along it, the objective's oracles for the curvature and the
     domain, and bisects on ``in_domain`` when ``max_step`` gives no exact
     answer.  As for ``Point``, a subclass sets its own slots (no chained
     ``super().__init__``) and uses ndarray methods on the iteration path.
@@ -282,7 +283,9 @@ class Line:
         return self.point.obj.at(self.point.x + t * self.v)
 
     def at(self, t) -> Point:
-        """The point x + t v, kept until a question about another t."""
+        """The point x + t v, kept until a question about another t; at t = 0, ``point``."""
+        if t == 0.0:
+            return self.point
         if t != self._t:
             self._t, self._probe_point = t, self._point_at(t)
         return self._probe_point

@@ -583,8 +583,8 @@ class LogdetLine(Line):
     b)), ``at(t)`` carries Y: X + tV = (1 - t)(X + beta s), beta = t/(1 - t),
     has the inverse (Y - update)/(1 - t), the update one Sherman-Morrison
     term +-w w^T for i = j and two for i != j, each exactly symmetric as Y
-    is; f = ``value(t)``.  At t = 0 or t >= 1, within ``_LOGDET_EDGE`` of
-    the edge, and after p carried steps, X + tV is a fresh point, factored.
+    is; f = ``value(t)``.  At t >= 1, within ``_LOGDET_EDGE`` of the edge,
+    and after p carried steps, X + tV is a fresh point, factored.
     """
 
     __slots__ = ("lam", "ones", "trace_sv", "vertex", "_low", "_high")
@@ -602,7 +602,7 @@ class LogdetLine(Line):
 
     def _point_at(self, t) -> LogdetPoint:
         point, x = self.point, self.point.x + t * self.v
-        if (self.vertex is None or t == 0.0 or t >= 1.0 or point.age >= point.obj.p
+        if (self.vertex is None or t >= 1.0 or point.age >= point.obj.p
                 or self._edge(t) <= _LOGDET_EDGE):
             return LogdetPoint(point.obj, x)
         i, j, b = self.vertex

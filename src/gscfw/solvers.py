@@ -127,11 +127,11 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
     returns ``(line, t)``; ``s_id``, ``s`` are the vertex id and its atom
     (a, b, h) on polytopes, else None and the dense answer (``_toward`` takes
     either).  The loop then moves to ``line.at(t)``, the point with whatever
-    the line already knows there (margins, f); at t = 0 it keeps the iterate
-    and labels the record ``zero``.  The run ends at the gap test or at the
-    cap, and the gap test runs first, so the final gap is the one at the
-    final iterate.  A zero step is one more iteration, and a record's wall
-    time spans its whole iteration, step bookkeeping included.
+    the line already knows there (margins, f), which at t = 0 is the iterate
+    itself, and labels a step of t = 0 ``zero``.  The run ends at the gap
+    test or at the cap, and the gap test runs first, so the final gap is the
+    one at the final iterate.  A zero step is one more iteration, and a
+    record's wall time spans its whole iteration, step bookkeeping included.
     """
     indexed = isinstance(feasible, VertexSet)
     records = []
@@ -152,10 +152,9 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
             break
         rec = IterationRecord(k, point.value(), gp, 0.0, "forward")
         line, t = step(point, s_id, s, rec)
+        point = line.at(t)
         if t == 0.0:
             rec.step_kind = "zero"
-        else:
-            point = line.at(t)
         rec.elapsed_seconds = time.perf_counter() - t0
         records.append(rec)
         if iterates is not None:
@@ -253,8 +252,8 @@ def step_l(line: Line, gap: float, l_prev: float, config: SolverConfig):
     quadratic model.  Returns (alpha, L_new, backtracks)."""
     f_x = line.point.value()
     beta2 = inner(line.v, line.v)
-    if beta2 <= 0.0:
-        raise ValueError("zero direction")
+    if not 0.0 < beta2 < math.inf:  # 0 (underflowed or v = 0), overflowed or NaN
+        raise ValueError("zero direction" if beta2 == 0.0 else f"direction with ||v||^2 = {beta2}")
 
     def trial(lt):
         alpha = min(1.0, gap / (lt * beta2))
@@ -465,7 +464,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
                 meta["drop_steps"] += 1
         t = rec.alpha if forward else -rec.alpha
         if rec.step_kind == "drop" or (rec.k + 1) % polytope.dimension == 0:
-            measure_drift(line.at(t).x if t else point.x)
+            measure_drift(line.at(t).x)
         return line, t
 
     trace = _frank_wolfe(polytope, point, config, meta, step)

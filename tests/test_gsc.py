@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gscfw import (GscSpec, delta_nu, gsc_affine_constant, gsc_finite_sum_constant,
-                   gsc_sum_constant, inner, l2_norm, omega, portfolio_generator,
-                   portfolio_problem)
+from gscfw import (GscSpec, SolverConfig, delta_nu, fwgsc, gsc_affine_constant,
+                   gsc_finite_sum_constant, gsc_sum_constant, inner, l2_norm, omega,
+                   portfolio_generator, portfolio_problem)
+from gscfw.bench import build_problem, make_start
 from gscfw.gsc import nu_branch
 
 from conftest import (QuadraticObjective, d_nu, descent_bounds, fd_gradient_check,
@@ -141,6 +142,19 @@ def test_spec_validation():
     assert GscSpec(1.0, 2.0).branch == 2
     assert GscSpec(1.0, 3.0 - 1e-12).branch == 3
     assert GscSpec(1.0, 2.5).branch == 0
+
+
+@pytest.mark.parametrize("spec", [{"name": "logistic"}, {"name": "logistic", "nu_mode": 3},
+                                  {"name": "portfolio"}, {"name": "dwd"}],
+                         ids=["logistic", "logistic-nu3", "portfolio", "dwd"])
+def test_the_gsc_constant_is_a_python_float(spec):
+    # the margin families derive M from numpy reductions; as a float it keeps
+    # every analytic step, and the alphas it records, in Python floats
+    inst = build_problem(spec)
+    x0, _ = make_start(inst, 1)
+    trace = fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(max_iter=1))
+    assert type(inst.objective.spec.m) is float
+    assert type(trace.iterations[0].alpha) is float
 
 
 # ---------------------------------------------------------------------------

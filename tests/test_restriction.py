@@ -263,6 +263,23 @@ def _assert_spectrum_close(line, ref, sign, steps):
         close(sign * line.slope(sign * t), ref.slope(t), lam.size * delta / edge ** 2)
 
 
+@pytest.mark.parametrize("spec, atoms", [
+    ({"name": "dwd"}, [(0, 0, 0.5), (30, 30, -0.25), (31, 31, 2.0), (230, 230, 0.5)]),  # CSR
+    ({"name": "logistic"}, [(0, 1, 0.5), (7, 3, -0.25), (2, 29, 1.5)]),  # CSC, a != b
+], ids=["dwd-csr", "logistic-csc"])
+def test_margin_atom_lines_without_a_column_fall_back_to_the_restriction(spec, atoms):
+    # neither case reads one column of B: the line is point.restrict(s - x), bit for bit
+    inst = build_problem(spec)
+    point = inst.objective.at(make_start(inst, 1)[0])
+    for a, b, h in atoms:
+        s = np.zeros_like(point.x)
+        s[a] += h
+        s[b] += h
+        line, ref = point.toward_atom(a, b, h), point.restrict(s - point.x)
+        assert line.v.tobytes() == ref.v.tobytes()
+        assert line.dz.tobytes() == ref.dz.tobytes()
+
+
 @pytest.mark.parametrize("family", ["dwd", "covariance"])
 @pytest.mark.parametrize("away", [False, True])
 def test_vertex_line_without_column_storage_is_the_restriction(family, away):

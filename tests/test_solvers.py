@@ -13,6 +13,7 @@ from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry
                    away_vertex, fw_line_search, fw_standard, fwgsc, fwlloo, inner,
                    lbtfwgsc, mbtfwgsc, step_l, step_m)
 from gscfw.bench import build_problem, make_start, run_method
+from gscfw.problems import MarginLine
 from gscfw.sets import SimplexLLOO, VertexSet
 
 from conftest import (IntervalSet, LinearObjective, NegLogObjective, QuadraticObjective,
@@ -221,6 +222,9 @@ def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
     with np.errstate(over="ignore"):  # the curvature's overflow is the case under test
         with pytest.raises(ValueError, match="nonnegative"):
             fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
+        # lbtfwgsc's ||v||^2 = inf would make every trial alpha = 0 with a NaN model
+        with pytest.raises(ValueError, match=r"\|\|v\|\|\^2 = inf"):
+            lbtfwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
     # logistic at gamma = 1e300: e = 1e151 meets a gap near 1e-16, so xi = +inf and alpha = 0
     inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
     x0, _ = make_start(inst, 1)
@@ -231,11 +235,20 @@ def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
 
 
 @pytest.mark.parametrize("method", ["fwgsc", "mbtfwgsc", "asfwgsc"])
-def test_a_step_of_zero_length_is_recorded_zero(method):
+def test_a_step_of_zero_length_is_recorded_zero(method, monkeypatch):
     # the gamma = 1e300 run above stalls at alpha = 0 on most iterations
     inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
     x0, weights = make_start(inst, 1)
+    point_at, asked = MarginLine._point_at, []
+
+    def counted(line, t):
+        asked.append(t)
+        return point_at(line, t)
+
+    monkeypatch.setattr(MarginLine, "_point_at", counted)
     trace = run_method(method, inst, x0, weights, SolverConfig(epsilon=5e-324, max_iter=150))
+    # a line's point at t = 0 is its own: no step, trial or drift sample builds one at x
+    assert asked and 0.0 not in asked
     kinds = Counter((rec.alpha == 0.0, rec.step_kind) for rec in trace.iterations)
     assert set(kinds) == {(True, "zero"), (False, "forward")}
     # a zero step keeps its iterate, so the next f is the same float bit for bit

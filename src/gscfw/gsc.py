@@ -336,6 +336,8 @@ class LocalGeometry(NamedTuple):
     def from_direction(cls, line: Line, gap: float) -> "LocalGeometry":
         """The geometry of ``line``'s direction v at its point x."""
         beta = l2_norm(line.v)
+        if not beta < math.inf:  # before the curvature overflows; a float test, not np.errstate
+            raise ValueError(f"direction with ||v||^2 = {beta * beta}")
         e = math.sqrt(max(line.curvature(), 0.0))
         return cls(beta, e, delta_nu(line.point.obj.spec, beta, e), gap)
 

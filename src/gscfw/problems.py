@@ -226,11 +226,14 @@ class MarginObjective(Objective):
     affine rule grows with ||b_i||, so the largest row norm decides it.
     ``at(x)`` keeps the margins z = Bx; a line through x adds dz = Bv, after
     which f, its slope and the domain test along the line cost O(p) per
-    probe.  ``bt`` is the transposed view of B taken once: taking it anew
-    for every gradient costs a format check of B each time.  ``columns`` is
-    B when it is stored column-wise (dense or CSC), else None; then the line
-    toward an atom 2h e_a reads dz = 2h B[:, a] - z, not a product, from the
-    arrays (indptr, indices, data) in ``csc`` if B is sparse, never B's format.
+    probe.  B is kept as a float64 ndarray, CSR or CSC matrix (other sparse
+    formats become CSR).  The products ``b_times(x)`` = Bx and ``bt_times(u)``
+    = B^T u are ndarray @, or the compiled kernel of B's format that scipy's
+    B @ x ends in, without the Python calls of scipy's dispatch.  ``columns``
+    is B when it is stored column-wise (dense or CSC), else None; then the
+    line toward an atom 2h e_a reads dz = 2h B[:, a] - z, not a product, from
+    ``csc`` = (indptr, indices, data) if B is sparse, with the row indices as
+    intp, which numpy would otherwise convert them to at every indexing.
     """
 
     def __init__(self, name: str, kernel: MarginKernel, b, count: int, c=None,
@@ -239,10 +242,18 @@ class MarginObjective(Objective):
             raise ValueError("empty dataset")
         self.name = name
         self.kernel = kernel
+        if sp.issparse(b):  # B^T u runs B's arrays through the other format's kernel
+            b = (b if b.format in ("csr", "csc") else b.tocsr()).astype(np.float64, copy=False)
+            k, (rows, cols), arrays = sp._sparsetools, b.shape, (b.indptr, b.indices, b.data)
+            self.b_times = _matvec(getattr(k, b.format + "_matvec"), rows, cols, arrays)
+            self.bt_times = _matvec(k.csr_matvec if b.format == "csc" else k.csc_matvec, cols,
+                                    rows, arrays)
+            self.csc = (b.indptr, b.indices.astype(np.intp), b.data) if b.format == "csc" else None
+        else:
+            b = np.asarray(b, dtype=np.float64)
+            self.b_times, self.bt_times, self.csc = b.__matmul__, b.T.__matmul__, None
         self.b = b
-        self.bt = b.T
         self.columns = b if isinstance(b, np.ndarray) or b.format == "csc" else None
-        self.csc = (b.indptr, b.indices, b.data) if sp.issparse(self.columns) else None
         self.count = count
         self.c = c
         self.gamma = float(gamma)
@@ -252,7 +263,7 @@ class MarginObjective(Objective):
         self.spec = GscSpec(gsc_sum_constant([(1.0 / count, m)], kernel.nu), kernel.nu)
 
     def at(self, x) -> "MarginPoint":
-        return MarginPoint(self, x, self.b @ x)
+        return MarginPoint(self, x, self.b_times(x))
 
     def value(self, x) -> float:
         return self.at(x).value()
@@ -261,17 +272,27 @@ class MarginObjective(Objective):
         return self.at(x).gradient()
 
     def hess_vec(self, x, v):
-        u = self.kernel.d2(self.kernel.prepare(self.b @ x), self.b @ v)
-        return (self.bt @ u) / self.count + self.gamma * v
+        u = self.kernel.d2(self.kernel.prepare(self.b_times(x)), self.b_times(v))
+        return self.bt_times(u) / self.count + self.gamma * v
 
     def hessian(self, x):
         # B^T diag(phi''(Bx)) B / count + gamma I; a sparse B stays sparse up to the result
-        b, d2 = self.b, self.kernel.d2(self.kernel.prepare(self.b @ x), 1.0 / self.count)
-        h = self.bt @ (sp.diags(d2) @ b if sp.issparse(b) else d2[:, None] * b)
+        b, d2 = self.b, self.kernel.d2(self.kernel.prepare(self.b_times(x)), 1.0 / self.count)
+        h = b.T @ (sp.diags(d2) @ b if sp.issparse(b) else d2[:, None] * b)
         return (h.toarray() if sp.issparse(h) else h) + self.gamma * np.eye(self.dimension)
 
     def in_domain(self, x) -> bool:
-        return not self.kernel.positive or bool((self.b @ x > 0.0).all())
+        return not self.kernel.positive or bool((self.b_times(x) > 0.0).all())
+
+
+def _matvec(kernel, rows, cols, arrays):
+    def product(x):  # y = Mx as scipy's M @ x makes it, by the same kernel on M's arrays
+        if len(x) != cols:  # the kernel would read past the end of a short x
+            raise ValueError(f"dimension mismatch: {len(x)} entries for {cols} columns")
+        y = np.zeros(rows)
+        kernel(rows, cols, *arrays, x, y)
+        return y
+    return product
 
 
 class MarginPoint(Point):
@@ -298,12 +319,12 @@ class MarginPoint(Point):
     def gradient(self):
         if self._g is None:
             obj = self.obj
-            g = (obj.bt @ obj.kernel.d1(self.w)) / obj.count + obj.gamma * self.x
+            g = obj.bt_times(obj.kernel.d1(self.w)) / obj.count + obj.gamma * self.x
             self._g = g if obj.c is None else g + obj.c
         return self._g
 
     def restrict(self, v) -> "MarginLine":
-        return MarginLine(self, v, self.obj.b @ v)
+        return MarginLine(self, v, self.obj.b_times(v))
 
     def toward(self, s) -> "MarginLine":
         # fwlloo's oracle may answer a vertex s_i e_i; a bool mask, as float nonzero is slow

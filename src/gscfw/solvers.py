@@ -271,6 +271,9 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
         nonlocal l_prev
         line = _toward(point, s)
         if l_prev is None:  # phi''(0)/||v||^2 along the first direction; step_l rejects v = 0
+            beta = l2_norm(line.v)
+            if not beta < math.inf:  # as in from_direction: before the curvature overflows
+                raise ValueError(f"direction with ||v||^2 = {beta * beta}")
             l_prev = max(1e-6, line.curvature() / (inner(line.v, line.v) or math.inf))
             meta["l_init"] = l_prev
         rec.alpha, l_prev, rec.backtrack_count = step_l(line, rec.gap, l_prev, config)

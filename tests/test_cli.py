@@ -1,6 +1,10 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 from operator import setitem
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,23 @@ def test_cli_run_exits_3_on_a_direction_whose_squared_norm_underflows(tmp_path, 
         "methods": ["lbtfwgsc"], "epsilon": 5e-324, "out_dir": str(tmp_path / "rec")}))
     assert main(["run", str(cfg)]) == 3
     assert "solver failure: zero direction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["fwgsc", "lbtfwgsc", "mbtfwgsc"])
+def test_cli_run_exits_3_without_a_warning_on_a_direction_whose_norm_overflows(tmp_path, method):
+    # in a process of its own, so numpy's default warning filter prints what it warns
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"problems": [{"name": "dwd", "u": 1e160}], "methods": [method],
+                               "out_dir": str(tmp_path / "rec")}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("PYTHONWARNINGS", None)
+    out = subprocess.run([sys.executable, "-m", "gscfw.cli", "run", str(cfg)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "solver failure: direction with ||v||^2 = inf" in out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr, out.stderr
 
 
 def test_cli_run_bad_config_exit_code(tmp_path):

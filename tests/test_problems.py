@@ -16,7 +16,7 @@ from gscfw import (SparseDataset, covariance_generator, covariance_problem, dwd_
                    libsvm_parse, logistic_problem, portfolio_generator, portfolio_problem,
                    synthetic_classification)
 from gscfw.gsc import Objective
-from gscfw.problems import LogisticLoss
+from gscfw.problems import LogisticLoss, MarginObjective
 from gscfw.solvers import SolverConfig, fw_line_search, smallest_hessian_eigenvalue
 
 from conftest import (NegLogObjective, descent_bounds, fd_gradient_check, fd_hess_vec_check,
@@ -306,6 +306,27 @@ def test_margin_constant_equals_the_per_row_calculus():
     order3 = logistic_problem(data, gamma=0.05, radius=10.0, nu_mode=3).objective
     assert order3.spec.m == gsc_finite_sum_constant(
         [(1.0, r) for r in data.row_norms()], 2.0, 0.05)
+
+
+def test_margin_products_are_the_products_with_the_design_bit_for_bit():
+    # b_times and bt_times call, on B's arrays, the compiled kernel that scipy's
+    # own B @ x ends in; this pins that kernel's signature on every supported scipy
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((9, 6)) * (rng.uniform(size=(9, 6)) < 0.5)
+    x, u = rng.standard_normal(6), rng.standard_normal(9)
+    counts = np.round(4.0 * dense).astype(np.int64)  # integer data, converted to float64
+    for b, stored in ((sp.csr_matrix(dense), "csr"), (sp.csc_matrix(dense), "csc"),
+                      (dense, None), (sp.coo_matrix(counts), "csr")):
+        obj = MarginObjective("products", LogisticLoss(), b, 9)
+        assert obj.b.dtype == np.float64
+        assert (obj.b.format if sp.issparse(obj.b) else None) == stored
+        assert obj.b_times(x).tobytes() == (b @ x).tobytes()
+        assert obj.bt_times(u).tobytes() == (b.T @ u).tobytes()
+        if stored == "csc":  # the column arrays the atom lines index
+            assert obj.csc[1].dtype == np.intp
+        for product, size in ((obj.b_times, 6), (obj.bt_times, 9)):
+            with pytest.raises(ValueError):
+                product(np.ones(size - 1))
 
 
 def test_margin_hessian_is_the_column_assembly(portfolio_toy):

@@ -4,6 +4,8 @@ the design matrix a solver run makes, and the statelessness of objectives.
 """
 
 import math
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -421,38 +423,68 @@ def test_covariance_rejects_non_finite_and_asymmetric_points():
     assert not obj.in_domain(x) and obj.value(x) == math.inf
 
 
-class _CountingMatrix:
-    """Stands in for a design matrix and counts the products taken with it."""
-
-    def __init__(self, matrix, counter):
-        self.matrix, self.counter = matrix, counter
-        self.shape = matrix.shape
-
-    def __matmul__(self, other):
-        self.counter[0] += 1
-        return self.matrix @ other
-
-    @property
-    def T(self):
-        return _CountingMatrix(self.matrix.T, self.counter)
-
-
 @pytest.mark.parametrize("method", ["fw-standard", "fw-line-search", "fwgsc", "lbtfwgsc",
                                     "mbtfwgsc", "asfwgsc"])
 def test_products_with_the_design_per_iteration(method):
-    inst = build_problem({"name": "logistic", "p": 60, "n": 12, "seed": 3})
-    obj = inst.objective
-    x0, active = make_start(inst, 17)
-    counter = [0]
-    obj.b = _CountingMatrix(obj.b, counter)
-    obj.bt = obj.b.T
-    trace = run_method(method, inst, x0, active, SolverConfig(epsilon=1e-14, max_iter=40))
-    k = len(trace.iterations)
-    assert k == 40
-    # B x0 once and one B^T product per gradient (k steps and the final
-    # gap); every line runs toward an l1-ball vertex and reads its direction
-    # from one column of B
-    assert counter[0] <= 1 + (k + 1)
+    for spec in ({"name": "logistic", "p": 60, "n": 12, "seed": 3},
+                 {"name": "dwd", "p": 30, "d": 5, "seed": 3}):
+        if method == "asfwgsc" and spec["name"] == "dwd":
+            continue  # no vertex representation of the DWD start
+        inst = build_problem(spec)
+        obj = inst.objective
+        x0, active = make_start(inst, 17)
+        counts = {"B x": 0, "B^T u": 0}
+
+        def counting(product, name):
+            def counted(x):
+                counts[name] += 1
+                return product(x)
+            return counted
+
+        # every product with the design goes through these two
+        obj.b_times, obj.bt_times = counting(obj.b_times, "B x"), counting(obj.bt_times, "B^T u")
+        trace = run_method(method, inst, x0, active, SolverConfig(epsilon=1e-14, max_iter=40))
+        k = len(trace.iterations)
+        assert k == 40
+        assert min(counts.values()) >= 1, counts  # B x0 and the first gradient at least
+        # one B^T u per gradient: k steps and the final gap
+        assert counts["B^T u"] <= k + 1, counts
+        if spec["name"] == "logistic":
+            # B x0 once: every line runs toward an l1-ball vertex and reads its
+            # direction from one column of the CSC design
+            assert counts["B x"] == 1, counts
+        else:
+            # B x0 and one B v per line: the lifted DWD design is stored by rows
+            assert counts["B x"] <= 1 + k, counts
+
+
+def _scipy_sparse_calls(spec, max_iter):
+    """Python calls into scipy.sparse during a fwgsc run of ``max_iter`` iterations."""
+    inst = build_problem(spec)
+    x0, active = make_start(inst, 5)
+    where, calls = os.path.join("scipy", "sparse", ""), [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and where in frame.f_code.co_filename:
+            calls[0] += 1
+
+    config = SolverConfig(epsilon=1e-14, max_iter=max_iter)
+    sys.setprofile(profile)
+    try:
+        trace = run_method("fwgsc", inst, x0, active, config)
+    finally:
+        sys.setprofile(None)
+    assert len(trace.iterations) == max_iter
+    return calls[0]
+
+
+@pytest.mark.parametrize("family", ["logistic", "dwd", "portfolio"])
+def test_no_scipy_sparse_dispatch_per_iteration(family):
+    # the design products call scipy's compiled kernels, not its Python @ wrapper;
+    # building the problem and the start may go through scipy.sparse, which the
+    # difference of two run lengths leaves out
+    spec = {"name": family}
+    assert _scipy_sparse_calls(spec, 150) - _scipy_sparse_calls(spec, 50) == 0
 
 
 def _contents(value):

@@ -216,15 +216,14 @@ def test_fwgsc_immediate_exit():
 
 
 def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
-    # DWD at u = 1e160 overflows ||v||: a NaN geometry is a ValueError, not a step to f = +inf
+    # DWD at u = 1e160 overflows ||v||: a ValueError before any curvature, whose
+    # overflow would warn (an error under RuntimeWarning-as-error) and give a NaN
+    # geometry; lbtfwgsc's ||v||^2 = inf would make every trial alpha = 0
     inst = build_problem({"name": "dwd", "u": 1e160})
     x0, _ = make_start(inst, 1)
-    with np.errstate(over="ignore"):  # the curvature's overflow is the case under test
-        with pytest.raises(ValueError, match="nonnegative"):
-            fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
-        # lbtfwgsc's ||v||^2 = inf would make every trial alpha = 0 with a NaN model
-        with pytest.raises(ValueError, match=r"\|\|v\|\|\^2 = inf"):
-            lbtfwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
+    for method in (fwgsc, lbtfwgsc, mbtfwgsc):
+        with pytest.raises(ValueError, match=r"^direction with \|\|v\|\|\^2 = inf$"):
+            method(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
     # logistic at gamma = 1e300: e = 1e151 meets a gap near 1e-16, so xi = +inf and alpha = 0
     inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
     x0, _ = make_start(inst, 1)

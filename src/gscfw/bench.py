@@ -262,7 +262,7 @@ def run_method(method: str, instance: ProblemInstance, x0, weights, config: Solv
 # Record serialization
 # ---------------------------------------------------------------------------
 
-RECORD_SCHEMA = 3  # the record layout's version, written in every header; 2 is read too
+RECORD_SCHEMA = 3  # the record layout's version, written in every header; no other is read
 # IterationRecord field, in field order -> column key and the cast on writing
 _ROW_SCHEMA = (
     ("k", "k", int), ("f_value", "f", float), ("gap", "gap", float), ("alpha", "alpha", float),
@@ -282,9 +282,9 @@ _NULLABLE = {f.name for f in fields(IterationRecord) if f.default is None} | {"f
 def _typed(key: str, values, cast, nullable: bool, n: int) -> list:
     """``values``, a list of ``n`` values as the writer's cast leaves them,
     checked in one pass: another length, null for a field that is never
-    None, or another JSON type (a bool too) is a ValueError.  Ints read as
-    floats are cast.  A float column may instead be one base64 string of
-    ``n`` little-endian float64s; a bad string or another byte count is a ValueError."""
+    None, or another JSON type (a bool, or an int in a float field) is a
+    ValueError.  A float column may instead be one base64 string of ``n``
+    little-endian float64s; a bad string or another byte count is a ValueError."""
     if cast is float and isinstance(values, str):
         packed = base64.b64decode(values, validate=True)
         if len(packed) != 8 * n:
@@ -293,13 +293,10 @@ def _typed(key: str, values, cast, nullable: bool, n: int) -> list:
     if not isinstance(values, list) or len(values) != n:
         got = f"{len(values)}" if isinstance(values, list) else f"{values!r:.60}"
         raise ValueError(f"{key} must be a list of {n} values, got {got}")
-    allowed = ({cast, int} if cast is float else {cast}) | ({type(None)} if nullable else set())
-    found = set(map(type, values))
-    if not found <= allowed:
+    allowed = {cast, type(None)} if nullable else {cast}
+    if not set(map(type, values)) <= allowed:
         bad = next(v for v in values if type(v) not in allowed)
         raise ValueError(f"{key} must be {cast.__name__}, got {bad!r}")
-    if cast is float and int in found:
-        return [v if v is None else cast(v) for v in values]
     return values
 
 
@@ -472,8 +469,8 @@ def write_profile_csv(path: Path, rows):
 
 def load_records(directory) -> list:
     """Read record files back into RunRecords (for the profile subcommand).
-    Schemas 2 and 3 load; an empty, truncated, incomplete or other-schema
-    file is a ConfigError naming it."""
+    Only the layout ``trace_to_lines`` writes loads; an empty, truncated,
+    incomplete or other-schema file is a ConfigError naming it."""
     out = []
     for path in sorted(Path(directory).glob("*.jsonl")):
         try:
@@ -481,9 +478,9 @@ def load_records(directory) -> list:
             header = json.loads(first)
             header = {key: _typed(key, [header.get(key)], cast, key in _NULLABLE, 1)[0]
                       for key, cast in _HEADER_TYPES.items()}
-            if header["schema"] not in (2, RECORD_SCHEMA) or len(rest) != 1:
+            if header["schema"] != RECORD_SCHEMA or len(rest) != 1:
                 raise ValueError(f"schema {header['schema']} in {len(rest) + 1} lines, "
-                                 f"expected schema 2 or {RECORD_SCHEMA} in 2")
+                                 f"expected schema {RECORD_SCHEMA} in 2")
             columns = json.loads(rest[0])
             iterations = list(starmap(IterationRecord, zip(*(
                 _typed(key, columns.get(key), cast, name in _NULLABLE, header["n_iterations"])

@@ -251,7 +251,7 @@ def step_l(line: Line, gap: float, l_prev: float, config: SolverConfig):
     """Backtracking over L: the step min(1, gap/(L beta^2)) against the
     quadratic model.  Returns (alpha, L_new, backtracks)."""
     f_x = line.point.value()
-    beta2 = inner(line.v, line.v)
+    beta2 = float(np.vdot(line.v, line.v))  # +inf on overflow, without ndarray.dot's warning
     if not 0.0 < beta2 < math.inf:  # 0 (underflowed or v = 0), overflowed or NaN
         raise ValueError("zero direction" if beta2 == 0.0 else f"direction with ||v||^2 = {beta2}")
 
@@ -271,10 +271,10 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
         nonlocal l_prev
         line = _toward(point, s)
         if l_prev is None:  # phi''(0)/||v||^2 along the first direction; step_l rejects v = 0
-            beta = l2_norm(line.v)
-            if not beta < math.inf:  # as in from_direction: before the curvature overflows
-                raise ValueError(f"direction with ||v||^2 = {beta * beta}")
-            l_prev = max(1e-6, line.curvature() / (inner(line.v, line.v) or math.inf))
+            beta2 = float(np.vdot(line.v, line.v))
+            if not beta2 < math.inf:  # as in from_direction: before the curvature overflows
+                raise ValueError(f"direction with ||v||^2 = {beta2}")
+            l_prev = max(1e-6, line.curvature() / (beta2 or math.inf))
             meta["l_init"] = l_prev
         rec.alpha, l_prev, rec.backtrack_count = step_l(line, rec.gap, l_prev, config)
         rec.estimate = l_prev
@@ -318,6 +318,8 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
 
 def smallest_hessian_eigenvalue(obj: Objective, x) -> float:
     h = obj.hessian(x)
+    if not np.isfinite(h).all():  # eigvalsh would fail to converge, or answer 0 for a NaN
+        raise ValueError("non-finite Hessian at the start")
     return float(np.linalg.eigvalsh((h + h.T) / 2.0)[0])
 
 
@@ -334,8 +336,6 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
     sigma = config.sigma_f
     if sigma is None:
         sigma = max(smallest_hessian_eigenvalue(obj, point.x), 1e-10)
-    if not sigma > 0.0:
-        raise ValueError("sigma_f must be positive")
     meta["sigma_f"] = sigma
     gap0 = r_0 = None
     c_k = 1.0

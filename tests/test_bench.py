@@ -263,18 +263,6 @@ def _same(a, b):
     return a == b
 
 
-def test_records_read_integral_numbers_in_float_fields_as_floats(tmp_path):
-    header, columns = map(json.loads, trace_to_lines("p", "m", 0, _fake_trace([3.0, 2.0, 1.0]),
-                                                     f_star_estimate=1.0))
-    header["final_f"], columns["f"], columns["radius"] = 1, [3, 2.5], [None, 4]
-    (tmp_path / "cell.jsonl").write_text(json.dumps(header) + "\n" + json.dumps(columns) + "\n")
-    (loaded,) = load_records(tmp_path)
-    got = [(rec.f_value, rec.radius) for rec in loaded.trace.iterations] + [loaded.trace.final_f]
-    assert got == [(3.0, None), (2.5, 4.0), 1.0]
-    assert [type(rec.f_value) for rec in loaded.trace.iterations] == [float, float]
-    assert type(loaded.trace.iterations[1].radius) is type(loaded.trace.final_f) is float
-
-
 @settings(max_examples=100, deadline=None)
 @given(iterations=st.lists(_iteration_records, max_size=5), texts=st.tuples(st.text(), st.text(),
        st.text()), start=_ints, finals=st.tuples(_floats, _floats), f_star=st.none() | _floats)
@@ -319,23 +307,6 @@ def test_records_pack_exactly_the_float_columns_without_none():
         for name, key in (("f_value", "f"), ("elapsed_seconds", "elapsed")):
             want = np.array([getattr(rec, name) for rec in trace.iterations], dtype="<f8")
             assert base64.b64decode(columns[key]) == want.tobytes()
-
-
-def test_schema_2_records_with_decimal_columns_load_to_the_same_trace(tmp_path):
-    inst = build_problem({"name": "portfolio", "p": 20, "n": 6, "seed": 2})
-    x0, active = make_start(inst, start_seed=4)
-    trace = run_method("asfwgsc", inst, x0, active, SolverConfig(epsilon=1e-9, max_iter=40))
-    header, columns = map(json.loads, trace_to_lines("p", "m", 0, trace, f_star_estimate=-1.5))
-    assert header["schema"] == 3 and isinstance(columns["f"], str)
-    decimal = {key: np.frombuffer(base64.b64decode(column), "<f8").tolist()
-               if isinstance(column, str) else column for key, column in columns.items()}
-    for name, schema, body in (("packed", 3, columns), ("decimal", 2, decimal)):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / "cell.jsonl").write_text(
-            json.dumps({**header, "schema": schema}) + "\n" + json.dumps(body) + "\n")
-    (packed,), (decimal,) = load_records(tmp_path / "packed"), load_records(tmp_path / "decimal")
-    _assert_same_record(decimal, packed)
-    _assert_same_record(packed, RunRecord("p", "m", 0, trace, -1.5))
 
 
 _GRID = {"problems": [{"name": "portfolio", "p": 15, "n": 5}], "methods": ["fwgsc"]}

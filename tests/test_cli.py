@@ -107,12 +107,16 @@ def test_cli_run_exits_3_on_a_direction_whose_squared_norm_underflows(tmp_path, 
     assert "solver failure: zero direction" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["fwgsc", "lbtfwgsc", "mbtfwgsc"])
-def test_cli_run_exits_3_without_a_warning_on_a_direction_whose_norm_overflows(tmp_path, method):
+@pytest.mark.parametrize("method, setting", [
+    *(pytest.param(method, {}, id=method) for method in ("fwgsc", "lbtfwgsc", "mbtfwgsc")),
+    pytest.param("lbtfwgsc", {"l_init": 1.0}, id="lbtfwgsc-l_init"),
+])
+def test_cli_run_exits_3_without_a_warning_on_a_direction_whose_norm_overflows(tmp_path, method,
+                                                                               setting):
     # in a process of its own, so numpy's default warning filter prints what it warns
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps({"problems": [{"name": "dwd", "u": 1e160}], "methods": [method],
-                               "out_dir": str(tmp_path / "rec")}))
+                               "out_dir": str(tmp_path / "rec"), **setting}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -198,6 +202,11 @@ _PER_ROW_RECORD = """\
     pytest.param(lambda text: text + text.splitlines()[1] + "\n", id="third-line"),
     pytest.param(_damaged(lambda h, c: h.pop("schema")), id="header-without-schema"),
     pytest.param(_damaged(lambda h, c: setitem(h, "schema", 1)), id="header-schema-1"),
+    # schema 2 wrote the float columns as decimal lists, and its reader cast ints in them
+    pytest.param(_damaged(lambda h, c: setitem(h, "schema", 2)), id="header-schema-2"),
+    pytest.param(_damaged(lambda h, c: setitem(c, "f", [0] * h["n_iterations"])), id="row-f-int"),
+    pytest.param(_damaged(lambda h, c: setitem(h, "final_f", round(h["final_f"]))),
+                 id="header-final_f-int"),
     pytest.param(lambda text: _PER_ROW_RECORD, id="per-row-record"),
 ])
 def test_cli_profile_broken_record_file_is_a_config_error(tmp_path, capsys, damage):

@@ -15,6 +15,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gscfw
 from gscfw import (SOLVERS, L1Ball, Line, Point, SolverConfig, SymmetricL1Ball, UnitSimplex,
                    covariance_generator, covariance_problem, dwd_problem, inner, l2_norm,
                    logistic_problem, max_feasible_step, portfolio_generator,
@@ -458,33 +459,68 @@ def test_products_with_the_design_per_iteration(method):
             assert counts["B x"] <= 1 + k, counts
 
 
-def _scipy_sparse_calls(spec, max_iter):
-    """Python calls into scipy.sparse during a fwgsc run of ``max_iter`` iterations."""
-    inst = build_problem(spec)
-    x0, active = make_start(inst, 5)
-    where, calls = os.path.join("scipy", "sparse", ""), [0]
+def _calls_per_iteration(inst, method, counted, start_seed, epsilon):
+    """Python calls whose code object ``counted`` accepts, per iteration of a
+    ``method`` run: a 150-iteration run's calls less a 50-iteration run's,
+    over 100, so building the problem, the start and the run's set-up drop out."""
+    x0, active = make_start(inst, start_seed)
+    totals = []
+    for max_iter in (150, 50):
+        calls = [0]
 
-    def profile(frame, event, arg):
-        if event == "call" and where in frame.f_code.co_filename:
-            calls[0] += 1
+        def profile(frame, event, arg):
+            if event == "call" and counted(frame.f_code):
+                calls[0] += 1
 
-    config = SolverConfig(epsilon=1e-14, max_iter=max_iter)
-    sys.setprofile(profile)
-    try:
-        trace = run_method("fwgsc", inst, x0, active, config)
-    finally:
-        sys.setprofile(None)
-    assert len(trace.iterations) == max_iter
-    return calls[0]
+        config = SolverConfig(epsilon=epsilon, max_iter=max_iter)
+        sys.setprofile(profile)
+        try:
+            trace = run_method(method, inst, x0, active, config)
+        finally:
+            sys.setprofile(None)
+        assert len(trace.iterations) == max_iter, (method, trace.status)
+        totals.append(calls[0])
+    return (totals[0] - totals[1]) / 100
 
 
 @pytest.mark.parametrize("family", ["logistic", "dwd", "portfolio"])
 def test_no_scipy_sparse_dispatch_per_iteration(family):
-    # the design products call scipy's compiled kernels, not its Python @ wrapper;
-    # building the problem and the start may go through scipy.sparse, which the
-    # difference of two run lengths leaves out
-    spec = {"name": family}
-    assert _scipy_sparse_calls(spec, 150) - _scipy_sparse_calls(spec, 50) == 0
+    # the design products call scipy's compiled kernels, not its Python @ wrapper
+    where = os.path.join("scipy", "sparse", "")
+    assert _calls_per_iteration(build_problem({"name": family}), "fwgsc",
+                                lambda code: where in code.co_filename, 5, 1e-14) == 0
+
+
+# calls into gscfw per iteration at start seed 1, epsilon 5e-324 and the default
+# sizes (covariance p = 30); a change that lowers a count lowers its budget too
+_CALL_BUDGETS = {
+    "logistic": {"fw-standard": 17.0, "fw-line-search": 265.0, "fwgsc": 25.0,
+                 "lbtfwgsc": 26.44, "mbtfwgsc": 36.73, "asfwgsc": 29.85},
+    "portfolio": {"fw-standard": 17.0, "fw-line-search": 266.0, "fwgsc": 24.0,
+                  "lbtfwgsc": 26.5, "mbtfwgsc": 36.11, "asfwgsc": 29.05, "fwlloo": 27.0},
+    "dwd": {"fw-standard": 29.0, "fw-line-search": 232.98, "fwgsc": 39.0,
+            "lbtfwgsc": 40.8, "mbtfwgsc": 49.87},
+    "covariance": {"fw-standard": 24.88, "fw-line-search": 203.88, "fwgsc": 32.88,
+                   "lbtfwgsc": 35.92, "mbtfwgsc": 45.71, "asfwgsc": 36.92},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_CALL_BUDGETS))
+def test_calls_into_gscfw_per_iteration_stay_within_budget(family):
+    # frames of code under the package; numpy's and scipy's Python layers stay
+    # out, and so do comprehensions, which Python 3.12 inlines (PEP 709)
+    package = os.path.join(os.path.dirname(gscfw.__file__), "")
+    inlined = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+    def counted(code):
+        return code.co_filename.startswith(package) and code.co_name not in inlined
+
+    inst = build_problem({"name": family, "p": 30} if family == "covariance" else
+                         {"name": family})
+    budgets = _CALL_BUDGETS[family]
+    counts = {method: _calls_per_iteration(inst, method, counted, 1, 5e-324)
+              for method in budgets}
+    assert all(counts[method] <= budgets[method] for method in budgets), counts
 
 
 def _contents(value):

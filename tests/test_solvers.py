@@ -221,9 +221,11 @@ def test_fwgsc_steps_on_no_nan_where_the_geometry_overflows():
     # geometry; lbtfwgsc's ||v||^2 = inf would make every trial alpha = 0
     inst = build_problem({"name": "dwd", "u": 1e160})
     x0, _ = make_start(inst, 1)
-    for method in (fwgsc, lbtfwgsc, mbtfwgsc):
+    # a given l_init skips lbtfwgsc's first estimate, so step_l sees ||v||^2 first
+    for method, config in ((fwgsc, {}), (lbtfwgsc, {}), (lbtfwgsc, {"l_init": 1.0}),
+                           (mbtfwgsc, {})):
         with pytest.raises(ValueError, match=r"^direction with \|\|v\|\|\^2 = inf$"):
-            method(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6))
+            method(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=1e-6, **config))
     # logistic at gamma = 1e300: e = 1e151 meets a gap near 1e-16, so xi = +inf and alpha = 0
     inst = build_problem({"name": "logistic", "gamma": 1e300, "seed": 2})
     x0, _ = make_start(inst, 1)
@@ -624,6 +626,24 @@ def test_fwlloo_sigma_auto_recipe(portfolio_toy):
     with pytest.raises(ValueError):
         fwlloo(obj, feasible, SimplexLLOO(feasible.dimension), x0,
                SolverConfig(epsilon=1e-9, max_iter=5, sigma_f=-1.0))
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_fwlloo_rejects_a_non_finite_hessian_at_the_start(n, monkeypatch):
+    # eigvalsh answers [0, -0] for this NaN at n = 2, so sigma_f would be the
+    # 1e-10 floor, and fails to converge at n = 6
+    inst = build_problem({"name": "portfolio", "p": 20, "n": n, "seed": 2})
+    obj, hessian = inst.objective, inst.objective.hessian
+
+    def with_a_nan(x):
+        h = hessian(x)
+        h[0, -1] = math.nan
+        return h
+
+    monkeypatch.setattr(obj, "hessian", with_a_nan)
+    x0, active = make_start(inst, 1)
+    with pytest.raises(ValueError, match="^non-finite Hessian at the start$"):
+        run_method("fwlloo", inst, x0, active, SolverConfig(max_iter=5))
 
 
 # ---------------------------------------------------------------------------

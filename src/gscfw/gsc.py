@@ -211,6 +211,7 @@ class Point:
     """
 
     __slots__ = ("obj", "x", "_f", "_g")
+    symmetric_gradient = False  # True: the gradient is its own transpose bit for bit
 
     def __init__(self, obj: Objective, x):
         self.obj, self.x, self._f, self._g = obj, x, None, None

@@ -535,6 +535,7 @@ class LogdetPoint(Point):
     ``age``, the carried steps since the last fresh point."""
 
     __slots__ = ("_y", "age")
+    symmetric_gradient = True  # Sigma - Y, each exactly symmetric
 
     def __init__(self, obj: CovarianceObjective, x, carried=None):
         self.obj, self.x, self._g = obj, x, None
@@ -622,7 +623,8 @@ class LogdetLine(Line):
         return 1.0 + t * (self._low if t >= 0.0 else self._high)
 
     def _point_at(self, t) -> LogdetPoint:
-        point, x = self.point, self.point.x + t * self.v
+        point, x = self.point, t * self.v
+        x += point.x  # X + tV in the new point's own buffer
         if (self.vertex is None or t >= 1.0 or point.age >= point.obj.p
                 or self._edge(t) <= _LOGDET_EDGE):
             return LogdetPoint(point.obj, x)
@@ -635,29 +637,38 @@ class LogdetLine(Line):
         terms = [(q, 0.0)] if i == j else [(h, first), (-h, -first)]
         for c, sign in terms:  # u = e_i + sign e_j; sign 0 keeps e_i's own operations
             yu = y[i] + sign * y[j] if sign else y[i]
-            k = c / (1.0 + c * (yu[i] + sign * yu[j] if sign else yu[i]))
+            k = c / (1.0 + c * (yu.item(i) + sign * yu.item(j) if sign else yu.item(i)))
             w = math.sqrt(abs(k)) * yu  # k Y u u^T Y = +-w w^T, exactly symmetric
-            z = np.multiply.outer(w, w)
-            y = y - z if k > 0.0 else y + z
-        y = y / (1.0 - t)
+            z = np.multiply.outer(w, w)  # Y -+ w w^T then goes into z, never into the parent's Y
+            y = np.subtract(y, z, out=z) if k > 0.0 else np.add(y, z, out=z)
+        y /= 1.0 - t
         return LogdetPoint(point.obj, x, (y, self.value(t), point.age + 1))
 
     def value(self, t) -> float:
         if self._edge(t) <= 0.0:
             return math.inf
-        logs = sum(math.log1p(t * lam) for lam in self.lam)
-        if self.ones:
-            logs += self.ones * math.log1p(-t)
+        lam = self.lam  # a vertex line's one or two terms, added as sum() adds them from 0
+        logs = (0.0 + math.log1p(t * lam[0]) if len(lam) == 1 else
+                0.0 + math.log1p(t * lam[0]) + math.log1p(t * lam[1]) if len(lam) == 2 else
+                sum(math.log1p(t * x) for x in lam))
+        logs = logs + self.ones * math.log1p(-t) if self.ones else logs
         return self.point.value() - logs + t * self.trace_sv
 
     def slope(self, t) -> float:
         if self._edge(t) <= 0.0:
             raise ValueError("slope undefined outside the domain")
-        out = self.trace_sv - sum(lam / (1.0 + t * lam) for lam in self.lam)
+        lam = self.lam
+        out = self.trace_sv - (
+            0.0 + lam[0] / (1.0 + t * lam[0]) if len(lam) == 1 else
+            0.0 + lam[0] / (1.0 + t * lam[0]) + lam[1] / (1.0 + t * lam[1]) if len(lam) == 2 else
+            sum(x / (1.0 + t * x) for x in lam))
         return out + self.ones / (1.0 - t) if self.ones else out
 
     def curvature(self) -> float:
-        return sum(lam * lam for lam in self.lam) + self.ones
+        lam = self.lam
+        return (0.0 + lam[0] * lam[0] if len(lam) == 1 else
+                0.0 + lam[0] * lam[0] + lam[1] * lam[1] if len(lam) == 2 else
+                sum(x * x for x in lam)) + self.ones
 
     def in_domain(self, t) -> bool:
         edge = self._edge(t)

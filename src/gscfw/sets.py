@@ -14,21 +14,20 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .gsc import inner, l2_norm
+from .gsc import l2_norm
 
 
 class OracleViolation(RuntimeError):
     """A linear oracle returned a certifiably non-optimal answer."""
 
 
-def gap(grad, x, score: float) -> float:
-    """Dual merit <grad, x> - score, score = <grad, s>, s = lmo(grad); nonnegative at feasible x.
+def gap(grad, at_x: float, score: float) -> float:
+    """Dual merit at_x - score, at_x = <grad, x>, score = <grad, lmo(grad)>; >= 0 at feasible x.
 
     Rounding-level negativity (relative to the inner products involved) is clamped to
     0; anything larger indicates a broken oracle.  A gradient with a NaN or infinite
     entry is a ValueError, not an oracle fault, even where the score is finite.
     """
-    at_x = inner(grad, x)
     value = at_x - score
     if value >= 0.0 and (value < math.inf or np.isfinite(grad).all()):
         return value
@@ -74,11 +73,16 @@ class VertexSet(FeasibleSet):
 
     def vertex(self, vid):
         """The vertex with id ``vid``, as a new array."""
-        a, b, h = self.atom(vid)
-        return np.bincount((a, b), (h, h), self.dimension).reshape(self.shape)  # 2h when a == b
+        return self._dense(*self.atom(vid))
 
     def lmo(self, c):
-        return self.vertex(self.lmo_indexed(c)[0])
+        return self._dense(*self.lmo_indexed(c)[1])
+
+    def _dense(self, a, b, h):
+        out = np.zeros(self.dimension)
+        out[a] += h  # 0.0 + h, and h + h where a == b
+        out[b] += h
+        return out.reshape(self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +157,16 @@ class SymmetricL1Ball(VertexSet):
         self.dimension, self.shape = p * p, (p, p)
         self.radius = _radius(p, radius)
 
-    def lmo_indexed(self, c):
+    def lmo_indexed(self, c, symmetric=False):
         # the vertex -sign(c_ij) at the first largest-magnitude entry in
-        # row-major order; sign(0) taken as +1
+        # row-major order; sign(0) taken as +1.  symmetric=True vouches that c
+        # is its own transpose bit for bit (a log-det gradient): no test then
         c = np.asarray(c, dtype=float)
         if c.shape != (self.p, self.p):
             raise ValueError(f"expected a square {self.p} x {self.p} matrix")
         mag = np.abs(c)
         i, j = divmod(int(mag.argmax()), self.p)  # mag[i, j] is max |c|, NaN included
-        if not exactly_symmetric(c):
+        if not (symmetric or exactly_symmetric(c)):
             with np.errstate(invalid="ignore"):  # inf - inf in c - c.T: NaN, never a rejection
                 if float(np.abs(c - c.T).max()) > 1e-10 * max(1.0, float(mag[i, j])):
                     raise ValueError("gradient matrix is not symmetric")

@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 
 import numpy as np
 
@@ -122,16 +122,16 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
 
     ``point`` is the evaluation cache at the iterate (``Objective.at``).  The
     loop builds each iteration's record as ``IterationRecord(k, f, gap, 0.0,
-    "forward")`` and hands it to ``step(point, s_id, s, rec)``, which carries
-    the solver's own state, fills in alpha and its own fields of ``rec`` and
-    returns ``(line, t)``; ``s_id``, ``s`` are the vertex id and its atom
-    (a, b, h) on polytopes, else None and the dense answer (``_toward`` takes
-    either).  The loop then moves to ``line.at(t)``, the point with whatever
-    the line already knows there (margins, f), which at t = 0 is the iterate
-    itself, and labels a step of t = 0 ``zero``.  The run ends at the gap
-    test or at the cap, and the gap test runs first, so the final gap is the
-    one at the final iterate.  A zero step is one more iteration, and a
-    record's wall time spans its whole iteration, step bookkeeping included.
+    "forward")`` and hands it to ``step(point, s_id, s, rec, at_x)``, which carries
+    the solver's own state, fills in alpha and its own fields of ``rec`` and returns
+    ``(line, t)``; ``s_id``, ``s`` are the vertex id and its atom (a, b, h) on
+    polytopes, else None and the dense answer (``_toward`` takes either), and ``at_x``
+    is the gap's <g, x>.  The loop then moves to ``line.at(t)``, the point with
+    whatever the line already knows there (margins, f), which at t = 0 is the iterate
+    itself, and labels a step of t = 0 ``zero``.  The run ends at the gap test or at
+    the cap, and the gap test runs first, so the final gap is the one at the final
+    iterate.  A zero step is one more iteration, and a record's wall time spans its
+    whole iteration, step bookkeeping included.
     """
     indexed = isinstance(feasible, VertexSet)
     records = []
@@ -140,18 +140,20 @@ def _frank_wolfe(feasible: FeasibleSet, point: Point, config: SolverConfig, meta
     for k in range(config.max_iter + 1):
         t0 = time.perf_counter()
         g = point.gradient()
-        s_id, s = feasible.lmo_indexed(g) if indexed else (None, feasible.lmo(g))
+        s_id, s = (feasible.lmo_indexed(g, symmetric=True) if point.symmetric_gradient else
+                   feasible.lmo_indexed(g)) if indexed else (None, feasible.lmo(g))
         if indexed:  # <g, s> = h g_a + h g_b, as away_vertex scores it
             (a, b, h), flat = s, g.ravel()
             score = h * float(flat[a]) + h * float(flat[b])
-        gp = fw_gap(g, point.x, score if indexed else inner(g, s))
+        at_x = inner(g, point.x)
+        gp = fw_gap(g, at_x, score if indexed else inner(g, s))
         if gp <= config.epsilon:
             status = "gap-converged"
             break
         if k == config.max_iter:
             break
         rec = IterationRecord(k, point.value(), gp, 0.0, "forward")
-        line, t = step(point, s_id, s, rec)
+        line, t = step(point, s_id, s, rec, at_x)
         point = line.at(t)
         if t == 0.0:
             rec.step_kind = "zero"
@@ -176,7 +178,7 @@ def fw_standard(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig)
     """Oblivious 2/(k+2) schedule; domain-violating candidates are zeroed."""
     point, meta = _start(obj, feasible, x0, "fw-standard")
 
-    def step(point, s_id, s, rec):
+    def step(point, s_id, s, rec, at_x):
         line, alpha = _toward(point, s), 2.0 / (rec.k + 2.0)
         if line.in_domain(alpha):  # else a zero step
             rec.alpha = alpha
@@ -199,7 +201,7 @@ def fw_line_search(obj: Objective, feasible: FeasibleSet, x0, config: SolverConf
     """Exact line search within the domain-feasible segment."""
     point, meta = _start(obj, feasible, x0, "fw-line-search")
 
-    def step(point, s_id, s, rec):
+    def step(point, s_id, s, rec, at_x):
         line = _toward(point, s)
         rec.alpha = _exact_line_search(line)
         return line, rec.alpha
@@ -219,7 +221,7 @@ def fwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) -> Ru
     """
     point, meta = _start(obj, feasible, x0, "fwgsc")
 
-    def step(point, s_id, s, rec):
+    def step(point, s_id, s, rec, at_x):
         line = _toward(point, s)
         geom = LocalGeometry.from_direction(line, rec.gap)
         rec.alpha, rec.predicted_decrease = analytic_step(obj.spec, geom, cap=1.0)
@@ -267,7 +269,7 @@ def lbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     point, meta = _start(obj, feasible, x0, "lbtfwgsc")
     l_prev = meta["l_init"] = config.l_init
 
-    def step(point, s_id, s, rec):
+    def step(point, s_id, s, rec, at_x):
         nonlocal l_prev
         line = _toward(point, s)
         if l_prev is None:  # phi''(0)/||v||^2 along the first direction; step_l rejects v = 0
@@ -302,7 +304,7 @@ def mbtfwgsc(obj: Objective, feasible: FeasibleSet, x0, config: SolverConfig) ->
     point, meta = _start(obj, feasible, x0, "mbtfwgsc")
     mu_prev = config.mu_init
 
-    def step(point, s_id, s, rec):
+    def step(point, s_id, s, rec, at_x):
         nonlocal mu_prev
         line = _toward(point, s)
         rec.alpha, mu_prev, rec.backtrack_count = step_m(line, rec.gap, mu_prev, config)
@@ -340,7 +342,7 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
     gap0 = r_0 = None
     c_k = 1.0
 
-    def step(point, s_id, s, rec):
+    def step(point, s_id, s, rec, at_x):
         nonlocal gap0, r_0, c_k
         if rec.k == 0:
             gap0 = rec.gap
@@ -419,9 +421,11 @@ class ActiveSet:
 def away_vertex(grad, active: ActiveSet):
     """The active vertex most aligned with grad (lowest id on ties), its row and <grad, vertex>."""
     scores = (active.heights[:, None] * grad.ravel()[active.pairs]).sum(axis=1)  # h g_a + h g_b
-    best = scores[scores.argmax()]
-    uid = min(compress(active.rows, scores == best))
-    return uid, active.rows[uid], float(best)
+    row = int(scores.argmax())
+    ties = scores == scores[row]  # the argmax row's id by position, unless it ties exactly
+    uid = (next(islice(active.rows, row, None)) if np.count_nonzero(ties) == 1 else
+           min(compress(active.rows, ties)))
+    return uid, active.rows[uid], float(scores[row])
 
 
 def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConfig) -> RunTrace:
@@ -442,10 +446,9 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
         drift = l2_norm(active.reconstruct() - x) / (1.0 + l2_norm(x))
         meta["active_set_max_drift"] = max(meta["active_set_max_drift"], drift)
 
-    def step(point, s_id, s, rec):
-        x, g = point.x, point.gradient()
-        uid, row, score = away_vertex(g, active)
-        away_gap = score - inner(g, x)
+    def step(point, s_id, s, rec, at_x):
+        uid, row, score = away_vertex(point.gradient(), active)
+        away_gap = score - at_x
         forward = rec.gap >= away_gap
         mu_u = 0.0 if forward else active.weights[row]
         if mu_u >= 1.0 - 1e-12:
@@ -454,7 +457,7 @@ def asfwgsc(obj: Objective, polytope: VertexSet, start: dict, config: SolverConf
         if forward:
             line, t_bar = point.toward_atom(*s), 1.0
         else:  # a negative step along the line toward the away atom, sized by the away gap
-            line = point.toward_atom(*active.pairs[row], float(active.heights[row]))
+            line = point.toward_atom(*active.pairs[row].tolist(), float(active.heights[row]))
             t_bar, rec.gap, rec.step_kind = mu_u / (1.0 - mu_u), away_gap, "away"
         geom = LocalGeometry.from_direction(line, rec.gap)
         rec.alpha, rec.predicted_decrease = analytic_step(obj.spec, geom, cap=t_bar)

@@ -174,8 +174,8 @@ class RecordingBall(SymmetricL1Ball):
         super().__init__(p, radius)
         self.picks = []
 
-    def lmo_indexed(self, c):
-        vid, s = super().lmo_indexed(c)
+    def lmo_indexed(self, c, symmetric=False):
+        vid, s = super().lmo_indexed(c, symmetric)
         self.picks.append(vid)
         return vid, s
 

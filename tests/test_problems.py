@@ -665,6 +665,27 @@ def test_the_adding_sherman_morrison_term_goes_first():
     _assert_matches_a_fresh_point(nxt, obj)
 
 
+def test_a_carried_step_leaves_its_parent_as_it_was():
+    # a carried step forms Y -+ w w^T in the outer product's own array and
+    # divides it in place: the parent's X, Y and gradient keep their bytes,
+    # and asking for the same t again gives the same point bit for bit
+    p = 6
+    inst = covariance_problem(covariance_generator(p, seed=3), radius=9.0)
+    obj, ball = inst.objective, inst.feasible_set
+    point = obj.at(ball.radius / p * np.eye(p))
+    before = [a.tobytes() for a in (point.x, point.x_inverse(), point.gradient())]
+    t1, t2 = 0.1, 0.2  # inside the domain, which ends at t = 1/4 toward (0, 3, 1)
+    for vid in ((1, 1, 1), (0, 3, 1)):
+        line = point.toward_atom(*ball.atom(vid))
+        assert line.vertex is not None and len(line.lam) == (1 if vid[0] == vid[1] else 2)
+        first, _, again = line.at(t1), line.at(t2), line.at(t1)
+        assert first is not again and first.age == again.age == 1  # carried, not refactored
+        for a, b in ((first.x, again.x), (first.x_inverse(), again.x_inverse())):
+            assert a.tobytes() == b.tobytes()
+        assert first.value() == again.value()
+        assert [a.tobytes() for a in (point.x, point.x_inverse(), point.gradient())] == before
+
+
 def test_a_step_near_the_domain_edge_gets_a_factored_point():
     # within _LOGDET_EDGE of the edge, rounding may decide whether X + tV
     # factors: at(t) factors it and in_domain answers what dpotrf says

@@ -11,6 +11,7 @@ from gscfw import (EuclideanBall, L1Ball, Line, NonnegativeBall, OracleViolation
                    max_feasible_step)
 from gscfw import (covariance_generator, covariance_problem, dwd_problem, portfolio_generator,
                    portfolio_problem, synthetic_classification)
+import gscfw.sets
 from gscfw.bench import make_start
 from gscfw.gsc import l2_norm
 from gscfw.solvers import SolverConfig, fwgsc
@@ -27,25 +28,25 @@ def test_gap_examples():
     x = np.array([1.0, 0.0, 0.0])
     s = UnitSimplex(3).lmo(g)
     assert np.array_equal(s, [0.0, 1.0, 0.0])
-    assert gap(g, x, inner(g, s)) == pytest.approx(2.0)
-    assert gap(g, s, inner(g, s)) == 0.0
+    assert gap(g, inner(g, x), inner(g, s)) == pytest.approx(2.0)
+    assert gap(g, inner(g, s), inner(g, s)) == 0.0
 
 
 def test_gap_clamps_rounding_but_flags_violations():
     g = np.array([1.0, 0.0])
     x = np.array([1.0, 0.0])
-    assert gap(g, x, 1.0 + 1e-13) == 0.0
+    assert gap(g, inner(g, x), 1.0 + 1e-13) == 0.0
     with pytest.raises(OracleViolation):
-        gap(g, x, 2.0)
+        gap(g, inner(g, x), 2.0)
     # a billionth of the inner products is far beyond rounding: a violation too
     with pytest.raises(OracleViolation):
-        gap(g, x, 1.0 + 1e-9)
+        gap(g, inner(g, x), 1.0 + 1e-9)
 
 
 def test_gap_rejects_non_finite_gradient():
-    x = np.array([1.0, 0.0])
+    g, x = np.array([np.nan, 1.0]), np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="non-finite gradient"):
-        gap(np.array([np.nan, 1.0]), x, 1.0)
+        gap(g, inner(g, x), 1.0)
     # q = 1e6 overflows the DWD kernel at the start's slack margins: the
     # solver rejects the start, where f is +inf, before any gradient
     inst = dwd_problem(synthetic_classification(20, 5, seed=1), q=1e6)
@@ -63,22 +64,34 @@ def test_gap_rejects_non_finite_gradient_scored_by_its_atom(g):
     simplex, g, x = UnitSimplex(3), np.array(g), np.array([0.5, 0.5, 0.0])
     vid, (a, b, h) = simplex.lmo_indexed(g)
     with pytest.raises(ValueError, match="non-finite gradient"):
-        gap(g, x, h * float(g[a]) + h * float(g[b]))
+        gap(g, inner(g, x), h * float(g[a]) + h * float(g[b]))
     with np.errstate(invalid="ignore"):  # inf * 0 in the dense product
         dense = float(np.vdot(g, simplex.vertex(vid)))
     with pytest.raises(ValueError, match="non-finite gradient"):
-        gap(g, x, dense)
+        gap(g, inner(g, x), dense)
 
 
 # ---------------------------------------------------------------------------
 # elementary oracles
 # ---------------------------------------------------------------------------
 
+def _assert_lmo_is_its_vertex(feasible, c):
+    # the dense answer is the vertex lmo_indexed names, byte for byte, and
+    # both are h (e_a + e_b) summed from zeros, as np.bincount sums it
+    vid, (a, b, h) = feasible.lmo_indexed(c)
+    ref = np.bincount((a, b), (h, h), feasible.dimension).reshape(feasible.shape)
+    s = feasible.lmo(c)
+    assert s.dtype == ref.dtype and s.shape == ref.shape
+    assert s.tobytes() == feasible.vertex(vid).tobytes() == ref.tobytes()
+
+
 def test_simplex_lmo_tiebreak():
     simplex = UnitSimplex(3)
     assert np.array_equal(simplex.lmo([3.0, 1.0, 2.0]), [0, 1, 0])
     assert np.array_equal(simplex.lmo([1.0, 1.0, 1.0]), [1, 0, 0])
     assert np.array_equal(simplex.lmo([-5.0, 0.0, 0.0]), [1, 0, 0])
+    for c in ([3.0, 1.0, 2.0], [1.0, 1.0, 1.0], [0.0, -0.0, -0.0], [2.0, -0.0, 0.0]):
+        _assert_lmo_is_its_vertex(simplex, c)
 
 
 def test_l1ball_lmo():
@@ -93,6 +106,11 @@ def test_l1ball_lmo():
         c = rng.standard_normal(7)
         s = ball.lmo(c)
         assert float(c @ s) == pytest.approx(-3.0 * np.max(np.abs(c)), rel=1e-12)
+        _assert_lmo_is_its_vertex(ball, c)
+    # ties, -0.0, and at the smallest radius a height R/2 that rounds to -0.0
+    for ball in (L1Ball(3, 10.0), L1Ball(1, 5.0), L1Ball(3, 5e-324)):
+        for c in ([0.0, -0.0, 0.0], [-0.0, 4.0, -4.0], [1.0, -1.0, 0.5], [-2.0, 2.0, -0.0]):
+            _assert_lmo_is_its_vertex(ball, c[:ball.dimension])
 
 
 def test_sym_l1_lmo():
@@ -107,6 +125,30 @@ def test_sym_l1_lmo():
     assert np.sum(np.abs(s2)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         SymmetricL1Ball(2, 1.0).lmo(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    skewed = np.array([[0.0, 1.0], [0.5, 0.0]])
+    skewed.flags.writeable = False  # the flags vouch for nothing
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymmetricL1Ball(2, 1.0).lmo_indexed(skewed)
+    ties = np.array([[-0.0, 2.0, -2.0], [2.0, 0.0, 0.0], [-2.0, 0.0, 2.0]])
+    for ball in (SymmetricL1Ball(3, 2.0), SymmetricL1Ball(3, 5e-324)):
+        for c in (g2, ties, -ties, np.zeros((3, 3)), -np.zeros((3, 3))):
+            _assert_lmo_is_its_vertex(ball, c)
+
+
+def test_a_log_det_run_never_tests_its_gradients_for_symmetry(monkeypatch):
+    # Sigma - Y is exactly symmetric by construction, so the loop tells the
+    # oracle so; the factorization of a fresh point keeps its own test
+    calls, test = [], gscfw.sets.exactly_symmetric
+
+    def spy(c):
+        calls.append(c.shape)
+        return test(c)
+
+    inst = covariance_problem(covariance_generator(30, seed=1))
+    x0, _ = make_start(inst, 1)
+    monkeypatch.setattr(gscfw.sets, "exactly_symmetric", spy)
+    trace = fwgsc(inst.objective, inst.feasible_set, x0, SolverConfig(epsilon=5e-324, max_iter=300))
+    assert len(trace.iterations) == 300 and calls == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -197,7 +197,7 @@ def test_fwgsc_dikin_step_safety(portfolio_toy):
     for _ in range(200):
         g = obj.gradient(x)
         s = feasible.lmo(g)
-        gp = fw_gap(g, x, inner(g, s))
+        gp = fw_gap(g, inner(g, x), inner(g, s))
         if gp <= config.epsilon:
             break
         v = s - x
@@ -343,7 +343,7 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
     for rec in trace.iterations[:100]:
         x, g = point.x, point.gradient()
         s = feasible.lmo(g)
-        gp = fw_gap(g, x, inner(g, s))
+        gp = fw_gap(g, inner(g, x), inner(g, s))
         line = point.toward(s)
         f_x = point.value()
         alpha, l_prev, _ = step_l(line, gp, l_prev, config)
@@ -487,7 +487,7 @@ def test_step_m_smaller_constant_gives_larger_step(portfolio_toy):
     x = np.full(feasible.dimension, 1.0 / feasible.dimension)
     g = obj.gradient(x)
     from gscfw.sets import gap as fw_gap
-    gp = fw_gap(g, x, inner(g, feasible.lmo(g)))
+    gp = fw_gap(g, inner(g, x), inner(g, feasible.lmo(g)))
     v = feasible.lmo(g) - x
     geom = LocalGeometry.from_direction(obj.at(x).restrict(v), gp)
     a_small = analytic_step(GscSpec(0.5, 3.0), geom, cap=1.0)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import csv
+import io
 import json
 import math
 import numbers
@@ -453,18 +454,19 @@ def run_experiment(config, out_dir=None, dry_run: bool = False):
     return records
 
 
-def profile_table(rows):
-    """The CSV header, then the text fields of each profile row."""
-    yield ["epsilon", "method", "rho", "rho_iter", "rho_time"]
-    for row in rows:
-        yield [f"{row.epsilon:g}", row.method, f"{row.rho:.6f}",
-               "" if row.rho_iter is None else f"{row.rho_iter:.6f}",
-               "" if row.rho_time is None else f"{row.rho_time:.6f}"]
+def profile_table(rows) -> str:
+    """The profile as CSV text, every line ended by "\\n": the header, then a line per row."""
+    out = io.StringIO()
+    table = csv.writer(out, lineterminator="\n")
+    table.writerow(["epsilon", "method", "rho", "rho_iter", "rho_time"])
+    table.writerows([f"{row.epsilon:g}", row.method, f"{row.rho:.6f}",
+                     "" if row.rho_iter is None else f"{row.rho_iter:.6f}",
+                     "" if row.rho_time is None else f"{row.rho_time:.6f}"] for row in rows)
+    return out.getvalue()
 
 
 def write_profile_csv(path: Path, rows):
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(profile_table(rows))
+    path.write_text(profile_table(rows), newline="")
 
 
 def load_records(directory) -> list:

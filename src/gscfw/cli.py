@@ -66,8 +66,7 @@ def _cmd_profile(args) -> int:
     if args.out:
         bench.write_profile_csv(Path(args.out), rows)
     else:
-        for fields in bench.profile_table(rows):
-            print(",".join(fields))
+        sys.stdout.write(bench.profile_table(rows))
     return 0
 
 

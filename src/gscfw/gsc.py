@@ -231,7 +231,7 @@ class Point:
         return Line(self, v)
 
     def toward(self, s) -> "Line":
-        """The line toward s, v = s - x; a step away from s is a negative t."""
+        """The line toward s, restrict(s - x) on every family; away from s is a negative t."""
         return self.restrict(s - self.x)
 
     def toward_atom(self, a, b, h) -> "Line":

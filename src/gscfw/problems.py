@@ -326,13 +326,6 @@ class MarginPoint(Point):
     def restrict(self, v) -> "MarginLine":
         return MarginLine(self, v, self.obj.b_times(v))
 
-    def toward(self, s) -> "MarginLine":
-        # fwlloo's oracle may answer a vertex s_i e_i; a bool mask, as float nonzero is slow
-        nonzero = (s != 0.0).nonzero()[0] if self.obj.columns is not None else ()
-        if len(nonzero) != 1:
-            return super().toward(s)
-        return self.toward_atom(nonzero[0], nonzero[0], 0.5 * s[nonzero[0]])
-
     def toward_atom(self, a, b, h) -> "MarginLine":
         obj = self.obj
         if a != b or obj.columns is None:

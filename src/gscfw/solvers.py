@@ -348,7 +348,10 @@ def fwlloo(obj: Objective, feasible: FeasibleSet, lloo, x0, config: SolverConfig
             gap0 = rec.gap
             r_0 = meta["r_0"] = math.sqrt(2.0 * gap0 / sigma)
         rec.estimate, rec.certificate, rec.radius = c_k, gap0 * c_k, r_0 * math.sqrt(c_k)
-        line = point.toward(lloo.query(point.x, rec.radius, point.gradient()))
+        u = lloo.query(point.x, rec.radius, point.gradient())
+        a = (u != 0.0).nonzero()[0]  # a bool mask, as float nonzero is slow
+        # a vertex u_a e_a goes on as its atom (a, a, u_a / 2), any other answer as a point
+        line = point.toward_atom(a[0], a[0], 0.5 * u[a[0]]) if len(a) == 1 else point.toward(u)
         # the merit is half the certificate, so xi = 2 e^2 / (gap0 c_k)
         geom = LocalGeometry.from_direction(line, 0.5 * gap0 * c_k)
         if geom.beta != 0.0:  # else the oracle answered x itself: a zero step

@@ -155,7 +155,7 @@ def test_profile_points_match_the_scalar_reference(records, epsilons):
     rows = profile_points(records, epsilons)
     reference = reference_profile_points(records, epsilons)
     assert rows == reference
-    assert list(profile_table(rows)) == list(profile_table(reference))
+    assert profile_table(rows) == profile_table(reference)
 
 
 def test_profile_monotone_in_epsilon():

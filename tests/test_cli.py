@@ -361,8 +361,7 @@ def test_cli_profile_stdout_matches_the_csv_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["profile", str(tmp_path / "rec"), "--epsilons", "1e-2,1e-5"]) == 0
     printed = capsys.readouterr().out
-    # the file is written by the csv module (CRLF rows), stdout by print
-    assert printed == out_csv.read_bytes().decode().replace("\r\n", "\n")
+    assert printed.encode() == out_csv.read_bytes()
     lines = printed.splitlines()
     assert lines[0] == "epsilon,method,rho,rho_iter,rho_time"
     assert len(lines) == 1 + 2 * 2

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import gscfw
-from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry,
+from gscfw import (SOLVERS, ActiveSet, BacktrackingError, GscSpec, LocalGeometry, Point,
                    ProblemInstance, SolverConfig, UnitSimplex, analytic_step, asfwgsc,
                    away_vertex, fw_line_search, fw_standard, fwgsc, fwlloo, inner,
                    lbtfwgsc, mbtfwgsc, step_l, step_m)
 from gscfw.bench import build_problem, make_start, run_method
-from gscfw.problems import MarginLine
+from gscfw.problems import MarginLine, MarginPoint
 from gscfw.sets import SimplexLLOO, VertexSet
 
 from conftest import (IntervalSet, LinearObjective, NegLogObjective, QuadraticObjective,
@@ -344,7 +344,7 @@ def test_lbtfwgsc_monotone_and_model_bound(portfolio_toy):
         x, g = point.x, point.gradient()
         s = feasible.lmo(g)
         gp = fw_gap(g, inner(g, x), inner(g, s))
-        line = point.toward(s)
+        line = point.toward_atom(*feasible.lmo_indexed(g)[1])
         f_x = point.value()
         alpha, l_prev, _ = step_l(line, gp, l_prev, config)
         cand, f_cand = x + alpha * line.v, line.value(alpha)
@@ -613,6 +613,32 @@ def test_fwlloo_trace_is_that_of_the_sort_and_drain_oracle(portfolio_toy, sigma_
                         t.status, t.final_f, t.final_gap, t.meta, t.x.tobytes()))
                   for t in traces)
     assert len(traces[0].iterations) > 50 and fast == slow
+
+
+def test_fwlloo_steps_toward_a_vertex_answer_by_its_atom(monkeypatch):
+    # a one-entry answer u_a e_a is the atom (a, a, u_a / 2); any other is a point
+    inst = build_problem({"name": "portfolio", "p": 60, "n": 20, "seed": 3})
+    x0, _ = make_start(inst, 1)
+    lloo, answers, lines = SimplexLLOO(20), [], []
+    query = lloo.query
+    lloo.query = lambda x, r, c: answers.append(query(x, r, c)) or answers[-1]
+    atom, toward = MarginPoint.toward_atom, Point.toward
+    monkeypatch.setattr(MarginPoint, "toward_atom",
+                        lambda point, *s: lines.append(("toward_atom", s)) or atom(point, *s))
+    monkeypatch.setattr(Point, "toward",
+                        lambda point, s: lines.append(("toward", s)) or toward(point, s))
+    trace = fwlloo(inst.objective, inst.feasible_set, lloo, x0, SolverConfig(max_iter=100))
+    assert len(trace.iterations) == len(answers) == len(lines) == 100
+    kinds = Counter()
+    for u, (name, args) in zip(answers, lines):
+        nonzero = np.flatnonzero(u)
+        if len(nonzero) == 1:
+            a = nonzero[0]
+            assert name == "toward_atom" and args == (a, a, 0.5 * u[a])
+        else:
+            assert name == "toward" and args is u
+        kinds[name] += 1
+    assert kinds["toward_atom"] > 0 and kinds["toward"] > 0, kinds
 
 
 def test_fwlloo_sigma_auto_recipe(portfolio_toy):

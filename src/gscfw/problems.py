@@ -106,17 +106,67 @@ def libsvm_parse(source, normalize: bool = False, dimension: int | None = None) 
     return data.normalized() if normalize else data
 
 
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _floyd_rows(rng, n: int, indices, values) -> bool:
+    """``_sparse_rows``'s rows for k < n <= 10000, from raw PCG64 words, each
+    row's indices in Floyd's order rather than shuffled: there numpy's choice is
+    Floyd's sampler, then a Fisher-Yates shuffle, 2k - 1 draws over ranges
+    R = n - k + 1 .. n, then k .. 2.  A draw is (x R) >> 32, x the next 32-bit
+    half of the stream: the low half of a new word, or the high half kept from
+    the last one (Lemire's method).  Where x R mod 2^32 < (2^32 - R) mod R numpy
+    draws again; then this returns False, the generator back where it began."""
+    bitgen, normal = rng.bit_generator, rng.standard_normal
+    start, (rows, k) = bitgen.state, indices.shape
+    carry, chunks = start["has_uint32"], []
+    for r in range(rows):  # a row that starts on a kept half takes k - 1 words
+        chunks.append(bitgen.random_raw(k - (carry + r) % 2))
+        values[r] = normal(k)
+    words = np.concatenate(chunks)
+    halves = np.empty(2 * words.size + carry, np.uint64)
+    halves[:carry] = start["uinteger"]
+    halves[carry::2] = words & _LOW32
+    halves[carry + 1::2] = words >> _SHIFT32
+    ranges = np.r_[n - k + 1:n + 1, k:1:-1].astype(np.uint64)
+    scaled = halves[:rows * ranges.size].reshape(rows, ranges.size) * ranges
+    if ((scaled & _LOW32) < (np.uint64(2**32) - ranges) % ranges).any():
+        bitgen.state = start
+        return False
+    indices[...] = scaled[:, :k] >> _SHIFT32
+    taken, every = np.zeros((rows, n), bool), np.arange(rows)
+    for i in range(k):  # Floyd: a pick already taken becomes n - k + i
+        pick = indices[:, i]
+        pick[taken[every, pick]] = n - k + i
+        taken[every, pick] = True
+    # numpy keeps the last word's high half, whether or not it is used
+    bitgen.state = dict(bitgen.state, has_uint32=halves.size - scaled.size,
+                        uinteger=int(halves[-1]))
+    return True
+
+
+def _sparse_rows(rng, p: int, n: int, k: int, block: int):
+    """The (p, k) sorted column indices and values of the synthetic rows: row
+    by row, ``rng.choice(n, k, replace=False)`` then ``rng.standard_normal(k)``,
+    drawn ``block`` rows at a time, by ``_floyd_rows`` where it can."""
+    indices, values = np.empty((p, k), dtype=np.int64), np.empty((p, k))
+    for start in range(0, p, block):
+        part = slice(start, start + block)
+        if not (k < n <= 10000 and _floyd_rows(rng, n, indices[part], values[part])):
+            for r in range(*part.indices(p)):
+                indices[r] = rng.choice(n, size=k, replace=False)
+                values[r] = rng.standard_normal(k)
+    indices.sort(axis=1)  # values pair with the sorted columns, in draw order
+    return indices, values
+
+
 def synthetic_classification(p: int, n: int, density: float = 0.15,
                              seed: int = 0, normalize: bool = True) -> SparseDataset:
     """Seeded sparse classification data with a planted linear separator."""
     rng = np.random.default_rng(seed)
     k = max(1, int(round(density * n)))
-    indices = np.empty((p, k), dtype=np.int64)
-    values = np.empty((p, k))
-    for r in range(p):
-        indices[r] = rng.choice(n, size=k, replace=False)
-        values[r] = rng.standard_normal(k)
-    indices.sort(axis=1)  # values pair with the sorted columns, in draw order
+    # blocks whose largest temporaries, the taken mask and the halves, are about 1 MB
+    indices, values = _sparse_rows(rng, p, n, k, max(1, 2**20 // max(n, 16 * k)))
     matrix = sp.csr_matrix((values.ravel(), indices.ravel(), np.arange(0, p * k + 1, k)),
                            shape=(p, n))
     planted = rng.standard_normal(n)
@@ -172,8 +222,8 @@ class LogisticLoss(MarginKernel):
         return np.maximum(-z, 0.0) + np.log1p(e)
 
     def d1(self, w):
-        z, e = w  # -1/(1 + e^z)
-        return -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+        z, e = w  # -1/(1 + e^z): -e/(1 + e) where z >= 0, as 0 <= e <= 1
+        return -np.maximum(e, z < 0.0) / (1.0 + e)
 
     def d2(self, w, u):
         _, e = w  # e^z / (1 + e^z)^2, symmetric in z

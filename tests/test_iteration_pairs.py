@@ -33,6 +33,20 @@ def test_iteration_pairs_times_every_applicable_cell_on_both_trees():
         assert cell[5] == "4"  # both trees ran every iteration
 
 
+def test_iteration_pairs_setup_mode_times_each_build_on_both_trees():
+    problems = [{"name": "logistic", "p": 30, "n": 10, "seed": 4},
+                {"name": "dwd", "p": 12, "d": 3}]
+    out = _run(ROOT, ROOT, "--setup", "--problems", json.dumps(problems), "--repeats", 3)
+    assert out.returncode == 0, out.stderr
+    header, columns, *rows = out.stdout.splitlines()
+    assert "best of 3 builds of each problem" in header
+    assert columns.split() == ["problem", "A", "ms", "B", "ms", "B/A"]
+    cells = [row.split() for row in rows]
+    assert [cell[0] for cell in cells] == ["logistic(p=30,n=10,seed=4)", "dwd(p=12,d=3)"]
+    for cell in cells:
+        assert len(cell) == 4 and min(map(float, cell[1:])) > 0.0  # A and B ms, and B/A
+
+
 def test_iteration_pairs_rejects_a_tree_without_the_package(tmp_path):
     out = _run(ROOT, tmp_path)
     assert out.returncode == 2 and "no src/gscfw package" in out.stderr

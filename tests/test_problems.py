@@ -16,6 +16,7 @@ from gscfw import (SparseDataset, covariance_generator, covariance_problem, dwd_
                    libsvm_parse, logistic_problem, portfolio_generator, portfolio_problem,
                    synthetic_classification)
 from gscfw.gsc import Objective
+from gscfw import problems
 from gscfw.problems import LogisticLoss, MarginObjective
 from gscfw.solvers import SolverConfig, fw_line_search, smallest_hessian_eigenvalue
 
@@ -85,6 +86,9 @@ def test_libsvm_round_trip(rows):
     (500, 50, 0.15, 0, True, "25bfd16dc736b9cecc648ea088511f049be9f791c31427298f1a5621d4c3e69c"),
     (200, 30, 0.15, 7, True, "ace004557b2141facb0995695b9a90b0cf94973f5cd9acdc6afa0276e6c77e93"),
     (60, 40, 0.05, 3, False, "ed82c24526dd14fa666d2ed4e511af3d555c4251def30740131e363daa1c7223"),
+    # the DWD design of the benchmark, three blocks, and a draw numpy rejects
+    (3000, 300, 0.15, 1, True, "d9b9d2719be28dd215df136767f658b11945efd3ef462315fa5cb86600c33b0b"),
+    (40, 10000, 0.02, 217, True, "458a0e984c923810704dabc09f1099e6ce831761af22790d580624d9a6e41773"),
 ])
 def test_synthetic_classification_stream_is_pinned(p, n, density, seed, normalize, expected):
     data = synthetic_classification(p, n, density=density, seed=seed, normalize=normalize)
@@ -93,6 +97,50 @@ def test_synthetic_classification_stream_is_pinned(p, n, density, seed, normaliz
         digest.update(str(arr.dtype).encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == expected
+
+
+def _choice_then_normal(rng, p, n, k):
+    # the reference stream: one choice and one standard_normal call per row
+    indices, values = np.empty((p, k), dtype=np.int64), np.empty((p, k))
+    for r in range(p):
+        indices[r] = rng.choice(n, size=k, replace=False)
+        values[r] = rng.standard_normal(k)
+    indices.sort(axis=1)
+    return indices, values
+
+
+def _assert_same_rows_and_generator(got, want, rng, reference):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    # integers draws 32-bit halves, so a wrong kept half shows here
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.integers(2**31, size=3).tolist() == reference.integers(2**31, size=3).tolist()
+    assert rng.standard_normal(2).tolist() == reference.standard_normal(2).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 9), st.integers(1, 300), st.data(),
+       st.integers(0, 2**32 - 1), st.integers(0, 1))
+def test_block_rows_draw_the_per_row_stream(block, extra, n, data, seed, lead):
+    # at least two block boundaries, odd and even blocks, k = n (the per-row
+    # loop) included, and a start on a kept half where lead is 1
+    p, k = 2 * block + extra, data.draw(st.integers(1, min(n, 40)))
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    rng.integers(7, size=lead), reference.integers(7, size=lead)
+    got = problems._sparse_rows(rng, p, n, k, block)
+    _assert_same_rows_and_generator(got, _choice_then_normal(reference, p, n, k), rng, reference)
+
+
+def test_a_rejected_draw_sends_its_block_to_the_per_row_loop(monkeypatch):
+    # seed 217 at n = 10000, k = 200 has a draw that numpy rejects and redraws
+    answers, floyd = [], problems._floyd_rows
+    monkeypatch.setattr(problems, "_floyd_rows",
+                        lambda *args: answers.append(floyd(*args)) or answers[-1])
+    rng, reference = np.random.default_rng(217), np.random.default_rng(217)
+    got = problems._sparse_rows(rng, 40, 10000, 200, 16)
+    assert answers == [True, False, True]
+    _assert_same_rows_and_generator(got, _choice_then_normal(reference, 40, 10000, 200),
+                                    rng, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +204,17 @@ def test_logistic_kernel_from_one_exponential(z):
         expected = (np.logaddexp(0.0, -z), -expit(-z), expit(z) * expit(-z))
     for actual, want in zip((phi, d1, d2), expected):
         np.testing.assert_array_max_ulp(actual, want, maxulp=4)
+
+
+def test_logistic_d1_keeps_the_bits_of_its_where_form():
+    z = np.array([0.0, -0.0, 745.5, -745.5, 1e3, -1e3, np.inf, -np.inf, 5e-324, -5e-324,
+                  1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 36.7, -36.7, 709.7, -709.7])
+    z = np.concatenate([z, np.random.default_rng(4).standard_normal(200) * 40.0])
+    kernel = LogisticLoss()
+    e = np.exp(-np.abs(z))
+    want = -np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+    assert np.array_equal(kernel.d1(kernel.prepare(z)).view(np.uint64), want.view(np.uint64))
+    assert np.isnan(kernel.d1(kernel.prepare(np.array([np.nan, -np.nan])))).all()
 
 
 def test_logistic_rejects_bad_inputs():
